@@ -2,9 +2,9 @@
 
 Package layout:
   dcg/          reverse-mode autodiff core, AdamW, gradient checking
-  kernels       numba/numpy backends for the loop-bound kernels
+  kernels       numpy oscillator recurrence
   embeddings    smoothed time slots, user/location tables
-  topics        collapsed-Gibbs LDA and the user-preference head
+  topics        CVB0 LDA and the user-preference head
   cnoa          oscillator recurrence and oscillatory attention
   encoder       tri-pair interaction encoder (causal transformer inside)
   decoder       cross-context attentive decoder, heads, losses

@@ -5,7 +5,7 @@ Configuration is a JSON document (see config.py); individual values can be
 overridden with repeated --set section.key=value flags, and dedicated flags
 (--seed, ...) win over both. Every file-producing command echoes its fully
 resolved config next to its primary output. Exit codes: 0 success,
-1 check failure, 2 usage or config error. CANOE_LOG in
+1 check failure or numeric fault, 2 usage, config or data error. CANOE_LOG in
 {error,warn,info,debug} controls verbosity.
 """
 
@@ -22,15 +22,15 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .data import Dataset, prepare_dataset, read_checkins, write_checkins
-from .dcg import AdamW
+from .dcg import AdamW, NumericFault
 from .evaluation import (compute_metrics, prefix_entropy, stratified_reports,
                          write_report)
 from .mmc import fit_mmc, rank_of_target
 from .model import CanoeModel
 from .synthetic import generate_synthetic
 from .topics import build_cooccurrence, fit_lda
-from .training import (evaluate_model, load_checkpoint, model_from_checkpoint,
-                       sample_entropies, train)
+from .training import (Checkpoint, evaluate_model, load_checkpoint,
+                       model_from_checkpoint, sample_entropies, train)
 from . import data as data_mod
 
 log = logging.getLogger("canoe.cli")
@@ -85,6 +85,15 @@ def _load_dataset(path: str, cfg: RunConfig) -> Dataset:
     return prepare_dataset(checkins, theta=d.theta_seconds,
                            window_len=d.window_len, stride=d.stride,
                            min_records=d.min_records)
+
+
+def _check_id_space(dataset: Dataset, ckpt: Checkpoint) -> None:
+    """A checkpoint's embedding tables fit only the id space it was built for."""
+    for field in ("n_users", "n_locations"):
+        have, want = getattr(dataset, field), ckpt.meta[field]
+        if have != want:
+            raise ValueError(f"dataset {field}={have} does not match the "
+                             f"checkpoint's {field}={want}")
 
 
 def _fit_topics(dataset: Dataset, cfg: RunConfig):
@@ -153,6 +162,7 @@ def cmd_train(args) -> int:
     dataset = _load_dataset(args.data, cfg)
 
     if ckpt is not None:
+        _check_id_space(dataset, ckpt)
         topic_model = ckpt.topic_model()
         model = model_from_checkpoint(ckpt, use_best=False)
         optimizer = AdamW(
@@ -195,6 +205,7 @@ def cmd_eval(args) -> int:
     if args.thresholds:
         cfg.eval.thresholds = [float(x) for x in args.thresholds.split(",")]
     dataset = _load_dataset(args.data, cfg)
+    _check_id_space(dataset, ckpt)
     model = model_from_checkpoint(ckpt, use_best=True)
     report = evaluate_model(model, dataset, dataset.split.test,
                             thresholds=cfg.eval.thresholds, ks=cfg.eval.ks)
@@ -335,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NumericFault as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -83,7 +83,7 @@ def oscillator_output(e: np.ndarray, i: np.ndarray, s: np.ndarray,
 def osc_transform(s: Tensor, p: OscillatorParams) -> Tensor:
     """Differentiable Osc(S) as one fused graph node.
 
-    Forward runs the kernel backend; backward unrolls the recurrence
+    Forward runs kernels.oscillator_forward; backward unrolls the recurrence
     analytically through the stored ReLU gates (validated by grad_check).
     """
     if not np.all(np.isfinite(s.data)):

@@ -47,7 +47,7 @@ class TopicsConfig:
     n_topics: int = 450
     alpha: float | None = None  # None -> 50 / n_topics
     beta: float = 0.01
-    gibbs_iters: int = 500
+    gibbs_iters: int = 500  # CVB0 sweeps; the key keeps its older name
 
 
 @dataclass

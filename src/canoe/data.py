@@ -249,10 +249,17 @@ def read_checkins(path: str | Path) -> list[CheckIn]:
             if not line:
                 continue
             row = json.loads(line)
-            extra = set(row) - {"user", "loc", "t"}
-            if extra or set(row) != {"user", "loc", "t"}:
+            if not isinstance(row, dict) or set(row) != {"user", "loc", "t"}:
                 raise ValueError(
                     f"{path}:{line_no}: record keys must be exactly user/loc/t")
-            out.append(CheckIn(user=int(row["user"]), loc=int(row["loc"]),
-                               t=int(row["t"])))
+            for key, value in row.items():
+                # bool is an int subclass; JSON true/false is not an id
+                if type(value) is not int:
+                    raise ValueError(
+                        f"{path}:{line_no}: {key} must be an integer, got {value!r}")
+            for key in ("user", "loc"):
+                if row[key] < 0:
+                    raise ValueError(
+                        f"{path}:{line_no}: {key} must be non-negative, got {row[key]}")
+            out.append(CheckIn(user=row["user"], loc=row["loc"], t=row["t"]))
     return out

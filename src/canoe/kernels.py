@@ -1,60 +1,32 @@
-"""Loop-bound numeric kernels: numba-jitted with a pure-numpy fallback.
+"""The excitatory/inhibitory oscillator recurrence, forward and backward.
 
-Two kernels live here because they are the only genuinely loop-carried
-inner loops in the package: the excitatory/inhibitory oscillator recurrence
-(forward and backward) and the collapsed-Gibbs topic-sampling sweep.
-Everything else is matmul-bound numpy.
+From E(1) = I(1) = 0, iterate n_steps times, elementwise over the score
+array s (simultaneous update):
 
-Backend selection: set ``CANOE_NUMBA=0`` in the environment (before import)
-to force the numpy path; otherwise numba is used when importable. Both
-backends produce identical float64 results: random numbers are generated
-outside the kernels and the arithmetic order per element is the same.
+  E' = ReLU(e1*E + e2*I + s - tau_e)
+  I' = ReLU(i1*E + i2*I - tau_i)
+
+Forward returns the final (E, I) plus the per-step ReLU gates needed to
+backpropagate through the unrolled recurrence. Each step is vectorized over
+the elements, so numpy is the only backend.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "BACKEND", "NUMBA_ENABLED",
-    "oscillator_forward", "oscillator_backward", "gibbs_sweep",
-    "oscillator_forward_numpy", "oscillator_backward_numpy", "gibbs_sweep_numpy",
-]
+__all__ = ["BACKEND", "NUMBA_ENABLED", "oscillator_forward", "oscillator_backward"]
 
-
-def _numba_requested() -> bool:
-    return os.environ.get("CANOE_NUMBA", "1").strip().lower() not in ("0", "false", "off")
-
-
+# numpy is the only backend. Both names stay because the benchmark harness
+# records BACKEND and reads NUMBA_ENABLED to report its backend-equality
+# check as skipped.
+BACKEND = "numpy"
 NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        NUMBA_ENABLED = False
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
 
 
-# ---------------------------------------------------------------------------
-# oscillator recurrence
-#
-# From E(1) = I(1) = 0, iterate n_steps times, elementwise over the score
-# array s (simultaneous update):
-#
-#   E' = ReLU(e1*E + e2*I + s - tau_e)
-#   I' = ReLU(i1*E + i2*I - tau_i)
-#
-# Forward returns the final (E, I) plus the per-step ReLU gates needed to
-# backpropagate through the unrolled recurrence.
-
-def oscillator_forward_numpy(s: np.ndarray, e1: float, e2: float, i1: float,
-                             i2: float, tau_e: float, tau_i: float,
-                             n_steps: int):
+def oscillator_forward(s: np.ndarray, e1: float, e2: float, i1: float,
+                       i2: float, tau_e: float, tau_i: float, n_steps: int):
+    s = np.asarray(s, dtype=np.float64)
     e = np.zeros_like(s)
     i = np.zeros_like(s)
     gates_e = np.empty((n_steps,) + s.shape, dtype=np.float64)
@@ -71,9 +43,9 @@ def oscillator_forward_numpy(s: np.ndarray, e1: float, e2: float, i1: float,
     return e, i, gates_e, gates_i
 
 
-def oscillator_backward_numpy(d_e: np.ndarray, d_i: np.ndarray,
-                              gates_e: np.ndarray, gates_i: np.ndarray,
-                              e1: float, e2: float, i1: float, i2: float) -> np.ndarray:
+def oscillator_backward(d_e: np.ndarray, d_i: np.ndarray,
+                        gates_e: np.ndarray, gates_i: np.ndarray,
+                        e1: float, e2: float, i1: float, i2: float) -> np.ndarray:
     """Gradient w.r.t. s given gradients w.r.t. the final (E, I)."""
     de = d_e.copy()
     di = d_i.copy()
@@ -85,135 +57,3 @@ def oscillator_backward_numpy(d_e: np.ndarray, d_i: np.ndarray,
         de = e1 * deg + i1 * dig
         di = e2 * deg + i2 * dig
     return ds
-
-
-def gibbs_sweep_numpy(token_user: np.ndarray, token_loc: np.ndarray,
-                      z: np.ndarray, n_ut: np.ndarray, n_tl: np.ndarray,
-                      n_t: np.ndarray, alpha: float, beta: float,
-                      uniforms: np.ndarray) -> None:
-    """One in-place collapsed-Gibbs sweep over all tokens.
-
-    Conditional for token (u, l):  p(t) ~ (n_ut[u,t]+alpha)*(n_tl[t,l]+beta)
-    / (n_t[t] + n_locs*beta), with the token's own assignment removed.
-    uniforms supplies one draw per token (sequential dependence makes the
-    sweep inherently serial).
-    """
-    n_topics = n_ut.shape[1]
-    lbeta = n_tl.shape[1] * beta
-    for idx in range(token_user.shape[0]):
-        u = token_user[idx]
-        l = token_loc[idx]
-        old = z[idx]
-        n_ut[u, old] -= 1
-        n_tl[old, l] -= 1
-        n_t[old] -= 1
-        p = (n_ut[u] + alpha) * (n_tl[:, l] + beta) / (n_t + lbeta)
-        cum = np.cumsum(p)
-        target = uniforms[idx] * cum[-1]
-        new = int(np.searchsorted(cum, target, side="right"))
-        if new >= n_topics:
-            new = n_topics - 1
-        z[idx] = new
-        n_ut[u, new] += 1
-        n_tl[new, l] += 1
-        n_t[new] += 1
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _osc_fwd_nb(s, e1, e2, i1, i2, tau_e, tau_i, n_steps):  # pragma: no cover
-        n = s.shape[0]
-        e = np.zeros(n, dtype=np.float64)
-        i = np.zeros(n, dtype=np.float64)
-        gates_e = np.empty((n_steps, n), dtype=np.float64)
-        gates_i = np.empty((n_steps, n), dtype=np.float64)
-        for t in range(n_steps):
-            for j in range(n):
-                pre_e = e1 * e[j] + e2 * i[j] + s[j] - tau_e
-                pre_i = i1 * e[j] + i2 * i[j] - tau_i
-                ge = 1.0 if pre_e > 0.0 else 0.0
-                gi = 1.0 if pre_i > 0.0 else 0.0
-                gates_e[t, j] = ge
-                gates_i[t, j] = gi
-                e[j] = pre_e * ge
-                i[j] = pre_i * gi
-        return e, i, gates_e, gates_i
-
-    @njit(cache=True)
-    def _osc_bwd_nb(d_e, d_i, gates_e, gates_i, e1, e2, i1, i2):  # pragma: no cover
-        n = d_e.shape[0]
-        de = d_e.copy()
-        di = d_i.copy()
-        ds = np.zeros(n, dtype=np.float64)
-        for t in range(gates_e.shape[0] - 1, -1, -1):
-            for j in range(n):
-                deg = de[j] * gates_e[t, j]
-                dig = di[j] * gates_i[t, j]
-                ds[j] += deg
-                de[j] = e1 * deg + i1 * dig
-                di[j] = e2 * deg + i2 * dig
-        return ds
-
-    @njit(cache=True)
-    def _gibbs_sweep_nb(token_user, token_loc, z, n_ut, n_tl, n_t,
-                        alpha, beta, uniforms):  # pragma: no cover
-        n_topics = n_ut.shape[1]
-        lbeta = n_tl.shape[1] * beta
-        buf = np.empty(n_topics, dtype=np.float64)
-        for idx in range(token_user.shape[0]):
-            u = token_user[idx]
-            l = token_loc[idx]
-            old = z[idx]
-            n_ut[u, old] -= 1
-            n_tl[old, l] -= 1
-            n_t[old] -= 1
-            total = 0.0
-            for t in range(n_topics):
-                pt = (n_ut[u, t] + alpha) * (n_tl[t, l] + beta) / (n_t[t] + lbeta)
-                buf[t] = pt
-                total += pt
-            target = uniforms[idx] * total
-            new = n_topics - 1
-            acc = 0.0
-            for t in range(n_topics):
-                acc += buf[t]
-                if acc > target:
-                    new = t
-                    break
-            z[idx] = new
-            n_ut[u, new] += 1
-            n_tl[new, l] += 1
-            n_t[new] += 1
-
-    def oscillator_forward(s, e1, e2, i1, i2, tau_e, tau_i, n_steps):
-        flat = np.ascontiguousarray(s, dtype=np.float64).reshape(-1)
-        e, i, ge, gi = _osc_fwd_nb(flat, float(e1), float(e2), float(i1),
-                                   float(i2), float(tau_e), float(tau_i),
-                                   int(n_steps))
-        shape = s.shape
-        return (e.reshape(shape), i.reshape(shape),
-                ge.reshape((n_steps,) + shape), gi.reshape((n_steps,) + shape))
-
-    def oscillator_backward(d_e, d_i, gates_e, gates_i, e1, e2, i1, i2):
-        shape = d_e.shape
-        n_steps = gates_e.shape[0]
-        ds = _osc_bwd_nb(np.ascontiguousarray(d_e).reshape(-1),
-                         np.ascontiguousarray(d_i).reshape(-1),
-                         np.ascontiguousarray(gates_e).reshape(n_steps, -1),
-                         np.ascontiguousarray(gates_i).reshape(n_steps, -1),
-                         float(e1), float(e2), float(i1), float(i2))
-        return ds.reshape(shape)
-
-    def gibbs_sweep(token_user, token_loc, z, n_ut, n_tl, n_t, alpha, beta, uniforms):
-        _gibbs_sweep_nb(token_user, token_loc, z, n_ut, n_tl, n_t,
-                        float(alpha), float(beta), uniforms)
-
-else:
-
-    def oscillator_forward(s, e1, e2, i1, i2, tau_e, tau_i, n_steps):
-        return oscillator_forward_numpy(np.asarray(s, dtype=np.float64),
-                                        e1, e2, i1, i2, tau_e, tau_i, n_steps)
-
-    oscillator_backward = oscillator_backward_numpy
-    gibbs_sweep = gibbs_sweep_numpy

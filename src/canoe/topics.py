@@ -1,4 +1,4 @@
-"""User-location topic model: collapsed-Gibbs LDA plus the preference head.
+"""User-location topic model: CVB0 LDA plus the preference head.
 
 Users act as documents and visited locations as words. The fitted per-user
 topic distribution is a frozen (non-differentiable) feature; only the
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dcg, kernels
+from . import dcg
 from .dcg import ParamRegistry, Tensor
 
 __all__ = ["TopicModel", "build_cooccurrence", "fit_lda", "UserLocationHead"]
@@ -26,7 +26,7 @@ class TopicModel:
     phi: np.ndarray            # [n_topics, n_locations], row-stochastic
     alpha: float
     beta: float
-    gibbs_iters: int
+    gibbs_iters: int           # CVB0 sweeps (name kept for configs and checkpoints)
     seed: int
 
     def user_topics(self, user: int) -> np.ndarray:
@@ -46,11 +46,22 @@ def build_cooccurrence(location_lists: list[list[int]], n_locations: int) -> np.
 
 def fit_lda(counts: np.ndarray, n_topics: int, alpha: float | None = None,
             beta: float = 0.01, iters: int = 500, seed: int = 0) -> TopicModel:
-    """Collapsed Gibbs sampling on a user-location count matrix.
+    """Batch CVB0 on a user-location count matrix.
 
-    alpha defaults to the symmetric 50/n_topics; theta and phi are estimated
-    from the final sweep's assignment counts with prior smoothing.
-    Deterministic given (counts, n_topics, priors, iters, seed).
+    CVB0 is the zero-order collapsed variational update of Asuncion, Welling,
+    Smyth & Teh, "On Smoothing and Inference for Topic Models" (UAI 2009).
+    Every nonzero entry (u, l) with count c holds a topic responsibility
+    gamma shared by its c tokens; the expected counts are n = sum c*gamma.
+    Each of the ``iters`` synchronous sweeps sets, for all entries at once,
+
+        gamma ~ (n_uk[u] - gamma + alpha) * (n_lk[l] - gamma + beta)
+                / (n_k - gamma + n_locations*beta),
+
+    removing one token's share from the counts (the per-token rule). The
+    init is a seeded uniform draw, row-normalized. alpha defaults to the
+    symmetric 50/n_topics; theta and phi are the final expected counts with
+    prior smoothing. Deterministic given (counts, n_topics, priors, iters,
+    seed).
     """
     counts = np.asarray(counts, dtype=np.int64)
     if n_topics < 2:
@@ -62,27 +73,28 @@ def fit_lda(counts: np.ndarray, n_topics: int, alpha: float | None = None,
     n_users, n_locations = counts.shape
 
     users, locs = np.nonzero(counts)
-    reps = counts[users, locs]
-    token_user = np.repeat(users, reps).astype(np.int64)
-    token_loc = np.repeat(locs, reps).astype(np.int64)
-    n_tokens = token_user.shape[0]
-
+    c = counts[users, locs].astype(np.float64)[:, None]
     rng = np.random.default_rng(seed)
-    z = rng.integers(0, n_topics, size=n_tokens, dtype=np.int64)
-    n_ut = np.zeros((n_users, n_topics), dtype=np.int64)
-    n_tl = np.zeros((n_topics, n_locations), dtype=np.int64)
-    n_t = np.zeros(n_topics, dtype=np.int64)
-    np.add.at(n_ut, (token_user, z), 1)
-    np.add.at(n_tl, (z, token_loc), 1)
-    np.add.at(n_t, z, 1)
+    gamma = rng.random((users.shape[0], n_topics))
+    gamma /= gamma.sum(axis=1, keepdims=True)
+
+    def expected_counts(gamma):
+        weighted = c * gamma
+        n_uk = np.zeros((n_users, n_topics))
+        n_lk = np.zeros((n_locations, n_topics))
+        np.add.at(n_uk, users, weighted)
+        np.add.at(n_lk, locs, weighted)
+        return n_uk, n_lk, weighted.sum(axis=0)
 
     for _ in range(iters):
-        uniforms = rng.random(n_tokens)
-        kernels.gibbs_sweep(token_user, token_loc, z, n_ut, n_tl, n_t,
-                            alpha, beta, uniforms)
+        n_uk, n_lk, n_k = expected_counts(gamma)
+        gamma = ((n_uk[users] - gamma + alpha) * (n_lk[locs] - gamma + beta)
+                 / (n_k - gamma + n_locations * beta))
+        gamma /= gamma.sum(axis=1, keepdims=True)
 
-    theta = (n_ut + alpha) / (n_ut.sum(axis=1, keepdims=True) + n_topics * alpha)
-    phi = (n_tl + beta) / (n_t[:, None] + n_locations * beta)
+    n_uk, n_lk, n_k = expected_counts(gamma)
+    theta = (n_uk + alpha) / (n_uk.sum(axis=1, keepdims=True) + n_topics * alpha)
+    phi = (n_lk.T + beta) / (n_k[:, None] + n_locations * beta)
     return TopicModel(n_topics=n_topics, theta=theta, phi=phi, alpha=alpha,
                       beta=beta, gibbs_iters=iters, seed=seed)
 

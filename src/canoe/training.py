@@ -270,10 +270,16 @@ def save_checkpoint(path: str | Path, model: CanoeModel, optimizer: AdamW,
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **arrays)
-    saved = path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-    if saved != path:
-        saved.replace(path)
+    # Write beside the target and rename, so a crash mid-write leaves the
+    # previous checkpoint intact.
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _log_row(entry: EpochLog) -> list:

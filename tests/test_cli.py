@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from canoe.cli import main
@@ -154,6 +155,46 @@ class TestTrainEvalCommands:
         full_rows = full_log.read_text().splitlines()
         resume_rows = resume_log.read_text().splitlines()
         assert full_rows[3] == resume_rows[3]  # epoch 2 identical
+
+    def test_eval_and_resume_reject_larger_location_space(self, workspace,
+                                                          tmp_path, capsys):
+        wider = tmp_path / "wider.jsonl"
+        assert main(["generate", "--seed", "3", "--out", str(wider)]
+                    + SMALL_ARGS + ["--set", "data.num_locations=40"]) == 0
+        rc = main(["eval", "--data", str(wider),
+                   "--model", str(workspace / "model.ckpt"),
+                   "--report", str(tmp_path / "report")])
+        assert rc == 2
+        assert "n_locations" in capsys.readouterr().err
+        rc = main(["train", "--data", str(wider),
+                   "--resume", str(workspace / "model.ckpt"),
+                   "--model-out", str(tmp_path / "resumed.ckpt"),
+                   "--set", "train.epochs=3"])
+        assert rc == 2
+        assert "n_locations" in capsys.readouterr().err
+
+    def test_numeric_fault_exits_1_with_error_line(self, workspace, tmp_path,
+                                                   capsys):
+        with np.load(workspace / "model.ckpt") as data:
+            arrays = {key: data[key] for key in data.files}
+        for key in arrays:
+            if key.startswith("param/"):
+                arrays[key] = np.full_like(arrays[key], np.nan)
+        bad = tmp_path / "nan.npz"
+        np.savez(bad, **arrays)
+        rc = main(["train", "--data", str(workspace / "data.jsonl"),
+                   "--resume", str(bad),
+                   "--model-out", str(tmp_path / "resumed.ckpt"),
+                   "--set", "train.epochs=3"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: non-finite")
+
+    def test_bad_checkin_value_exits_2_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"user": 0, "loc": 1, "t": 17.9}\n')
+        rc = main(["preprocess", "--data", str(path)])
+        assert rc == 2
+        assert "bad.jsonl:1: t must be an integer" in capsys.readouterr().err
 
     def test_preprocess_summary(self, workspace, capsys):
         rc = main(["preprocess", "--data", str(workspace / "data.jsonl")]

@@ -176,6 +176,20 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="keys"):
             read_checkins(path)
 
+    @pytest.mark.parametrize("line, field", [
+        ('{"user": 1, "loc": 2, "t": 17.9}', "t"),
+        ('{"user": true, "loc": 2, "t": 3}', "user"),
+        ('{"user": 1, "loc": "2", "t": 3}', "loc"),
+        ('{"user": 1, "loc": 2.0, "t": 3}', "loc"),
+        ('{"user": 1, "loc": -3, "t": 3}', "loc"),
+        ('{"user": -1, "loc": 2, "t": 3}', "user"),
+    ])
+    def test_bad_values_rejected_with_line(self, tmp_path, line, field):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"user": 0, "loc": 0, "t": 0}\n' + line + "\n")
+        with pytest.raises(ValueError, match=rf"bad.jsonl:2: {field} must be"):
+            read_checkins(path)
+
     def test_manifest_counts(self):
         cs = [CheckIn(0, 0, 0), CheckIn(0, 1, 86400 * 3), CheckIn(2, 0, 100)]
         m = build_manifest(cs)

@@ -1,21 +1,15 @@
-"""Backend equivalence: the numba kernels must reproduce the numpy paths
-bit for bit (random draws happen outside the kernels in both cases)."""
+"""Oscillator recurrence kernel against a scalar reference loop."""
 
 import numpy as np
-import pytest
 
 from canoe import kernels
-
-
-requires_numba = pytest.mark.skipif(not kernels.NUMBA_ENABLED,
-                                    reason="numba backend disabled")
 
 
 class TestOscillatorKernels:
     def test_numpy_forward_matches_scalar_recurrence(self, rng):
         s = rng.random((3, 4)) * 2
-        e, i, ge, gi = kernels.oscillator_forward_numpy(s, 1.0, -1.0, 1.0, 1.0,
-                                                        0.1, 0.2, 4)
+        e, i, ge, gi = kernels.oscillator_forward(s, 1.0, -1.0, 1.0, 1.0,
+                                                  0.1, 0.2, 4)
         # reference scalar loop
         e_ref = np.zeros_like(s)
         i_ref = np.zeros_like(s)
@@ -27,61 +21,7 @@ class TestOscillatorKernels:
         np.testing.assert_array_equal(i, i_ref)
         assert ge.shape == (4, 3, 4) and gi.shape == (4, 3, 4)
 
-    @requires_numba
-    def test_backends_agree_bitwise(self, rng):
-        s = rng.random((5, 7)) * 3
-        args = (1.0, -1.0, 0.7, 1.1, 0.05, 0.1)
-        e_np, i_np, ge_np, gi_np = kernels.oscillator_forward_numpy(s, *args, 5)
-        e_nb, i_nb, ge_nb, gi_nb = kernels.oscillator_forward(s, *args, 5)
-        np.testing.assert_array_equal(e_np, e_nb)
-        np.testing.assert_array_equal(i_np, i_nb)
-        np.testing.assert_array_equal(ge_np, ge_nb)
-
-        d_e = rng.normal(size=s.shape)
-        d_i = rng.normal(size=s.shape)
-        ds_np = kernels.oscillator_backward_numpy(d_e, d_i, ge_np, gi_np,
-                                                  *args[:4])
-        ds_nb = kernels.oscillator_backward(d_e, d_i, ge_nb, gi_nb, *args[:4])
-        np.testing.assert_array_equal(ds_np, ds_nb)
-
-
-class TestGibbsKernel:
-    def _setup(self, rng, n_users=6, n_locs=9, n_topics=4, n_tokens=300):
-        token_user = rng.integers(0, n_users, n_tokens).astype(np.int64)
-        token_loc = rng.integers(0, n_locs, n_tokens).astype(np.int64)
-        z = rng.integers(0, n_topics, n_tokens).astype(np.int64)
-        n_ut = np.zeros((n_users, n_topics), dtype=np.int64)
-        n_tl = np.zeros((n_topics, n_locs), dtype=np.int64)
-        n_t = np.zeros(n_topics, dtype=np.int64)
-        np.add.at(n_ut, (token_user, z), 1)
-        np.add.at(n_tl, (z, token_loc), 1)
-        np.add.at(n_t, z, 1)
-        return token_user, token_loc, z, n_ut, n_tl, n_t
-
-    def test_numpy_sweep_preserves_counts(self, rng):
-        tu, tl, z, n_ut, n_tl, n_t = self._setup(rng)
-        total = n_t.sum()
-        uniforms = rng.random(len(z))
-        kernels.gibbs_sweep_numpy(tu, tl, z, n_ut, n_tl, n_t, 0.5, 0.01, uniforms)
-        assert n_t.sum() == total
-        assert n_ut.sum() == total and n_tl.sum() == total
-        assert (n_ut >= 0).all() and (n_tl >= 0).all()
-
-    @requires_numba
-    def test_backends_agree_bitwise(self, rng):
-        tu, tl, z, n_ut, n_tl, n_t = self._setup(rng)
-        z2, ut2, tl2, t2 = z.copy(), n_ut.copy(), n_tl.copy(), n_t.copy()
-        for sweep in range(5):
-            uniforms = np.random.default_rng(sweep).random(len(z))
-            kernels.gibbs_sweep_numpy(tu, tl, z, n_ut, n_tl, n_t,
-                                      0.5, 0.01, uniforms)
-            kernels.gibbs_sweep(tu, tl, z2, ut2, tl2, t2, 0.5, 0.01, uniforms)
-        np.testing.assert_array_equal(z, z2)
-        np.testing.assert_array_equal(n_ut, ut2)
-        np.testing.assert_array_equal(n_tl, tl2)
-        np.testing.assert_array_equal(n_t, t2)
-
 
 def test_backend_flag_consistency():
-    assert kernels.BACKEND in ("numba", "numpy")
-    assert (kernels.BACKEND == "numba") == kernels.NUMBA_ENABLED
+    assert kernels.BACKEND == "numpy"
+    assert kernels.NUMBA_ENABLED is False

@@ -1,4 +1,5 @@
-"""LDA sampler: separability, normalization, determinism; preference head."""
+"""CVB0 LDA: separability, normalization, determinism, one-sweep oracle;
+preference head."""
 
 import numpy as np
 import pytest
@@ -60,6 +61,35 @@ class TestFitLda:
         a = fit_lda(counts, n_topics=3, iters=50, seed=1)
         b = fit_lda(counts, n_topics=3, iters=50, seed=2)
         assert not np.array_equal(a.theta, b.theta)
+
+    def test_one_sweep_matches_hand_written_cvb0(self):
+        counts = np.array([[3, 1], [0, 2]], dtype=np.int64)
+        k, alpha, beta, seed = 3, 0.4, 0.05, 7
+        model = fit_lda(counts, n_topics=k, alpha=alpha, beta=beta,
+                        iters=1, seed=seed)
+        entries = [(0, 0), (0, 1), (1, 1)]  # nonzeros in row-major order
+        init = np.random.default_rng(seed).random((len(entries), k))
+        init /= init.sum(axis=1, keepdims=True)
+
+        def expected(gamma):
+            n_uk, n_lk = np.zeros((2, k)), np.zeros((2, k))
+            for (u, l), g in zip(entries, gamma):
+                n_uk[u] += counts[u, l] * g
+                n_lk[l] += counts[u, l] * g
+            return n_uk, n_lk, n_lk.sum(axis=0)
+
+        n_uk, n_lk, n_k = expected(init)
+        gamma = np.empty_like(init)
+        for j, (u, l) in enumerate(entries):
+            g = init[j]  # one token's share leaves the counts, not c * g
+            p = ((n_uk[u] - g + alpha) * (n_lk[l] - g + beta)
+                 / (n_k - g + 2 * beta))
+            gamma[j] = p / p.sum()
+        n_uk, n_lk, n_k = expected(gamma)
+        theta = (n_uk + alpha) / (n_uk.sum(axis=1, keepdims=True) + k * alpha)
+        phi = (n_lk.T + beta) / (n_k[:, None] + 2 * beta)
+        np.testing.assert_allclose(model.theta, theta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.phi, phi, rtol=0, atol=1e-12)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -8,7 +8,8 @@ from canoe.config import RunConfig
 from canoe.dcg import AdamW
 from canoe.model import batch_from_samples
 from canoe.training import (evaluate_model, evaluate_ranks, load_checkpoint,
-                            model_from_checkpoint, phase_weights, train)
+                            model_from_checkpoint, phase_weights,
+                            save_checkpoint, train)
 from conftest import build_pipeline
 
 
@@ -153,6 +154,25 @@ class TestCheckpointing:
         ckpt = load_checkpoint(path)
         np.testing.assert_array_equal(ckpt.topic_model().theta, tm.theta)
         np.testing.assert_array_equal(ckpt.topic_model().phi, tm.phi)
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path,
+                                                        monkeypatch):
+        cfg = tiny_cfg(epochs=1)
+        _, ds, tm, model = build_pipeline(cfg)
+        path = tmp_path / "model.npz"
+        train(model, ds, cfg, checkpoint_path=path, topic_model=tm)
+
+        def crash(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, AdamW(model.registry), cfg, tm,
+                            epoch=7, best_params=None, best_epoch=-1,
+                            best_key=None, logs=[])
+        assert load_checkpoint(path).meta["epoch"] == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
 
     def test_format_tag_enforced(self, tmp_path):
         import json
