@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, merge_overrides
 from .data import Dataset, prepare_dataset, read_checkins, write_checkins
 from .dcg import AdamW, NumericFault
 from .evaluation import (compute_metrics, prefix_entropy, stratified_reports,
@@ -144,14 +144,8 @@ def cmd_train(args) -> int:
         ckpt = load_checkpoint(args.resume)
         # Resume continues under the checkpoint's config; explicit --set
         # overrides still win (e.g. extending train.epochs).
-        raw = dict(ckpt.meta["config"])
-        for dotted, value in _parse_overrides(getattr(args, "set", None)).items():
-            node = raw
-            parts = dotted.split(".")
-            for p in parts[:-1]:
-                node = node.setdefault(p, {})
-            node[parts[-1]] = value
-        cfg = RunConfig.from_dict(raw)
+        cfg = RunConfig.from_dict(merge_overrides(
+            dict(ckpt.meta["config"]), _parse_overrides(getattr(args, "set", None))))
         if getattr(args, "seed", None) is not None and args.seed != cfg.seed:
             raise ConfigError("--seed may not differ from the checkpoint's seed")
         if cfg.seed != ckpt.meta["seed"]:

@@ -107,21 +107,17 @@ def osc_transform(s: Tensor, p: OscillatorParams) -> Tensor:
     return _make(data, (s,), bwd, "oscillator")
 
 
-def _swap_last(t: Tensor) -> Tensor:
-    axes = list(range(t.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return dcg.transpose(t, axes)
-
-
 class CnoaAttention:
     """Multi-head attention with oscillator-transformed scores and a
     deviation-penalizing stabilizer, or plain scaled dot-product attention
     when variant="cross" (the ablation comparator).
 
-    The previous attention distribution is kept per head, gradient-detached.
-    It is reset to the uniform sentinel via reset_state() (epoch starts,
-    evaluation starts) and resets itself when the attention shape changes
-    between calls. With update_state=False (evaluation) the state is frozen.
+    The projections are stacked [n_heads, d_in, head_dim] tensors and all
+    heads run in one pass, heads-first. The previous attention distribution
+    [n_heads, batch, Lq, Lk] is kept gradient-detached. It is reset to the
+    uniform sentinel via reset_state() (epoch starts, evaluation starts) and
+    the sentinel is used whenever the attention shape differs from the
+    stored one. With update_state=False (evaluation) the state is frozen.
     """
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
@@ -137,15 +133,14 @@ class CnoaAttention:
         self.osc = osc
         self.variant = variant
         self._scale = 1.0 / np.sqrt(self.head_dim)
-        self.wq = [registry.register(f"{prefix}.wq{r}",
-                                     rng.uniform(-init_scale, init_scale, (dim_q, self.head_dim)))
-                   for r in range(n_heads)]
-        self.wk = [registry.register(f"{prefix}.wk{r}",
-                                     rng.uniform(-init_scale, init_scale, (dim_kv, self.head_dim)))
-                   for r in range(n_heads)]
-        self.wv = [registry.register(f"{prefix}.wv{r}",
-                                     rng.uniform(-init_scale, init_scale, (dim_kv, self.head_dim)))
-                   for r in range(n_heads)]
+
+        def stacked(name, dim_in):
+            return registry.register(f"{prefix}.{name}", rng.uniform(
+                -init_scale, init_scale, (n_heads, dim_in, self.head_dim)))
+
+        self.wq = stacked("wq", dim_q)
+        self.wk = stacked("wk", dim_kv)
+        self.wv = stacked("wv", dim_kv)
         self.w_out = registry.register(
             f"{prefix}.w_out", rng.uniform(-init_scale, init_scale, (dim_out, dim_out)))
         self._alpha_prev: np.ndarray | None = None
@@ -153,39 +148,38 @@ class CnoaAttention:
     def reset_state(self) -> None:
         self._alpha_prev = None
 
-    def _prev_for_head(self, r: int, shape: tuple) -> np.ndarray:
-        if self._alpha_prev is None or self._alpha_prev.shape[1:] != shape:
-            n_keys = shape[-1]
-            return np.full(shape, 1.0 / n_keys)
-        return self._alpha_prev[r]
+    def _heads(self, x: Tensor, w: Tensor, ndim: int) -> Tensor:
+        """[..., L, d_in] -> [H, ..., L, head_dim], one gemm per head. Leading
+        axes are padded with 1s up to ndim, so keys shared by the whole
+        batch broadcast against batched queries."""
+        proj = dcg.matmul(dcg.reshape(x, (1, -1, x.shape[-1])), w)
+        lead = (1,) * (ndim - x.ndim) + x.shape[:-1]
+        return dcg.reshape(proj, (self.n_heads,) + lead + (self.head_dim,))
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor,
                  update_state: bool = True) -> Tensor:
         if k.shape[-2] != v.shape[-2]:
             raise ValueError(
                 f"key/value sequence lengths differ: {k.shape[-2]} vs {v.shape[-2]}")
-        heads = []
-        alphas = []
-        for r in range(self.n_heads):
-            qr = dcg.matmul(q, self.wq[r])
-            kr = dcg.matmul(k, self.wk[r])
-            vr = dcg.matmul(v, self.wv[r])
-            scores = dcg.matmul(qr, _swap_last(kr))
-            if self.variant == "cnoa":
-                z = osc_transform(dcg.relu(scores), self.osc)
-                alpha = dcg.softmax(z * self._scale, axis=-1)
-            else:
-                alpha = dcg.softmax(scores * self._scale, axis=-1)
-            out_r = dcg.matmul(alpha, vr)
-            if self.variant == "cnoa":
-                alphas.append(alpha.data.copy())
-                if self.osc.gamma != 0.0:
-                    prev = dcg.constant(self._prev_for_head(r, alpha.shape))
-                    diff = alpha - prev
-                    dev = dcg.tensor_sum(diff * diff, axis=(-2, -1), keepdims=True)
-                    out_r = out_r * dcg.exp(dev * (-self.osc.gamma))
-            heads.append(out_r)
-        out = dcg.matmul(dcg.concat(heads, axis=-1), self.w_out)
-        if self.variant == "cnoa" and update_state:
-            self._alpha_prev = np.stack(alphas, axis=0)
-        return out
+        ndim = max(q.ndim, k.ndim, v.ndim)
+        kh = self._heads(k, self.wk, ndim)
+        k_t = dcg.transpose(kh, (*range(ndim - 1), ndim, ndim - 1))
+        scores = dcg.matmul(self._heads(q, self.wq, ndim), k_t)
+        if self.variant == "cnoa":
+            scores = osc_transform(dcg.relu(scores), self.osc)
+        alpha = dcg.softmax(scores * self._scale, axis=-1)
+        out = dcg.matmul(alpha, self._heads(v, self.wv, ndim))
+        if self.variant == "cnoa":
+            if self.osc.gamma != 0.0:
+                prev = self._alpha_prev
+                if prev is None or prev.shape != alpha.shape:
+                    prev = np.full(alpha.shape, 1.0 / alpha.shape[-1])
+                diff = alpha - dcg.constant(prev)
+                dev = dcg.tensor_sum(diff * diff, axis=(-2, -1), keepdims=True)
+                out = out * dcg.exp(dev * (-self.osc.gamma))
+            if update_state:
+                self._alpha_prev = alpha.data
+        # [H, ..., Lq, d_h] -> [..., Lq, H * d_h], heads concatenated
+        out = dcg.transpose(out, (*range(1, ndim), 0, ndim))
+        out = dcg.reshape(out, out.shape[:-2] + (-1,))
+        return dcg.matmul(out, self.w_out)

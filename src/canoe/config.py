@@ -18,7 +18,8 @@ from .model import ModelConfig
 from .synthetic import SyntheticConfig
 
 __all__ = ["ConfigError", "RunConfig", "DataConfig", "TopicsConfig",
-           "ModelSection", "TrainSection", "EvalSection", "load_config"]
+           "ModelSection", "TrainSection", "EvalSection", "merge_overrides",
+           "load_config"]
 
 
 class ConfigError(ValueError):
@@ -122,7 +123,10 @@ class RunConfig:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
         kwargs = {}
         if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
+            try:
+                kwargs["seed"] = int(raw["seed"])
+            except (TypeError, ValueError):
+                raise ConfigError(f"seed must be an integer, got {raw['seed']!r}") from None
         for name, section_cls in _SECTIONS.items():
             if name in raw:
                 kwargs[name] = _section_from_dict(section_cls, raw[name], name)
@@ -192,15 +196,9 @@ def _section_from_dict(section_cls, raw, path: str):
     return section_cls(**raw)
 
 
-def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Load JSON config (defaults when path is None) and apply flat overrides
-    of the form {"train.epochs": 10, "seed": 3}."""
-    raw: dict = {}
-    if path is not None:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
+def merge_overrides(raw: dict, overrides: dict | None) -> dict:
+    """Apply flat overrides of the form {"train.epochs": 10, "seed": 3} to a
+    raw config dict in place; returns it."""
     for dotted, value in (overrides or {}).items():
         parts = dotted.split(".")
         node = raw
@@ -209,4 +207,16 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
             if not isinstance(node, dict):
                 raise ConfigError(f"cannot override '{dotted}': not a section")
         node[parts[-1]] = value
-    return RunConfig.from_dict(raw)
+    return raw
+
+
+def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
+    """Load JSON config (defaults when path is None) and apply overrides
+    (see merge_overrides)."""
+    raw: dict = {}
+    if path is not None:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError("config root must be a JSON object")
+    return RunConfig.from_dict(merge_overrides(raw, overrides))

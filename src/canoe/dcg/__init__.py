@@ -1,25 +1,9 @@
 """Differentiable computation graph core: tensors, ops, optimizer, gradcheck."""
 
-from .tensor import (
-    Tensor, NumericFault, no_grad, grad_enabled, set_debug_checks,
-    constant, parameter, backward,
-    add, sub, mul, div, neg, matmul,
-    relu, exp, log, sqrt, clamp,
-    tensor_sum, tensor_mean, softmax, log_softmax,
-    concat, slice_axis, reshape, transpose, broadcast_to,
-    gather_rows, take_along_last,
-)
+from . import tensor
+from .tensor import *  # noqa: F401,F403 -- exactly tensor.__all__
 from .registry import ParamRegistry
 from .optim import AdamW
 from .gradcheck import grad_check
 
-__all__ = [
-    "Tensor", "NumericFault", "no_grad", "grad_enabled", "set_debug_checks",
-    "constant", "parameter", "backward",
-    "add", "sub", "mul", "div", "neg", "matmul",
-    "relu", "exp", "log", "sqrt", "clamp",
-    "tensor_sum", "tensor_mean", "softmax", "log_softmax",
-    "concat", "slice_axis", "reshape", "transpose", "broadcast_to",
-    "gather_rows", "take_along_last",
-    "ParamRegistry", "AdamW", "grad_check",
-]
+__all__ = [*tensor.__all__, "ParamRegistry", "AdamW", "grad_check"]

@@ -15,12 +15,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Tensor", "NumericFault", "no_grad", "grad_enabled", "set_debug_checks",
+    "Tensor", "NumericFault", "no_grad", "set_debug_checks",
     "constant", "parameter", "backward",
     "add", "sub", "mul", "div", "neg", "matmul",
-    "relu", "exp", "log", "sqrt", "clamp",
+    "relu", "exp", "log", "sqrt",
     "tensor_sum", "tensor_mean", "softmax", "log_softmax",
-    "concat", "slice_axis", "reshape", "transpose", "broadcast_to",
+    "concat", "reshape", "transpose",
     "gather_rows", "take_along_last",
 ]
 
@@ -35,10 +35,6 @@ _DEBUG_CHECKS = False
 
 def _enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
-
-
-def grad_enabled() -> bool:
-    return _enabled()
 
 
 class no_grad:
@@ -84,15 +80,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.grad is not None})"
 
@@ -121,8 +108,18 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
+    def __getitem__(self, idx) -> "Tensor":
+        """Basic indexing only (ints, slices, None, ...): backward scatters
+        the gradient into zeros of the input's shape, which would drop
+        repeated entries of an index array (use gather_rows for those)."""
+        data = self.data[idx].copy()
+
+        def bwd(g):
+            full = np.zeros_like(self.data)
+            full[idx] = g
+            _accum_owned(self, full)
+
+        return _make(data, (self,), bwd, "slice")
 
 
 def constant(data) -> Tensor:
@@ -364,21 +361,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(data, (a,), bwd, "sqrt")
 
 
-def clamp(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
-    """Elementwise clip; gradient passes where the input lies within [lo, hi]."""
-    data = np.clip(a.data, lo, hi)
-    mask = np.ones_like(a.data)
-    if lo is not None:
-        mask *= a.data >= lo
-    if hi is not None:
-        mask *= a.data <= hi
-
-    def bwd(g):
-        _accum_owned(a, g * mask)
-
-    return _make(data, (a,), bwd, "clamp")
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -460,20 +442,6 @@ def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _make(data, tuple(parts), bwd, "concat")
 
 
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    data = a.data[idx].copy()
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        _accum_owned(a, full)
-
-    return _make(data, (a,), bwd, "slice")
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
 
@@ -491,15 +459,6 @@ def transpose(a: Tensor, axes) -> Tensor:
         _accum(a, np.transpose(g, inverse))
 
     return _make(data, (a,), bwd, "transpose")
-
-
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    data = np.broadcast_to(a.data, shape).copy()
-
-    def bwd(g):
-        _accum_ub(a, g)
-
-    return _make(data, (a,), bwd, "broadcast")
 
 
 # ---------------------------------------------------------------------------

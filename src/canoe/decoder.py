@@ -80,7 +80,7 @@ class CrossContextDecoder:
     def __call__(self, enc: EncoderOutput, e_u: Tensor,
                  update_state: bool = True) -> tuple[Tensor, Tensor]:
         """Returns (y_hat [batch, d], pre-fusion concat [batch, 6d])."""
-        batch, length, _ = enc.o_st.shape
+        batch = enc.o_st.shape[0]
         query_src = enc.o_us if self.query_source == "user_location" else enc.o_ut
         query = dcg.reshape(dcg.matmul(query_src, self.w_q), (batch, 1, self.dim))
         t_user = dcg.reshape(dcg.matmul(e_u, self.p_user_w) + self.p_user_b,
@@ -91,9 +91,7 @@ class CrossContextDecoder:
         tokens = dcg.concat([t_user, t_ut, t_st], axis=1)
         attended = self.attn(query, tokens, tokens, update_state=update_state)
         attended = dcg.reshape(attended, (batch, self.dim))
-        o_st_last = dcg.reshape(
-            dcg.slice_axis(enc.o_st, 1, length - 1, length), (batch, 2 * self.dim))
-        fused_in = dcg.concat([enc.o_us, o_st_last, enc.o_ut, e_u, attended], axis=-1)
+        fused_in = dcg.concat([enc.o_us, enc.o_st[:, -1], enc.o_ut, e_u, attended], axis=-1)
         hidden = dcg.relu(dcg.matmul(fused_in, self.fuse_w1) + self.fuse_b1)
         y_hat = dcg.matmul(hidden, self.fuse_w2) + self.fuse_b2
         return y_hat, fused_in

@@ -89,6 +89,10 @@ class TestConfigHandling:
         cfg = load_config(cfg_path, {"train.epochs": 4})
         assert cfg.train.epochs == 4 and cfg.seed == 1
 
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            load_config(None, {"seed.x": 1})
+
     def test_defaults_materialized(self):
         cfg = RunConfig.from_dict({})
         d = cfg.to_dict()
@@ -172,6 +176,31 @@ class TestTrainEvalCommands:
                    "--set", "train.epochs=3"])
         assert rc == 2
         assert "n_locations" in capsys.readouterr().err
+
+    def test_resume_override_into_non_section_exits_2(self, workspace,
+                                                     tmp_path, capsys):
+        rc = main(["train", "--data", str(workspace / "data.jsonl"),
+                   "--resume", str(workspace / "model.ckpt"),
+                   "--model-out", str(tmp_path / "resumed.ckpt"),
+                   "--set", "seed.x=1"])
+        assert rc == 2
+        assert "error: cannot override 'seed.x': not a section" in capsys.readouterr().err
+
+    def test_eval_refuses_previous_checkpoint_format(self, workspace, tmp_path,
+                                                     capsys):
+        with np.load(workspace / "model.ckpt") as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["format"] = "canoe-ckpt-1"
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                       dtype=np.uint8)
+        old = tmp_path / "old.npz"
+        np.savez(old, **arrays)
+        rc = main(["eval", "--data", str(workspace / "data.jsonl"),
+                   "--model", str(old), "--report", str(tmp_path / "report")])
+        assert rc == 2
+        assert ("error: unsupported checkpoint format: 'canoe-ckpt-1'"
+                in capsys.readouterr().err)
 
     def test_numeric_fault_exits_1_with_error_line(self, workspace, tmp_path,
                                                    capsys):

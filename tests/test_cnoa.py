@@ -294,6 +294,49 @@ class TestCnoaAttention:
         fresh = attn(q3, kv, kv).data
         np.testing.assert_array_equal(mismatched, fresh)
 
+    def test_stabilizer_state_semantics(self, rng):
+        # The state is the last training call's alpha, [H, batch, Lq, Lk].
+        reg, attn = self._build(rng, OscillatorParams(gamma=1.0))
+        kv_raw = rng.normal(size=(5, 4))
+        kv = dcg.constant(kv_raw)
+
+        def oracle(alpha, prev):
+            heads = []
+            for r in range(attn.n_heads):
+                dev = ((alpha[r] - prev[r]) ** 2).sum(axis=(-2, -1), keepdims=True)
+                heads.append(alpha[r] @ (kv_raw @ attn.wv.data[r])
+                             * np.exp(-attn.osc.gamma * dev))
+            return np.concatenate(heads, axis=-1) @ attn.w_out.data
+
+        def uniform(batch):
+            return np.full((2, batch, 1, 5), 1.0 / 5)
+
+        # first batch after a reset: uniform sentinel, then stored as state
+        q_a = dcg.constant(rng.normal(size=(3, 1, 6)))
+        out_a = attn(q_a, kv, kv).data
+        alpha_a = attn._alpha_prev
+        assert alpha_a.shape == (2, 3, 1, 5)
+        np.testing.assert_allclose(out_a, oracle(alpha_a, uniform(3)), atol=1e-12)
+        # next training batch (other samples): stabilized against the previous
+        q_b = dcg.constant(rng.normal(size=(3, 1, 6)))
+        out_b = attn(q_b, kv, kv).data
+        alpha_b = attn._alpha_prev
+        np.testing.assert_allclose(out_b, oracle(alpha_b, alpha_a), atol=1e-12)
+        # a short last batch: shape differs -> uniform sentinel, state replaced
+        q_c = dcg.constant(rng.normal(size=(2, 1, 6)))
+        out_c = attn(q_c, kv, kv).data
+        alpha_c = attn._alpha_prev
+        assert alpha_c.shape == (2, 2, 1, 5)
+        np.testing.assert_allclose(out_c, oracle(alpha_c, uniform(2)), atol=1e-12)
+        # a frozen call leaves the stored state untouched
+        attn(q_b, kv, kv, update_state=False)
+        assert attn._alpha_prev is alpha_c
+        # evaluation resets first and freezes: always the uniform sentinel
+        attn.reset_state()
+        out_eval = attn(q_b, kv, kv, update_state=False).data
+        assert attn._alpha_prev is None
+        np.testing.assert_allclose(out_eval, oracle(alpha_b, uniform(3)), atol=1e-12)
+
     def test_frozen_state_at_evaluation(self, rng):
         reg, attn = self._build(rng, OscillatorParams(gamma=1.0))
         q = dcg.constant(rng.normal(size=(2, 1, 6)))

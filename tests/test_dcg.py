@@ -93,10 +93,10 @@ class TestOperatorsAgainstFiniteDifferences:
             lambda a, b: dcg.tensor_sum(dcg.matmul(a, dcg.transpose(b, (0, 2, 1)))),
             [(2, 3, 4), (2, 5, 4)])
 
-    def test_exp_log_sqrt_clamp(self):
+    def test_exp_log_sqrt(self):
         self._check(
             lambda a: dcg.tensor_sum(
-                dcg.exp(dcg.clamp(a, -1.0, 1.0)) + dcg.log(a * a + 1.0)
+                dcg.exp(a) + dcg.log(a * a + 1.0)
                 + dcg.sqrt(a * a + 0.5)),
             [(4, 3)])
 
@@ -110,16 +110,10 @@ class TestOperatorsAgainstFiniteDifferences:
     def test_concat_slice_reshape(self):
         def build(a, b):
             c = dcg.concat([a, b], axis=1)
-            s = dcg.slice_axis(c, 1, 1, 4)
+            s = c[:, 1:4]
             return dcg.tensor_sum(dcg.reshape(s, (6,)) * 2.0)
 
         self._check(build, [(2, 2), (2, 3)])
-
-    def test_broadcast_to(self):
-        self._check(
-            lambda a: dcg.tensor_sum(dcg.broadcast_to(a, (4, 2, 3))
-                                     * dcg.broadcast_to(a, (4, 2, 3))),
-            [(2, 3)])
 
     def test_gather_and_take_along_last(self):
         def build(a):

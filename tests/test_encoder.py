@@ -129,8 +129,7 @@ class TestTimeUserPair:
         # with gamma=0 the head output is the mean value row.
         osc = OscillatorParams(gamma=0.0)
         reg, enc = build_encoder(rng, variant="cnoa", osc=osc)
-        for wq in enc.time_user.attn.wq:
-            wq.data[...] = 0.0
+        enc.time_user.attn.wq.data[...] = 0.0
         out = enc.time_user(np.array([0, 1]), np.array([3, 7]))
         table = enc.time_user.time_emb.smoothed_table().data
         heads = []

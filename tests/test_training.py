@@ -179,11 +179,13 @@ class TestCheckpointing:
 
         import numpy as np
         bad = tmp_path / "bad.npz"
-        meta = np.frombuffer(json.dumps({"format": "other"}).encode(),
-                             dtype=np.uint8)
-        np.savez(bad, meta=meta)
-        with pytest.raises(ValueError, match="format"):
-            load_checkpoint(bad)
+        # "canoe-ckpt-1" stored per-head attention weights (wq0, wq1, ...)
+        for tag in ("other", "canoe-ckpt-1"):
+            meta = np.frombuffer(json.dumps({"format": tag}).encode(),
+                                 dtype=np.uint8)
+            np.savez(bad, meta=meta)
+            with pytest.raises(ValueError, match="format"):
+                load_checkpoint(bad)
 
 
 class TestEvaluateModel:
