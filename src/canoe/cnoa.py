@@ -123,7 +123,7 @@ class CnoaAttention:
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
                  prefix: str, dim_q: int, dim_kv: int, dim_out: int,
                  n_heads: int, osc: OscillatorParams,
-                 variant: str = "cnoa", init_scale: float = 0.1):
+                 variant: str = "cnoa"):
         if dim_out % n_heads != 0:
             raise ValueError(f"dim_out {dim_out} not divisible by n_heads {n_heads}")
         if variant not in ("cnoa", "cross"):
@@ -135,14 +135,13 @@ class CnoaAttention:
         self._scale = 1.0 / np.sqrt(self.head_dim)
 
         def stacked(name, dim_in):
-            return registry.register(f"{prefix}.{name}", rng.uniform(
-                -init_scale, init_scale, (n_heads, dim_in, self.head_dim)))
+            return registry.weight(f"{prefix}.{name}", rng,
+                                   (n_heads, dim_in, self.head_dim))
 
         self.wq = stacked("wq", dim_q)
         self.wk = stacked("wk", dim_kv)
         self.wv = stacked("wv", dim_kv)
-        self.w_out = registry.register(
-            f"{prefix}.w_out", rng.uniform(-init_scale, init_scale, (dim_out, dim_out)))
+        self.w_out = registry.weight(f"{prefix}.w_out", rng, (dim_out, dim_out))
         self._alpha_prev: np.ndarray | None = None
 
     def reset_state(self) -> None:

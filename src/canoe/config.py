@@ -1,13 +1,14 @@
 """Run configuration: one JSON document driving every CLI command.
 
-Unknown keys are rejected; a loaded config is echoed back with every
-default materialized so runs are self-describing.
+Unknown keys and values of the wrong type are rejected; a loaded config is
+echoed back with every default materialized so runs are self-describing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,10 +124,9 @@ class RunConfig:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
         kwargs = {}
         if "seed" in raw:
-            try:
-                kwargs["seed"] = int(raw["seed"])
-            except (TypeError, ValueError):
-                raise ConfigError(f"seed must be an integer, got {raw['seed']!r}") from None
+            if not _fits(raw["seed"], int):
+                raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
+            kwargs["seed"] = raw["seed"]
         for name, section_cls in _SECTIONS.items():
             if name in raw:
                 kwargs[name] = _section_from_dict(section_cls, raw[name], name)
@@ -189,11 +189,29 @@ class RunConfig:
 def _section_from_dict(section_cls, raw, path: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"config section '{path}' must be a JSON object")
-    names = {f.name for f in dataclasses.fields(section_cls)}
-    unknown = set(raw) - names
+    declared = {f.name: f.type for f in dataclasses.fields(section_cls)}
+    unknown = set(raw) - set(declared)
     if unknown:
         raise ConfigError(f"unknown key(s) in '{path}': {sorted(unknown)}")
+    types = typing.get_type_hints(section_cls)
+    for key, value in raw.items():
+        if not _fits(value, types[key]):
+            raise ConfigError(f"{path}.{key} must be {declared[key]}, got {value!r}")
     return section_cls(**raw)
+
+
+def _fits(value, tp) -> bool:
+    """Whether a JSON value fits a field type, without converting it: int
+    takes no bool and no float, float also takes an int, X | None also
+    takes null, list[X] checks every item."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if args:
+        return any(_fits(value, a) for a in args)
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
 
 
 def merge_overrides(raw: dict, overrides: dict | None) -> dict:

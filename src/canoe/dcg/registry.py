@@ -1,4 +1,6 @@
-"""Named parameter registry: the single differentiable-state container."""
+"""Named parameter registry: the single differentiable-state container, and
+the one place parameters are initialized (weights uniform in
+[-INIT_SCALE, INIT_SCALE], biases zero)."""
 
 from __future__ import annotations
 
@@ -6,9 +8,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import Tensor, parameter
+from .tensor import Tensor, matmul, parameter
 
-__all__ = ["ParamRegistry"]
+__all__ = ["INIT_SCALE", "ParamRegistry", "Linear"]
+
+INIT_SCALE = 0.1
 
 
 class ParamRegistry:
@@ -24,23 +28,18 @@ class ParamRegistry:
         self._params[name] = t
         return t
 
+    def weight(self, name: str, rng: np.random.Generator, shape) -> Tensor:
+        """Register a weight drawn uniformly from [-INIT_SCALE, INIT_SCALE]."""
+        return self.register(name, rng.uniform(-INIT_SCALE, INIT_SCALE, shape))
+
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._params.items())
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
 
     def zero_grads(self) -> None:
         for t in self._params.values():
@@ -70,6 +69,11 @@ class ParamRegistry:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        missing = [n for n in self._params if n not in arrays]
+        unexpected = [n for n in arrays if n not in self._params]
+        if missing or unexpected:
+            raise ValueError(f"parameter names differ from the model's: "
+                             f"missing {missing}, unexpected {unexpected}")
         for name, t in self._params.items():
             src = arrays[name]
             if src.shape != t.data.shape:
@@ -77,3 +81,15 @@ class ParamRegistry:
                     f"shape mismatch for '{name}': {src.shape} vs {t.data.shape}"
                 )
             t.data[...] = src
+
+
+class Linear:
+    """Dense projection x @ w + b: registers {name}.w, then a zero {name}.b."""
+
+    def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
+                 name: str, d_in: int, d_out: int):
+        self.w = registry.weight(f"{name}.w", rng, (d_in, d_out))
+        self.b = registry.register(f"{name}.b", np.zeros(d_out))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return matmul(x, self.w) + self.b

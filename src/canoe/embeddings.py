@@ -43,14 +43,13 @@ class SmoothedTimeEmbedding:
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
                  n_slots: int = 24, dim: int = 16, sigma: float = 1.0,
-                 name: str = "time_table", init_scale: float = 0.1):
+                 name: str = "time_table"):
         self.n_slots = n_slots
         self.dim = dim
         self.sigma = sigma
         self.weights = smoothing_weights(n_slots, sigma)
         self._weights_t = dcg.constant(self.weights)
-        self.table = registry.register(
-            name, rng.uniform(-init_scale, init_scale, size=(n_slots, dim)))
+        self.table = registry.weight(name, rng, (n_slots, dim))
 
     def smoothed_table(self) -> Tensor:
         """All smoothed slot vectors, shape [n_slots, dim]."""
@@ -68,11 +67,10 @@ class EmbeddingTable:
     """Plain learnable lookup table [count, dim]."""
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
-                 count: int, dim: int, name: str, init_scale: float = 0.1):
+                 count: int, dim: int, name: str):
         self.count = count
         self.dim = dim
-        self.table = registry.register(
-            name, rng.uniform(-init_scale, init_scale, size=(count, dim)))
+        self.table = registry.weight(name, rng, (count, dim))
 
     def lookup(self, idx) -> Tensor:
         idx = np.asarray(idx)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dcg
 from .cnoa import CnoaAttention, OscillatorParams
-from .dcg import ParamRegistry, Tensor
+from .dcg import Linear, ParamRegistry, Tensor
 from .embeddings import EmbeddingTable, SmoothedTimeEmbedding
 from .topics import UserLocationHead
 
@@ -84,31 +84,23 @@ class TransformerLayer:
     """Post-LN encoder layer: masked self-attention then position-wise FF."""
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
-                 prefix: str, dim: int, heads: int, ff_width: int,
-                 init_scale: float = 0.1):
+                 prefix: str, dim: int, heads: int, ff_width: int):
         if dim % heads != 0:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
         self.head_dim = dim // heads
         self._scale = 1.0 / np.sqrt(self.head_dim)
 
-        def weight(name, shape):
-            return registry.register(f"{prefix}.{name}",
-                                     rng.uniform(-init_scale, init_scale, shape))
-
-        def bias(name, size):
-            return registry.register(f"{prefix}.{name}", np.zeros(size))
-
-        self.wq, self.bq = weight("wq", (dim, dim)), bias("bq", dim)
-        self.wk, self.bk = weight("wk", (dim, dim)), bias("bk", dim)
-        self.wv, self.bv = weight("wv", (dim, dim)), bias("bv", dim)
-        self.wo, self.bo = weight("wo", (dim, dim)), bias("bo", dim)
+        self.q = Linear(registry, rng, f"{prefix}.q", dim, dim)
+        self.k = Linear(registry, rng, f"{prefix}.k", dim, dim)
+        self.v = Linear(registry, rng, f"{prefix}.v", dim, dim)
+        self.o = Linear(registry, rng, f"{prefix}.o", dim, dim)
         self.ln1_g = registry.register(f"{prefix}.ln1_g", np.ones(dim))
-        self.ln1_b = bias("ln1_b", dim)
-        self.ff_w1, self.ff_b1 = weight("ff_w1", (dim, ff_width)), bias("ff_b1", ff_width)
-        self.ff_w2, self.ff_b2 = weight("ff_w2", (ff_width, dim)), bias("ff_b2", dim)
+        self.ln1_b = registry.register(f"{prefix}.ln1_b", np.zeros(dim))
+        self.ff1 = Linear(registry, rng, f"{prefix}.ff1", dim, ff_width)
+        self.ff2 = Linear(registry, rng, f"{prefix}.ff2", ff_width, dim)
         self.ln2_g = registry.register(f"{prefix}.ln2_g", np.ones(dim))
-        self.ln2_b = bias("ln2_b", dim)
+        self.ln2_b = registry.register(f"{prefix}.ln2_b", np.zeros(dim))
 
     def _split_heads(self, t: Tensor, batch: int, length: int) -> Tensor:
         t = dcg.reshape(t, (batch, length, self.heads, self.head_dim))
@@ -117,18 +109,16 @@ class TransformerLayer:
     def __call__(self, x: Tensor, mask: np.ndarray, dropout_rate: float,
                  rng: np.random.Generator | None, training: bool) -> Tensor:
         batch, length, dim = x.shape
-        q = self._split_heads(dcg.matmul(x, self.wq) + self.bq, batch, length)
-        k = self._split_heads(dcg.matmul(x, self.wk) + self.bk, batch, length)
-        v = self._split_heads(dcg.matmul(x, self.wv) + self.bv, batch, length)
+        q = self._split_heads(self.q(x), batch, length)
+        k = self._split_heads(self.k(x), batch, length)
+        v = self._split_heads(self.v(x), batch, length)
         scores = dcg.matmul(q, dcg.transpose(k, (0, 1, 3, 2))) * self._scale
         alpha = dcg.softmax(scores + dcg.constant(mask), axis=-1)
         ctx = dcg.matmul(alpha, v)
         ctx = dcg.reshape(dcg.transpose(ctx, (0, 2, 1, 3)), (batch, length, dim))
-        attn_out = dcg.matmul(ctx, self.wo) + self.bo
-        x = layer_norm(x + _dropout(attn_out, dropout_rate, rng, training),
+        x = layer_norm(x + _dropout(self.o(ctx), dropout_rate, rng, training),
                        self.ln1_g, self.ln1_b)
-        ff = dcg.matmul(dcg.relu(dcg.matmul(x, self.ff_w1) + self.ff_b1),
-                        self.ff_w2) + self.ff_b2
+        ff = self.ff2(dcg.relu(self.ff1(x)))
         return layer_norm(x + _dropout(ff, dropout_rate, rng, training),
                           self.ln2_g, self.ln2_b)
 
@@ -167,15 +157,13 @@ class LocationTimePair:
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
                  loc_table: EmbeddingTable, time_emb: SmoothedTimeEmbedding,
-                 dim: int, cfg: SeqEncoderConfig, init_scale: float = 0.1):
+                 dim: int, cfg: SeqEncoderConfig):
         self.loc_table = loc_table
         self.time_emb = time_emb
         self.dim = dim
         self.cfg = cfg
         ff = cfg.ff_width if cfg.ff_width is not None else 4 * dim
-        self.in_w = registry.register(
-            "loc_time.in_w", rng.uniform(-init_scale, init_scale, (2 * dim, dim)))
-        self.in_b = registry.register("loc_time.in_b", np.zeros(dim))
+        self.in_proj = Linear(registry, rng, "loc_time.in_proj", 2 * dim, dim)
         self.layers = [
             TransformerLayer(registry, rng, f"loc_time.layer{i}", dim,
                              cfg.heads, ff)
@@ -194,7 +182,7 @@ class LocationTimePair:
         e_l = self.loc_table.lookup(ctx_locs)
         e_t = self.time_emb.lookup(ctx_slots)
         x = dcg.concat([e_l, e_t], axis=-1)
-        x_proj = dcg.matmul(x, self.in_w) + self.in_b
+        x_proj = self.in_proj(x)
         if length not in self._pe_cache:
             self._pe_cache[length] = positional_encoding(length, self.dim)
             self._mask_cache[length] = causal_mask(length)

@@ -35,7 +35,6 @@ class ModelConfig:
     decoder_query: str = "user_location"
     osc: OscillatorParams = field(default_factory=OscillatorParams)
     encoder: SeqEncoderConfig = field(default_factory=SeqEncoderConfig)
-    init_scale: float = 0.1
 
     def __post_init__(self):
         if self.dim % self.attn_heads != 0:
@@ -83,25 +82,21 @@ class CanoeModel:
         d = cfg.dim
 
         self.time_emb = SmoothedTimeEmbedding(
-            self.registry, rng, n_slots=cfg.n_slots, dim=d, sigma=cfg.sigma,
-            init_scale=cfg.init_scale)
+            self.registry, rng, n_slots=cfg.n_slots, dim=d, sigma=cfg.sigma)
         self.user_table = EmbeddingTable(self.registry, rng, n_users, d,
-                                         "user_table", cfg.init_scale)
+                                         "user_table")
         self.loc_table = EmbeddingTable(self.registry, rng, n_locations, d,
-                                        "loc_table", cfg.init_scale)
-        ul_head = UserLocationHead(self.registry, rng, cfg.n_topics, d,
-                                   init_scale=cfg.init_scale)
+                                        "loc_table")
+        ul_head = UserLocationHead(self.registry, rng, cfg.n_topics, d)
         time_user = TimeUserPair(self.registry, rng, self.user_table,
                                  self.time_emb, d, cfg.attn_heads, cfg.osc,
                                  cfg.attention)
         loc_time = LocationTimePair(self.registry, rng, self.loc_table,
-                                    self.time_emb, d, cfg.encoder,
-                                    cfg.init_scale)
+                                    self.time_emb, d, cfg.encoder)
         self.encoder = TpiEncoder(ul_head, time_user, loc_time)
         self.decoder = CrossContextDecoder(
             self.registry, rng, d, n_locations, cfg.n_slots, cfg.attn_heads,
-            cfg.osc, variant=cfg.attention, query_source=cfg.decoder_query,
-            init_scale=cfg.init_scale)
+            cfg.osc, variant=cfg.attention, query_source=cfg.decoder_query)
 
     def reset_states(self) -> None:
         self.encoder.time_user.attn.reset_state()

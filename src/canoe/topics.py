@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dcg
-from .dcg import ParamRegistry, Tensor
+from .dcg import Linear, ParamRegistry, Tensor
 
 __all__ = ["TopicModel", "build_cooccurrence", "fit_lda", "UserLocationHead"]
 
@@ -103,16 +103,10 @@ class UserLocationHead:
     """Two-layer ReLU MLP mapping a topic distribution to a d-vector."""
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
-                 n_topics: int, dim: int, prefix: str = "ul_head",
-                 init_scale: float = 0.1):
-        self.w1 = registry.register(
-            f"{prefix}.w1", rng.uniform(-init_scale, init_scale, (n_topics, dim)))
-        self.b1 = registry.register(f"{prefix}.b1", np.zeros(dim))
-        self.w2 = registry.register(
-            f"{prefix}.w2", rng.uniform(-init_scale, init_scale, (dim, dim)))
-        self.b2 = registry.register(f"{prefix}.b2", np.zeros(dim))
+                 n_topics: int, dim: int, prefix: str = "ul_head"):
+        self.l1 = Linear(registry, rng, f"{prefix}.l1", n_topics, dim)
+        self.l2 = Linear(registry, rng, f"{prefix}.l2", dim, dim)
 
     def __call__(self, c_u: Tensor) -> Tensor:
         """c_u: [batch, n_topics] constant input -> [batch, dim]."""
-        hidden = dcg.relu(dcg.matmul(c_u, self.w1) + self.b1)
-        return dcg.matmul(hidden, self.w2) + self.b2
+        return self.l2(dcg.relu(self.l1(c_u)))

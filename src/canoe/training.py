@@ -34,7 +34,7 @@ __all__ = [
 
 log = logging.getLogger("canoe.training")
 
-CHECKPOINT_FORMAT = "canoe-ckpt-2"
+CHECKPOINT_FORMAT = "canoe-ckpt-3"
 EVAL_BATCH = 512
 
 

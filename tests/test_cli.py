@@ -93,6 +93,23 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="seed must be an integer"):
             load_config(None, {"seed.x": 1})
 
+    @pytest.mark.parametrize("key, value", [
+        ("model.dim", "abc"), ("train.epochs", "abc"), ("data.num_users", 1.5),
+        ("model.k", "abc"), ("eval.ks", "abc"), ("eval.ks", [1, 2.5]),
+        ("model.enc_layers", True), ("model.attention", 3),
+        ("topics.beta", None), ("seed", 1.5), ("seed", True)])
+    def test_mistyped_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            load_config(None, {key: value})
+
+    def test_typed_values_kept_as_given(self):
+        cfg = load_config(None, {"model.k": -500, "topics.alpha": None,
+                                 "model.enc_ff": 32, "eval.thresholds": [1, 0.5]})
+        d = cfg.to_dict()
+        assert d["model"]["k"] == -500 and isinstance(d["model"]["k"], int)
+        assert d["topics"]["alpha"] is None and d["model"]["enc_ff"] == 32
+        assert d["eval"]["thresholds"] == [1, 0.5]
+
     def test_defaults_materialized(self):
         cfg = RunConfig.from_dict({})
         d = cfg.to_dict()
@@ -186,12 +203,27 @@ class TestTrainEvalCommands:
         assert rc == 2
         assert "error: cannot override 'seed.x': not a section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layers, named", [
+        (4, "missing ['loc_time.layer3.q.w'"), (2, "unexpected ['loc_time.layer2.q.w'")],
+        ids=["more_layers", "fewer_layers"])
+    def test_resume_refuses_changed_architecture(self, workspace, tmp_path,
+                                                 capsys, layers, named):
+        rc = main(["train", "--data", str(workspace / "data.jsonl"),
+                   "--resume", str(workspace / "model.ckpt"),
+                   "--model-out", str(tmp_path / "resumed.ckpt"),
+                   "--set", "train.epochs=3",
+                   "--set", f"model.enc_layers={layers}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: parameter names differ" in err and named in err
+        assert not (tmp_path / "resumed.ckpt").exists()
+
     def test_eval_refuses_previous_checkpoint_format(self, workspace, tmp_path,
                                                      capsys):
         with np.load(workspace / "model.ckpt") as data:
             arrays = {key: data[key] for key in data.files}
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        meta["format"] = "canoe-ckpt-1"
+        meta["format"] = "canoe-ckpt-2"
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
                                        dtype=np.uint8)
         old = tmp_path / "old.npz"
@@ -199,7 +231,7 @@ class TestTrainEvalCommands:
         rc = main(["eval", "--data", str(workspace / "data.jsonl"),
                    "--model", str(old), "--report", str(tmp_path / "report")])
         assert rc == 2
-        assert ("error: unsupported checkpoint format: 'canoe-ckpt-1'"
+        assert ("error: unsupported checkpoint format: 'canoe-ckpt-2'"
                 in capsys.readouterr().err)
 
     def test_numeric_fault_exits_1_with_error_line(self, workspace, tmp_path,

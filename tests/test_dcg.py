@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from canoe import dcg
-from canoe.dcg import AdamW, ParamRegistry, grad_check
+from canoe.dcg import AdamW, Linear, ParamRegistry, grad_check
 from canoe.dcg.tensor import _unbroadcast
 
 
@@ -265,6 +265,29 @@ class TestParamRegistry:
         arrays["p"][0] = 99.0
         reg.load_state_arrays(arrays)
         assert reg["p"].data[0] == 99.0
+
+    def test_load_rejects_missing_and_unexpected_names(self):
+        reg = ParamRegistry()
+        reg.register("p", np.arange(3.0))
+        reg.register("q", np.zeros(2))
+        with pytest.raises(ValueError, match=r"missing \['q'\], unexpected \['r'\]"):
+            reg.load_state_arrays({"p": np.zeros(3), "r": np.zeros(2)})
+        np.testing.assert_array_equal(reg["p"].data, np.arange(3.0))
+
+
+class TestLinear:
+    def test_names_init_and_forward(self):
+        reg = ParamRegistry()
+        lin = Linear(reg, np.random.default_rng(4), "proj", 5, 3)
+        assert reg.names() == ["proj.w", "proj.b"]
+        assert lin.w is reg["proj.w"] and lin.b is reg["proj.b"]
+        assert lin.w.shape == (5, 3)
+        assert np.abs(lin.w.data).max() <= 0.1 and lin.w.data.std() > 0
+        np.testing.assert_array_equal(lin.b.data, np.zeros(3))
+        lin.b.data[...] = [0.5, -1.0, 2.0]
+        x = np.random.default_rng(5).normal(size=(2, 4, 5))
+        out = lin(dcg.constant(x))
+        assert out.data.tobytes() == (x @ lin.w.data + lin.b.data).tobytes()
 
 
 def test_forward_deterministic_bitwise():

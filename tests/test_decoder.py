@@ -82,8 +82,8 @@ class TestDecode:
 class TestHeads:
     def test_zero_location_head_gives_uniform_probs(self, rng):
         reg, dec = make_decoder(rng, n_locs=7)
-        reg["decoder.loc_w"].data[...] = 0.0
-        reg["decoder.loc_b"].data[...] = 0.0
+        reg["decoder.loc.w"].data[...] = 0.0
+        reg["decoder.loc.b"].data[...] = 0.0
         y_hat = dcg.constant(rng.normal(size=(3, 8)))
         probs = dcg.softmax(dec.location_logits(y_hat), axis=-1).data
         np.testing.assert_allclose(probs, 1.0 / 7, rtol=1e-12)
@@ -101,8 +101,8 @@ class TestHeads:
 
     def test_zero_time_head_gives_uniform_24(self, rng):
         reg, dec = make_decoder(rng)
-        reg["decoder.time_w"].data[...] = 0.0
-        reg["decoder.time_b"].data[...] = 0.0
+        reg["decoder.time.w"].data[...] = 0.0
+        reg["decoder.time.b"].data[...] = 0.0
         o_ut = dcg.constant(rng.normal(size=(2, 8)))
         probs = dcg.softmax(dec.time_logits(o_ut), axis=-1).data
         np.testing.assert_allclose(probs, 1.0 / 24, rtol=1e-12)

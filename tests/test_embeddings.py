@@ -147,5 +147,5 @@ class TestEmbeddingTable:
 
     def test_init_bounds(self, rng):
         reg = ParamRegistry()
-        table = EmbeddingTable(reg, rng, 100, 8, "t", init_scale=0.1)
+        table = EmbeddingTable(reg, rng, 100, 8, "t")
         assert np.abs(table.table.data).max() <= 0.1

@@ -61,8 +61,8 @@ class TestTransformerLayerOracle:
         collapses to LN(LN(x)); hand-step that on a 2-token example."""
         reg = ParamRegistry()
         layer = TransformerLayer(reg, rng, "l0", dim=4, heads=2, ff_width=8)
-        for name in ("l0.wo", "l0.bo", "l0.ff_w1", "l0.ff_b1", "l0.ff_w2",
-                     "l0.ff_b2"):
+        for name in ("l0.o.w", "l0.o.b", "l0.ff1.w", "l0.ff1.b", "l0.ff2.w",
+                     "l0.ff2.b"):
             reg[name].data[...] = 0.0
         x_raw = rng.normal(size=(1, 2, 4))
         out = layer(dcg.constant(x_raw), causal_mask(2), 0.0, None, False).data
@@ -86,7 +86,7 @@ class TestLocationTimePair:
         e_l = enc.loc_time.loc_table.lookup(locs)
         e_t = enc.loc_time.time_emb.lookup(slots)
         x = dcg.concat([e_l, e_t], axis=-1)
-        x_proj = dcg.matmul(x, enc.loc_time.in_w) + enc.loc_time.in_b
+        x_proj = dcg.matmul(x, enc.loc_time.in_proj.w) + enc.loc_time.in_proj.b
         np.testing.assert_array_equal(o_st.data[..., 8:], x_proj.data)
 
     def test_single_element_window(self, rng):

@@ -54,6 +54,29 @@ class TestForward:
             RunConfig.from_dict({"model": {"dim": 9, "attn_heads": 2}})
 
 
+class TestInit:
+    def test_registry_follows_the_init_policy(self, rng):
+        """Walking the registry in order replays the construction: each
+        weight is the next uniform(-0.1, 0.1) draw of the model's stream,
+        biases and layer-norm shifts are zeros, layer-norm gains ones."""
+        model = make_model(rng, dim=8, enc_layers=2)
+        draws = np.random.default_rng([5, 202])
+        n_weights = 0
+        for name, t in model.registry.items():
+            leaf = name.rsplit(".", 1)[-1]
+            if leaf.startswith("ln") and leaf.endswith("_g"):
+                expected = np.ones(t.shape)
+            elif leaf == "b" or leaf.startswith("ln"):
+                expected = np.zeros(t.shape)
+            else:
+                expected = draws.uniform(-0.1, 0.1, t.shape)
+                n_weights += 1
+            assert t.data.tobytes() == expected.tobytes(), name
+        # time/user/loc tables, ul_head 2, two CNOA sites x 4, in_proj,
+        # 2 layers x 6, decoder w_q + 8 projections
+        assert n_weights == 3 + 2 + 8 + 1 + 12 + 9
+
+
 class TestRankTargets:
     def test_rank_counts_strictly_better(self, rng):
         model = make_model(rng)
@@ -70,8 +93,8 @@ class TestRankTargets:
         model = make_model(rng)
         batch = random_batch(rng, n=2)
         # Force exact ties: equal logits everywhere.
-        model.registry["decoder.loc_w"].data[...] = 0.0
-        model.registry["decoder.loc_b"].data[...] = 0.0
+        model.registry["decoder.loc.w"].data[...] = 0.0
+        model.registry["decoder.loc.b"].data[...] = 0.0
         batch.target_locs = np.array([0, 5])
         ranks = model.rank_targets(batch)
         assert ranks[0] == 1   # id 0 wins every tie

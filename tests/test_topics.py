@@ -126,7 +126,7 @@ class TestUserLocationHead:
     def test_zero_weights_give_zero_output(self, rng):
         reg = ParamRegistry()
         head = UserLocationHead(reg, rng, n_topics=5, dim=4)
-        for name in ("ul_head.w1", "ul_head.b1", "ul_head.w2", "ul_head.b2"):
+        for name in ("ul_head.l1.w", "ul_head.l1.b", "ul_head.l2.w", "ul_head.l2.b"):
             reg[name].data[...] = 0.0
         out = head(dcg.constant(np.full((2, 5), 0.2)))
         np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
@@ -134,10 +134,10 @@ class TestUserLocationHead:
     def test_identity_like_composition(self, rng):
         reg = ParamRegistry()
         head = UserLocationHead(reg, rng, n_topics=4, dim=4)
-        reg["ul_head.w1"].data[...] = np.eye(4)
-        reg["ul_head.b1"].data[...] = 0.0
-        reg["ul_head.w2"].data[...] = np.eye(4)
-        reg["ul_head.b2"].data[...] = 0.0
+        reg["ul_head.l1.w"].data[...] = np.eye(4)
+        reg["ul_head.l1.b"].data[...] = 0.0
+        reg["ul_head.l2.w"].data[...] = np.eye(4)
+        reg["ul_head.l2.b"].data[...] = 0.0
         c = np.array([[0.5, -0.1, 0.0, 0.6]])
         out = head(dcg.constant(c))
         np.testing.assert_allclose(out.data, np.maximum(c, 0.0), rtol=1e-12)

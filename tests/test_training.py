@@ -57,11 +57,11 @@ class TestWarmupGradients:
         loss, _ = model.loss_batch(batch, weights, training=False)
         model.registry.zero_grads()
         dcg.backward(loss)
-        loc_grad = model.registry["decoder.loc_w"].grad
-        aux_grad = model.registry["decoder.aux_w"].grad
+        loc_grad = model.registry["decoder.loc.w"].grad
+        aux_grad = model.registry["decoder.aux.w"].grad
         np.testing.assert_array_equal(loc_grad, 0.0)
         np.testing.assert_array_equal(aux_grad, 0.0)
-        assert np.abs(model.registry["decoder.time_w"].grad).max() > 0
+        assert np.abs(model.registry["decoder.time.w"].grad).max() > 0
 
 
 class TestTrainLoop:
@@ -179,8 +179,9 @@ class TestCheckpointing:
 
         import numpy as np
         bad = tmp_path / "bad.npz"
-        # "canoe-ckpt-1" stored per-head attention weights (wq0, wq1, ...)
-        for tag in ("other", "canoe-ckpt-1"):
+        # "canoe-ckpt-1" stored per-head attention weights (wq0, wq1, ...);
+        # "canoe-ckpt-2" named projection parameters loc_w, ff_b1, ...
+        for tag in ("other", "canoe-ckpt-1", "canoe-ckpt-2"):
             meta = np.frombuffer(json.dumps({"format": tag}).encode(),
                                  dtype=np.uint8)
             np.savez(bad, meta=meta)
@@ -200,7 +201,7 @@ class TestEvaluateModel:
     def test_nan_loss_aborts_with_batch_index(self):
         cfg = tiny_cfg(epochs=1, warmup=0)
         _, ds, _, model = build_pipeline(cfg)
-        model.registry["decoder.loc_w"].data[...] = np.inf
+        model.registry["decoder.loc.w"].data[...] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(dcg.NumericFault, match="batch 0"):
                 train(model, ds, cfg)
