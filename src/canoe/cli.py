@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, merge_overrides
 from .data import Dataset, prepare_dataset, read_checkins, write_checkins
-from .dcg import AdamW, NumericFault
+from .dcg import NumericFault
 from .evaluation import (compute_metrics, prefix_entropy, stratified_reports,
                          write_report)
 from .mmc import fit_mmc, rank_of_target
@@ -102,7 +102,7 @@ def _fit_topics(dataset: Dataset, cfg: RunConfig):
     counts = build_cooccurrence(lists, dataset.n_locations)
     t = cfg.topics
     return fit_lda(counts, n_topics=t.n_topics, alpha=t.alpha, beta=t.beta,
-                   iters=t.gibbs_iters, seed=cfg.seed), region
+                   iters=t.gibbs_iters, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -142,49 +142,29 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     if args.resume:
         ckpt = load_checkpoint(args.resume)
-        # Resume continues under the checkpoint's config; explicit --set
-        # overrides still win (e.g. extending train.epochs).
-        cfg = RunConfig.from_dict(merge_overrides(
-            dict(ckpt.meta["config"]), _parse_overrides(getattr(args, "set", None))))
-        if getattr(args, "seed", None) is not None and args.seed != cfg.seed:
-            raise ConfigError("--seed may not differ from the checkpoint's seed")
-        if cfg.seed != ckpt.meta["seed"]:
-            raise ConfigError("seed may not be overridden on resume")
-    else:
-        ckpt = None
-        cfg = _resolve_config(args, require_seed=True)
-    dataset = _load_dataset(args.data, cfg)
-
-    if ckpt is not None:
+        overrides = _parse_overrides(args.set)
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        cfg = RunConfig.from_dict(merge_overrides(ckpt.config.to_dict(), overrides))
+        # train() refuses any change outside the train and eval sections, so
+        # the data is read as the checkpoint's run read it.
+        dataset = _load_dataset(args.data, ckpt.config)
         _check_id_space(dataset, ckpt)
         topic_model = ckpt.topic_model()
         model = model_from_checkpoint(ckpt, use_best=False)
-        optimizer = AdamW(
-            model.registry, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay,
-            beta1=cfg.train.beta1, beta2=cfg.train.beta2, eps=cfg.train.eps)
-        optimizer.load_state_arrays(ckpt.opt_arrays, ckpt.opt_step)
-        start_epoch = ckpt.meta["epoch"] + 1
-        prior_logs = ckpt.logs()
-        best_key = ckpt.meta.get("best_key")
-        prior_best = (tuple(best_key) if best_key else None,
-                      ckpt.meta.get("best_epoch", -1), dict(ckpt.best_params))
-        if prior_best[0] is None:
-            prior_best = None
-        log.info("resuming from %s at epoch %d", args.resume, start_epoch)
+        log.info("resuming from %s at epoch %d", args.resume, ckpt.meta["epoch"] + 1)
     else:
-        topic_model, _ = _fit_topics(dataset, cfg)
+        ckpt = None
+        cfg = _resolve_config(args, require_seed=True)
+        dataset = _load_dataset(args.data, cfg)
+        topic_model = _fit_topics(dataset, cfg)
         model = CanoeModel(cfg.model_config(), n_users=dataset.n_users,
                            n_locations=dataset.n_locations,
                            topic_theta=topic_model.theta, seed=cfg.seed)
-        optimizer = None
-        start_epoch = 0
-        prior_logs = None
-        prior_best = None
 
     result = train(model, dataset, cfg, log_path=args.log,
                    checkpoint_path=args.model_out, topic_model=topic_model,
-                   optimizer=optimizer, start_epoch=start_epoch,
-                   prior_logs=prior_logs, prior_best=prior_best)
+                   resume=ckpt)
     _echo_config(cfg, args.model_out)
     summary = {"epochs": cfg.train.epochs, "best_epoch": result.best_epoch,
                "best_val_acc1": result.best_val_acc1,

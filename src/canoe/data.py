@@ -248,7 +248,11 @@ def read_checkins(path: str | Path) -> list[CheckIn]:
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: record must be a JSON object "
+                                 f"({exc.msg} at column {exc.colno})") from None
             if not isinstance(row, dict) or set(row) != {"user", "loc", "t"}:
                 raise ValueError(
                     f"{path}:{line_no}: record keys must be exactly user/loc/t")

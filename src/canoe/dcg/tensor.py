@@ -446,7 +446,10 @@ def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def bwd(g):
-        _accum(a, g.reshape(a.data.shape))
+        # g is this node's own gradient: its consumers have all accumulated
+        # into it, and nothing reads it after this call, so its view is
+        # handed over without a copy.
+        _accum_owned(a, g.reshape(a.data.shape))
 
     return _make(data, (a,), bwd, "reshape")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +48,6 @@ class EpochLog:
     val_acc1: float | None
     val_mrr: float | None
 
-    def csv_row(self) -> str:
-        vals = [str(self.epoch), repr(self.loss_total), repr(self.loss_loc),
-                repr(self.loss_time), repr(self.loss_aux)]
-        vals.append("" if self.val_acc1 is None else repr(self.val_acc1))
-        vals.append("" if self.val_mrr is None else repr(self.val_mrr))
-        return ",".join(vals)
-
 
 CSV_HEADER = "epoch,loss_total,loss_loc,loss_time,loss_aux,val_acc1,val_mrr"
 
@@ -65,7 +58,6 @@ class TrainResult:
     best_epoch: int
     best_val_acc1: float | None
     best_val_mrr: float | None
-    best_params: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
 
 
 def phase_weights(epoch: int, cfg: RunConfig) -> LossWeights:
@@ -115,39 +107,42 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
           log_path: str | Path | None = None,
           checkpoint_path: str | Path | None = None,
           topic_model: TopicModel | None = None,
-          optimizer: AdamW | None = None,
-          start_epoch: int = 0,
-          prior_logs: list[EpochLog] | None = None,
-          prior_best: tuple | None = None) -> TrainResult:
-    """Run the epoch loop; returns logs and the best-validation parameters.
+          resume: Checkpoint | None = None) -> TrainResult:
+    """Run the epoch loop; returns the logs and the best validation epoch.
 
-    Pass optimizer/start_epoch/prior_logs/prior_best when resuming from a
-    checkpoint.
+    With `resume`, continue the run that wrote that checkpoint: the model
+    must hold its latest parameters (`model_from_checkpoint(resume,
+    use_best=False)`), and `cfg` may differ from its config only in the
+    train and eval sections.
     """
     t = cfg.train
     train_samples = dataset.split.train
     if not train_samples:
         raise ValueError("training split is empty")
-    if optimizer is None:
-        optimizer = AdamW(model.registry, lr=t.lr, weight_decay=t.weight_decay,
-                          beta1=t.beta1, beta2=t.beta2, eps=t.eps)
+    optimizer = AdamW(model.registry, lr=t.lr, weight_decay=t.weight_decay,
+                      beta1=t.beta1, beta2=t.beta2, eps=t.eps)
 
-    logs: list[EpochLog] = list(prior_logs or [])
-    best_key: tuple[float, float] | None = None
+    start_epoch = 0
+    logs: list[EpochLog] = []
+    # [val_acc1, val_mrr] of the best epoch; None without a validation split
+    best_key: list[float] | None = None
     best_epoch = -1
     best_params: dict[str, np.ndarray] = {}
-    if prior_best is not None:
-        best_key, best_epoch, best_params = prior_best
+    if resume is not None:
+        _check_resumable(resume, cfg)
+        optimizer.load_state_arrays(resume.opt_arrays, resume.opt_step)
+        start_epoch = resume.meta["epoch"] + 1
+        logs = resume.logs()
+        best_key, best_epoch = resume.meta["best_key"], resume.meta["best_epoch"]
+        best_params = resume.best_params
     debug = log.isEnabledFor(logging.DEBUG)
 
     def consider_best(epoch: int, acc1: float | None, mrr: float | None) -> None:
         nonlocal best_key, best_epoch, best_params
-        if acc1 is None:
-            # No validation split: retain the latest epoch.
-            best_key, best_epoch = (-1.0, -1.0), epoch
-            best_params = model.registry.state_arrays()
-        elif best_key is None or (acc1, mrr) > best_key:
-            best_key, best_epoch = (acc1, mrr), epoch
+        # Without a validation split the latest epoch is retained.
+        if acc1 is None or best_key is None or [acc1, mrr] > best_key:
+            best_key = None if acc1 is None else [acc1, mrr]
+            best_epoch = epoch
             best_params = model.registry.state_arrays()
 
     prev_phase: LossWeights | None = None
@@ -209,27 +204,47 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
 
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, model, optimizer, cfg,
-                            topic_model, epoch, best_params or None,
+                            topic_model, epoch, best_params,
                             best_epoch, best_key, logs)
 
     if log_path is not None:
         write_log_csv(log_path, logs)
 
-    if best_key is None:
-        best = TrainResult(logs, t.epochs - 1, None, None,
-                           model.registry.state_arrays())
-    else:
-        acc1 = best_key[0] if best_key[0] >= 0 else None
-        mrr = best_key[1] if best_key[0] >= 0 else None
-        best = TrainResult(logs, best_epoch, acc1, mrr, best_params)
-    return best
+    acc1, mrr = best_key or (None, None)
+    return TrainResult(logs, best_epoch, acc1, mrr)
+
+
+def _check_resumable(ckpt: Checkpoint, cfg: RunConfig) -> None:
+    """A resumed run keeps everything outside the train and eval sections
+    (the seed included) and has epochs left to train."""
+    old, new = _flatten(ckpt.config.to_dict()), _flatten(cfg.to_dict())
+    changed = [key for key in new if new[key] != old[key]
+               and key.split(".")[0] not in ("train", "eval")]
+    if changed:
+        raise ValueError(f"resume may change only train.* and eval.* keys; "
+                         f"changed: {', '.join(changed)}")
+    finished = ckpt.meta["epoch"] + 1
+    if cfg.train.epochs <= finished:
+        raise ValueError(f"train.epochs={cfg.train.epochs} leaves nothing to "
+                         f"train: the checkpoint has {finished} finished epochs")
+
+
+def _flatten(raw: dict, prefix: str = "") -> dict:
+    out = {}
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            out.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
 
 
 def write_log_csv(path: str | Path, logs: list[EpochLog]) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for entry in logs:
-            fh.write(entry.csv_row() + "\n")
+            fh.write(",".join("" if v is None else repr(v)
+                              for v in astuple(entry)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +273,14 @@ def save_checkpoint(path: str | Path, model: CanoeModel, optimizer: AdamW,
         "n_users": model.n_users,
         "n_locations": model.n_locations,
         "best_epoch": best_epoch,
-        "best_key": list(best_key) if best_key is not None else None,
+        "best_key": best_key,
         "config": cfg.to_dict(),
         "topic_model": None if topic_model is None else {
             "n_topics": topic_model.n_topics, "alpha": topic_model.alpha,
             "beta": topic_model.beta, "gibbs_iters": topic_model.gibbs_iters,
             "seed": topic_model.seed,
         },
-        "logs": [_log_row(entry) for entry in logs],
+        "logs": [astuple(entry) for entry in logs],
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     path = Path(path)
@@ -280,11 +295,6 @@ def save_checkpoint(path: str | Path, model: CanoeModel, optimizer: AdamW,
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _log_row(entry: EpochLog) -> list:
-    return [entry.epoch, entry.loss_total, entry.loss_loc, entry.loss_time,
-            entry.loss_aux, entry.val_acc1, entry.val_mrr]
 
 
 @dataclass
@@ -302,9 +312,7 @@ class Checkpoint:
         return RunConfig.from_dict(self.meta["config"])
 
     def logs(self) -> list[EpochLog]:
-        return [EpochLog(epoch=r[0], loss_total=r[1], loss_loc=r[2],
-                         loss_time=r[3], loss_aux=r[4], val_acc1=r[5],
-                         val_mrr=r[6]) for r in self.meta.get("logs", [])]
+        return [EpochLog(*row) for row in self.meta["logs"]]
 
     def topic_model(self) -> TopicModel | None:
         if self.theta is None:

@@ -203,20 +203,53 @@ class TestTrainEvalCommands:
         assert rc == 2
         assert "error: cannot override 'seed.x': not a section" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("layers, named", [
-        (4, "missing ['loc_time.layer3.q.w'"), (2, "unexpected ['loc_time.layer2.q.w'")],
-        ids=["more_layers", "fewer_layers"])
+    @pytest.mark.parametrize("layers", [4, 2], ids=["more_layers", "fewer_layers"])
     def test_resume_refuses_changed_architecture(self, workspace, tmp_path,
-                                                 capsys, layers, named):
+                                                 capsys, layers):
         rc = main(["train", "--data", str(workspace / "data.jsonl"),
                    "--resume", str(workspace / "model.ckpt"),
                    "--model-out", str(tmp_path / "resumed.ckpt"),
                    "--set", "train.epochs=3",
                    "--set", f"model.enc_layers={layers}"])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "error: parameter names differ" in err and named in err
+        assert "error: resume may change only train.* and eval.* keys; " \
+               "changed: model.enc_layers" in capsys.readouterr().err
         assert not (tmp_path / "resumed.ckpt").exists()
+
+    # The workspace checkpoint was trained with seed 3, dim 8, window_len 10.
+    @pytest.mark.parametrize("args, changed", [
+        (["--set", "model.attention=cross"], "model.attention"),
+        (["--set", "model.enc_heads=4"], "model.enc_heads"),
+        (["--set", "data.window_len=12"], "data.window_len"),
+        (["--seed", "4"], "seed"),
+        (["--set", "seed=4"], "seed"),
+        (["--seed", "3"], None),
+        (["--set", "model.dim=8"], None),
+    ], ids=["attention", "enc_heads", "window_len", "seed_flag", "seed_set",
+            "same_seed", "same_dim"])
+    def test_resume_refuses_changes_outside_train_and_eval(
+            self, workspace, tmp_path, capsys, args, changed):
+        out = tmp_path / "resumed.ckpt"
+        rc = main(["train", "--data", str(workspace / "data.jsonl"),
+                   "--resume", str(workspace / "model.ckpt"),
+                   "--model-out", str(out), "--set", "train.epochs=3"] + args)
+        if changed is None:
+            assert rc == 0 and out.exists()
+        else:
+            assert rc == 2
+            assert f"changed: {changed}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_resume_with_no_epochs_left_exits_2_writing_nothing(
+            self, workspace, tmp_path, capsys):
+        rc = main(["train", "--data", str(workspace / "data.jsonl"),
+                   "--resume", str(workspace / "model.ckpt"),
+                   "--model-out", str(tmp_path / "resumed.ckpt"),
+                   "--log", str(tmp_path / "log.csv"), "--set", "train.epochs=2"])
+        assert rc == 2
+        assert ("error: train.epochs=2 leaves nothing to train: the checkpoint "
+                "has 2 finished epochs") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_eval_refuses_previous_checkpoint_format(self, workspace, tmp_path,
                                                      capsys):

@@ -183,6 +183,7 @@ class TestDatasetIO:
         ('{"user": 1, "loc": 2.0, "t": 3}', "loc"),
         ('{"user": 1, "loc": -3, "t": 3}', "loc"),
         ('{"user": -1, "loc": 2, "t": 3}', "user"),
+        ('{"user": 1, "loc": 2, "t": 3', "record"),
     ])
     def test_bad_values_rejected_with_line(self, tmp_path, line, field):
         path = tmp_path / "bad.jsonl"

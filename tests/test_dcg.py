@@ -41,6 +41,16 @@ class TestBackwardContracts:
         out = dcg.tensor_sum(x * x + x * 3.0)
         dcg.backward(out)
         np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
+        # Reshape hands its gradient's view to its input; the other paths
+        # into the shared input must still add onto it.
+        x = dcg.parameter(np.arange(6.0))
+        c = np.arange(6.0) + 10.0
+        h = x * 2.0
+        twice = dcg.reshape(dcg.reshape(h, (2, 3)), (6,))
+        out = (dcg.tensor_sum(twice * c) + dcg.tensor_sum(h * h)
+               + dcg.tensor_sum(dcg.reshape(h, (3, 2)) * 3.0))
+        dcg.backward(out)
+        np.testing.assert_allclose(x.grad, 2.0 * (c + 2.0 * h.data + 3.0))
 
     def test_nan_root_raises_numeric_fault(self):
         x = dcg.parameter([0.0])

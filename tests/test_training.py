@@ -120,31 +120,39 @@ class TestCheckpointing:
         np.testing.assert_array_equal(r1, r2)
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
-        # uninterrupted 4-epoch run
-        cfg_full = tiny_cfg(epochs=4)
+        # uninterrupted 4-epoch run; at seed 5 its best epoch is 1, before
+        # the checkpoint, so the resumed run must restore it
+        cfg_full = tiny_cfg(seed=5, epochs=4)
         _, ds, tm, model_full = build_pipeline(cfg_full)
         res_full = train(model_full, ds, cfg_full)
 
         # 2 epochs, checkpoint, resume for 2 more
-        cfg_half = tiny_cfg(epochs=2)
+        cfg_half = tiny_cfg(seed=5, epochs=2)
         _, ds2, tm2, model_half = build_pipeline(cfg_half)
         path = tmp_path / "half.ckpt"
-        opt = AdamW(model_half.registry, lr=cfg_half.train.lr,
-                    weight_decay=cfg_half.train.weight_decay)
-        train(model_half, ds2, cfg_half, checkpoint_path=path,
-              topic_model=tm2, optimizer=opt)
+        train(model_half, ds2, cfg_half, checkpoint_path=path, topic_model=tm2)
 
         ckpt = load_checkpoint(path)
-        cfg_resume = tiny_cfg(epochs=4)
         resumed = model_from_checkpoint(ckpt, use_best=False)
-        opt2 = AdamW(resumed.registry, lr=cfg_resume.train.lr,
-                     weight_decay=cfg_resume.train.weight_decay)
-        opt2.load_state_arrays(ckpt.opt_arrays, ckpt.opt_step)
-        res_resumed = train(resumed, ds2, cfg_resume, optimizer=opt2,
-                            start_epoch=ckpt.meta["epoch"] + 1,
-                            prior_logs=ckpt.logs())
+        res_resumed = train(resumed, ds2, cfg_full, resume=ckpt)
         assert res_resumed.logs[2].loss_total == res_full.logs[2].loss_total
         assert res_resumed.logs[3].loss_total == res_full.logs[3].loss_total
+        assert res_resumed.best_epoch == res_full.best_epoch == 1
+        assert res_resumed.best_val_acc1 == res_full.best_val_acc1
+        assert res_resumed.best_val_mrr == res_full.best_val_mrr
+
+    def test_resume_without_validation_split_keeps_latest_epoch(self, tmp_path):
+        cfg = tiny_cfg(epochs=1)
+        _, ds, tm, model = build_pipeline(cfg)
+        ds.split.val = []
+        path = tmp_path / "m.ckpt"
+        train(model, ds, cfg, checkpoint_path=path, topic_model=tm)
+        ckpt = load_checkpoint(path)
+        assert ckpt.meta["best_key"] is None
+        result = train(model_from_checkpoint(ckpt, use_best=False), ds,
+                       tiny_cfg(epochs=2), resume=ckpt)
+        assert result.best_val_acc1 is None and result.best_val_mrr is None
+        assert result.best_epoch == 1
 
     def test_checkpoint_preserves_topic_model(self, tmp_path):
         cfg = tiny_cfg(epochs=1)
