@@ -48,8 +48,7 @@ def tiny_gradcheck_batch(cfg: RunConfig, rng: np.random.Generator) -> Batch:
     )
 
 
-def full_model_gradcheck(cfg: RunConfig | None = None, epsilon: float = 1e-5,
-                         per_param: dict | None = None) -> float:
+def full_model_gradcheck(cfg: RunConfig | None = None, epsilon: float = 1e-5) -> float:
     """Max relative FD error over every parameter entry of the full loss."""
     cfg = cfg or tiny_gradcheck_config()
     rng = np.random.default_rng([cfg.seed, 77])
@@ -66,4 +65,4 @@ def full_model_gradcheck(cfg: RunConfig | None = None, epsilon: float = 1e-5,
         loss, _ = model.loss_batch(batch, weights, rng=None, training=False)
         return loss
 
-    return grad_check(loss_fn, model.registry, epsilon, per_param=per_param)
+    return grad_check(loss_fn, model.registry, epsilon)

@@ -150,7 +150,7 @@ def cmd_train(args) -> int:
         # the data is read as the checkpoint's run read it.
         dataset = _load_dataset(args.data, ckpt.config)
         _check_id_space(dataset, ckpt)
-        topic_model = ckpt.topic_model()
+        topic_model = None  # train() takes it from the checkpoint
         model = model_from_checkpoint(ckpt, use_best=False)
         log.info("resuming from %s at epoch %d", args.resume, ckpt.meta["epoch"] + 1)
     else:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dcg, kernels
 from .dcg import ParamRegistry, Tensor
-from .dcg.tensor import _accum, _make
+from .dcg.tensor import _accum_owned, _make
 
 __all__ = [
     "EXP_CLAMP_HI", "OscillatorParams",
@@ -102,7 +102,7 @@ def osc_transform(s: Tensor, p: OscillatorParams) -> Tensor:
         inside = raw <= EXP_CLAMP_HI
         ds = ds + g * emi * decay * (-2.0 * p.k) * s.data * inside
         ds = ds + g * (s.data > 0.0)
-        _accum(s, ds)
+        _accum_owned(s, ds)
 
     return _make(data, (s,), bwd, "oscillator")
 

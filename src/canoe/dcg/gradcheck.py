@@ -7,21 +7,20 @@ from typing import Callable
 import numpy as np
 
 from .registry import ParamRegistry
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, no_grad
 
 __all__ = ["grad_check"]
 
 
 def grad_check(loss_fn: Callable[[ParamRegistry], Tensor],
                registry: ParamRegistry,
-               epsilon: float = 1e-5,
-               per_param: dict | None = None) -> float:
+               epsilon: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     loss_fn must be a deterministic scalar function of the registry's
     parameters; relative error per entry is
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
-    Pass a dict as per_param to receive the per-parameter maxima.
+    |analytic - numeric| / max(1, |analytic|, |numeric|). The
+    finite-difference passes run under no_grad: they build no graph.
     """
     if not (0.0 < epsilon <= 1e-2):
         raise ValueError(f"epsilon must lie in (0, 1e-2], got {epsilon}")
@@ -43,21 +42,18 @@ def grad_check(loss_fn: Callable[[ParamRegistry], Tensor],
     registry.zero_grads()
 
     worst = 0.0
-    for name, t in registry.items():
-        flat = t.data.reshape(-1)
-        ana = analytic[name].reshape(-1)
-        local = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            up = loss_fn(registry).item()
-            flat[i] = orig - epsilon
-            down = loss_fn(registry).item()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            denom = max(1.0, abs(ana[i]), abs(numeric))
-            local = max(local, abs(ana[i] - numeric) / denom)
-        if per_param is not None:
-            per_param[name] = local
-        worst = max(worst, local)
+    with no_grad():
+        for name, t in registry.items():
+            flat = t.data.reshape(-1)
+            ana = analytic[name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + epsilon
+                up = loss_fn(registry).item()
+                flat[i] = orig - epsilon
+                down = loss_fn(registry).item()
+                flat[i] = orig
+                numeric = (up - down) / (2.0 * epsilon)
+                denom = max(1.0, abs(ana[i]), abs(numeric))
+                worst = max(worst, abs(ana[i] - numeric) / denom)
     return worst

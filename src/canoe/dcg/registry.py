@@ -8,7 +8,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import Tensor, matmul, parameter
+from .tensor import Tensor, linear, parameter
 
 __all__ = ["INIT_SCALE", "ParamRegistry", "Linear"]
 
@@ -84,7 +84,8 @@ class ParamRegistry:
 
 
 class Linear:
-    """Dense projection x @ w + b: registers {name}.w, then a zero {name}.b."""
+    """Dense projection x @ w + b, one fused graph node: registers {name}.w,
+    then a zero {name}.b."""
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
                  name: str, d_in: int, d_out: int):
@@ -92,4 +93,4 @@ class Linear:
         self.b = registry.register(f"{name}.b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, self.w) + self.b
+        return linear(x, self.w, self.b)

@@ -17,11 +17,12 @@ import numpy as np
 __all__ = [
     "Tensor", "NumericFault", "no_grad", "set_debug_checks",
     "constant", "parameter", "backward",
-    "add", "sub", "mul", "div", "neg", "matmul",
-    "relu", "exp", "log", "sqrt",
+    "add", "sub", "mul", "neg", "matmul",
+    "relu", "exp", "log",
     "tensor_sum", "tensor_mean", "softmax", "log_softmax",
     "concat", "reshape", "transpose",
     "gather_rows", "take_along_last",
+    "linear", "layer_norm", "masked_attention",
 ]
 
 
@@ -102,9 +103,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_lift(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
     def __neg__(self):
         return neg(self)
 
@@ -153,7 +151,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Accumulate a gradient the caller does not own (view or pass-through)."""
+    """Accumulate a gradient that something else still reads: copied on first use."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -163,7 +161,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _accum_owned(t: Tensor, g: np.ndarray) -> None:
-    """Accumulate a freshly allocated gradient; ownership transfers on first use."""
+    """Accumulate a gradient nothing else reads or writes; ownership transfers
+    on first use. That is a fresh array, or a view of the calling node's own
+    gradient handed to exactly one parent: the node's consumers have all
+    accumulated into it, and nothing reads it after the node's backward."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -223,12 +224,13 @@ def backward(root: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
-def _accum_ub(t: Tensor, g: np.ndarray) -> None:
-    """Unbroadcast-then-accumulate for a pass-through gradient."""
+def _accum_ub(t: Tensor, g: np.ndarray, own: bool = False) -> None:
+    """Unbroadcast-then-accumulate a pass-through gradient; g itself is
+    handed over only with own=True."""
     if not t.requires_grad:
         return
     gu = _unbroadcast(g, t.data.shape)
-    if gu is g:
+    if gu is g and not own:
         _accum(t, gu)
     else:
         _accum_owned(t, gu)
@@ -238,7 +240,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def bwd(g):
-        _accum_ub(a, g)
+        # The first of two distinct parents may take g; the second reads it
+        # after that, so it gets a copy.
+        _accum_ub(a, g, own=a is not b)
         _accum_ub(b, g)
 
     return _make(data, (a, b), bwd, "add")
@@ -248,7 +252,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def bwd(g):
-        _accum_ub(a, g)
+        # -g is a fresh array, computed before anything adds into g.
+        _accum_ub(a, g, own=True)
         if b.requires_grad:
             _accum_owned(b, _unbroadcast(-g, b.data.shape))
 
@@ -265,19 +270,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accum_owned(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), bwd, "mul")
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum_owned(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accum_owned(b, _unbroadcast(-g * a.data / (b.data * b.data),
-                                         b.data.shape))
-
-    return _make(data, (a, b), bwd, "div")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -352,15 +344,6 @@ def log(a: Tensor) -> Tensor:
     return _make(data, (a,), bwd, "log")
 
 
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-
-    def bwd(g):
-        _accum_owned(a, g * 0.5 / data)
-
-    return _make(data, (a,), bwd, "sqrt")
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -394,19 +377,27 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bwd(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        _accum(a, np.broadcast_to(g, a.data.shape) / count)
+        _accum_owned(a, np.broadcast_to(g, a.data.shape) / count)
 
     return _make(data, (a,), bwd, "mean")
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def _softmax_grad(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """Input gradient of p = softmax(x) for output gradient g (fresh array)."""
+    return p * (g - (g * p).sum(axis=axis, keepdims=True))
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = _softmax(a.data, axis)
 
     def bwd(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        _accum_owned(a, data * (g - dot))
+        _accum_owned(a, _softmax_grad(g, data, axis))
 
     return _make(data, (a,), bwd, "softmax")
 
@@ -437,7 +428,7 @@ def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
         for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(start, stop)
-            _accum(p, g[tuple(idx)])
+            _accum_owned(p, g[tuple(idx)])  # disjoint views of g
 
     return _make(data, tuple(parts), bwd, "concat")
 
@@ -459,7 +450,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     inverse = np.argsort(axes)
 
     def bwd(g):
-        _accum(a, np.transpose(g, inverse))
+        _accum_owned(a, np.transpose(g, inverse))
 
     return _make(data, (a,), bwd, "transpose")
 
@@ -500,3 +491,97 @@ def take_along_last(a: Tensor, idx) -> Tensor:
         _accum_owned(a, full)
 
     return _make(data, (a,), bwd, "take_along_last")
+
+
+# ---------------------------------------------------------------------------
+# fused nodes: each replaces a chain of the ops above, computes the chain's
+# float operations in the same order, and accumulates into shared inputs in
+# the order backward visited the chain, so gradients are bitwise the same.
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of x; w is [d_in, d_out], b is [d_out]."""
+    k, n = w.data.shape
+    x2 = x.data.reshape(-1, k)
+    data = (x2 @ w.data).reshape(x.data.shape[:-1] + (n,))
+    data += b.data
+
+    def bwd(g):
+        _accum_ub(b, g)
+        g2 = g.reshape(-1, n)
+        if x.requires_grad:
+            _accum_owned(x, (g2 @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            _accum_owned(w, x2.T @ g2)
+
+    return _make(data, (x, w, b), bwd, "linear")
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis."""
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    den = np.sqrt(var + eps)
+    normed = centered / den
+    data = normed * gamma.data
+    data += beta.data
+    count = x.data.shape[-1]
+
+    def bwd(g):
+        _accum_ub(beta, g)
+        g_normed = g * gamma.data
+        if gamma.requires_grad:
+            _accum_owned(gamma, _unbroadcast(g * normed, gamma.data.shape))
+        if not x.requires_grad:
+            return
+        # normed = centered / den, with den = sqrt(mean(centered^2) + eps)
+        g_centered = g_normed / den
+        g_den = _unbroadcast(-g_normed * centered / (den * den), den.shape)
+        g_var = g_den * 0.5 / den
+        g_sq = np.broadcast_to(g_var, centered.shape) / count
+        # var = mean(centered * centered): one term per factor, added apart
+        term = g_sq * centered
+        g_centered += term
+        g_centered += term
+        # centered = x - mean(x)
+        g_mean = _unbroadcast(-g_centered, den.shape)
+        _accum_owned(x, g_centered)
+        _accum_owned(x, np.broadcast_to(g_mean, x.data.shape) / count)
+
+    return _make(data, (x, gamma, beta), bwd, "layer_norm")
+
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                     mask: np.ndarray, scale: float) -> Tensor:
+    """Multi-head softmax(q k^T * scale + mask) v for [B, L, dim] inputs.
+
+    The heads are split from and merged back into the last axis inside the
+    node, as views; mask is additive and broadcasts against [B, H, L, L].
+    """
+    batch, length, dim = q.data.shape
+
+    def split(t):  # [B, L, dim] -> [B, H, L, dim/H]
+        return np.transpose(t.reshape(batch, length, heads, -1), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = np.matmul(qh, np.transpose(kh, (0, 1, 3, 2)))
+    scores *= scale
+    scores += mask
+    alpha = _softmax(scores, -1)
+    ctx = np.matmul(alpha, vh)
+    data = np.transpose(ctx, (0, 2, 1, 3)).reshape(batch, length, dim)
+
+    def merge(gh):  # [B, H, L, dim/H] -> [B, L, dim], a fresh array
+        return np.transpose(gh, (0, 2, 1, 3)).reshape(batch, length, dim)
+
+    def bwd(g):
+        g_ctx = split(g)
+        g_alpha = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
+        g_v = merge(np.matmul(np.swapaxes(alpha, -1, -2), g_ctx))
+        g_scores = _softmax_grad(g_alpha, alpha, -1) * scale
+        g_q = merge(np.matmul(g_scores, kh))
+        g_k = np.matmul(np.swapaxes(qh, -1, -2), g_scores)
+        _accum_owned(q, g_q)
+        _accum_owned(k, np.transpose(g_k, (0, 3, 1, 2)).reshape(batch, length, dim))
+        _accum_owned(v, g_v)
+
+    return _make(data, (q, k, v), bwd, "masked_attention")

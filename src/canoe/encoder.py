@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dcg
 from .cnoa import CnoaAttention, OscillatorParams
-from .dcg import Linear, ParamRegistry, Tensor
+from .dcg import Linear, ParamRegistry, Tensor, layer_norm
 from .embeddings import EmbeddingTable, SmoothedTimeEmbedding
 from .topics import UserLocationHead
 
@@ -64,13 +64,6 @@ def causal_mask(length: int) -> np.ndarray:
     return np.triu(np.full((length, length), _MASK_NEG), k=1)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = dcg.tensor_mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = dcg.tensor_mean(centered * centered, axis=-1, keepdims=True)
-    return centered / dcg.sqrt(var + eps) * gamma + beta
-
-
 def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
              training: bool) -> Tensor:
     # Inverted dropout: scaling at train time, identity at evaluation.
@@ -88,8 +81,7 @@ class TransformerLayer:
         if dim % heads != 0:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
-        self.head_dim = dim // heads
-        self._scale = 1.0 / np.sqrt(self.head_dim)
+        self._scale = 1.0 / np.sqrt(dim // heads)
 
         self.q = Linear(registry, rng, f"{prefix}.q", dim, dim)
         self.k = Linear(registry, rng, f"{prefix}.k", dim, dim)
@@ -102,20 +94,10 @@ class TransformerLayer:
         self.ln2_g = registry.register(f"{prefix}.ln2_g", np.ones(dim))
         self.ln2_b = registry.register(f"{prefix}.ln2_b", np.zeros(dim))
 
-    def _split_heads(self, t: Tensor, batch: int, length: int) -> Tensor:
-        t = dcg.reshape(t, (batch, length, self.heads, self.head_dim))
-        return dcg.transpose(t, (0, 2, 1, 3))
-
     def __call__(self, x: Tensor, mask: np.ndarray, dropout_rate: float,
                  rng: np.random.Generator | None, training: bool) -> Tensor:
-        batch, length, dim = x.shape
-        q = self._split_heads(self.q(x), batch, length)
-        k = self._split_heads(self.k(x), batch, length)
-        v = self._split_heads(self.v(x), batch, length)
-        scores = dcg.matmul(q, dcg.transpose(k, (0, 1, 3, 2))) * self._scale
-        alpha = dcg.softmax(scores + dcg.constant(mask), axis=-1)
-        ctx = dcg.matmul(alpha, v)
-        ctx = dcg.reshape(dcg.transpose(ctx, (0, 2, 1, 3)), (batch, length, dim))
+        ctx = dcg.masked_attention(self.q(x), self.k(x), self.v(x), self.heads,
+                                   mask, self._scale)
         x = layer_norm(x + _dropout(self.o(ctx), dropout_rate, rng, training),
                        self.ln1_g, self.ln1_b)
         ff = self.ff2(dcg.relu(self.ff1(x)))

@@ -112,8 +112,8 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
 
     With `resume`, continue the run that wrote that checkpoint: the model
     must hold its latest parameters (`model_from_checkpoint(resume,
-    use_best=False)`), and `cfg` may differ from its config only in the
-    train and eval sections.
+    use_best=False)`), `cfg` may differ from its config only in the train
+    and eval sections, and the topic model is the checkpoint's.
     """
     t = cfg.train
     train_samples = dataset.split.train
@@ -129,7 +129,10 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
     best_epoch = -1
     best_params: dict[str, np.ndarray] = {}
     if resume is not None:
+        if topic_model is not None:
+            raise ValueError("a resumed run takes its topic model from the checkpoint")
         _check_resumable(resume, cfg)
+        topic_model = resume.topic_model()
         optimizer.load_state_arrays(resume.opt_arrays, resume.opt_step)
         start_epoch = resume.meta["epoch"] + 1
         logs = resume.logs()

@@ -154,6 +154,22 @@ class TestCheckpointing:
         assert result.best_val_acc1 is None and result.best_val_mrr is None
         assert result.best_epoch == 1
 
+    def test_resume_keeps_the_checkpoints_topic_model(self, tmp_path):
+        cfg = tiny_cfg(epochs=1)
+        _, ds, tm, model = build_pipeline(cfg)
+        train(model, ds, cfg, checkpoint_path=tmp_path / "one.ckpt",
+              topic_model=tm)
+        ckpt = load_checkpoint(tmp_path / "one.ckpt")
+        resumed = model_from_checkpoint(ckpt, use_best=False)
+        with pytest.raises(ValueError, match="topic model"):
+            train(resumed, ds, tiny_cfg(epochs=2), topic_model=tm, resume=ckpt)
+        train(resumed, ds, tiny_cfg(epochs=2),
+              checkpoint_path=tmp_path / "two.ckpt", resume=ckpt)
+        two = load_checkpoint(tmp_path / "two.ckpt")
+        np.testing.assert_array_equal(two.topic_model().theta, tm.theta)
+        np.testing.assert_array_equal(two.topic_model().phi, tm.phi)
+        model_from_checkpoint(two)  # eval's loader accepts it
+
     def test_checkpoint_preserves_topic_model(self, tmp_path):
         cfg = tiny_cfg(epochs=1)
         _, ds, tm, model = build_pipeline(cfg)
