@@ -6,15 +6,15 @@ Package layout:
   embeddings    smoothed time slots, user/location tables
   topics        CVB0 LDA and the user-preference head
   cnoa          oscillator recurrence and oscillatory attention
-  encoder       tri-pair interaction encoder (causal transformer inside)
+  encoder       time-user and location-time branches (causal transformer)
   decoder       cross-context attentive decoder, heads, losses
-  model         full model assembly
+  model         CanoeModel, built from the config's model section
   data          check-ins, activity extraction, windows, splits, JSONL I/O
   synthetic     returner/explorer trajectory generator
   mmc           first-order mobility Markov chain baseline
   evaluation    Acc@k / MRR, prefix entropy, stratified reports
   training      epoch loop, checkpoints
-  config        JSON run configuration
+  config        JSON run configuration, checked when read
   cli           command-line interface
 """
 

@@ -54,7 +54,7 @@ def full_model_gradcheck(cfg: RunConfig | None = None, epsilon: float = 1e-5) ->
     rng = np.random.default_rng([cfg.seed, 77])
     theta_raw = rng.random((TINY_USERS, cfg.topics.n_topics))
     theta = theta_raw / theta_raw.sum(axis=1, keepdims=True)
-    model = CanoeModel(cfg.model_config(), n_users=TINY_USERS,
+    model = CanoeModel(cfg.model, n_users=TINY_USERS,
                        n_locations=TINY_LOCATIONS, topic_theta=theta,
                        seed=cfg.seed)
     batch = tiny_gradcheck_batch(cfg, rng)

@@ -23,14 +23,14 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config, merge_overrides
 from .data import Dataset, prepare_dataset, read_checkins, write_checkins
 from .dcg import NumericFault
-from .evaluation import (compute_metrics, prefix_entropy, stratified_reports,
-                         write_report)
+from .evaluation import write_report
 from .mmc import fit_mmc, rank_of_target
 from .model import CanoeModel
 from .synthetic import generate_synthetic
 from .topics import build_cooccurrence, fit_lda
 from .training import (Checkpoint, evaluate_model, load_checkpoint,
-                       model_from_checkpoint, sample_entropies, train)
+                       model_from_checkpoint, report_from_ranks,
+                       sample_entropies, train)
 from . import data as data_mod
 
 log = logging.getLogger("canoe.cli")
@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
         cfg = _resolve_config(args, require_seed=True)
         dataset = _load_dataset(args.data, cfg)
         topic_model = _fit_topics(dataset, cfg)
-        model = CanoeModel(cfg.model_config(), n_users=dataset.n_users,
+        model = CanoeModel(cfg.model, n_users=dataset.n_users,
                            n_locations=dataset.n_locations,
                            topic_theta=topic_model.theta, seed=cfg.seed)
 
@@ -200,10 +200,8 @@ def cmd_mmc(args) -> int:
         rank_of_target(model, s.user, s.context_locations[-1], s.target_location)
         for s in test
     ])
-    report = compute_metrics(ranks, ks=cfg.eval.ks)
-    entropies = sample_entropies(dataset, test)
-    report.by_threshold = stratified_reports(ranks, entropies,
-                                             cfg.eval.thresholds, cfg.eval.ks)
+    report = report_from_ranks(ranks, dataset, test,
+                               thresholds=cfg.eval.thresholds, ks=cfg.eval.ks)
     write_report(report, args.report, title="1-mmc")
     _echo_config(cfg, args.report)
     print(json.dumps({"n_samples": report.n_samples,
@@ -215,21 +213,17 @@ def cmd_entropy(args) -> int:
     cfg = _resolve_config(args)
     dataset = _load_dataset(args.data, cfg)
     test = dataset.split.test
-    rows = []
-    for s in test:
-        h = prefix_entropy(dataset.sequences[s.user].locations[:s.seq_pos])
-        rows.append((s.user, s.seq_pos, h))
+    values = sample_entropies(dataset, test)
     path = Path(args.report)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         fh.write("user,seq_pos,prefix_entropy\n")
-        for user, pos, h in rows:
-            fh.write(f"{user},{pos},{h!r}\n")
+        for s, h in zip(test, values.tolist()):
+            fh.write(f"{s.user},{s.seq_pos},{h!r}\n")
     _echo_config(cfg, args.report)
-    values = np.array([r[2] for r in rows]) if rows else np.empty(0)
     summary = {
-        "n_samples": len(rows),
-        "mean": float(values.mean()) if rows else None,
+        "n_samples": len(test),
+        "mean": float(values.mean()) if test else None,
         "subset_sizes": {f"{th:g}": int((values >= th).sum())
                          for th in cfg.eval.thresholds},
     }
@@ -240,9 +234,12 @@ def cmd_entropy(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .checks import full_model_gradcheck, tiny_gradcheck_config
 
-    cfg = tiny_gradcheck_config() if args.config is None else _resolve_config(args)
-    err = full_model_gradcheck(cfg if args.config is not None else None,
-                               epsilon=args.epsilon)
+    if args.config is None:
+        raw = tiny_gradcheck_config().to_dict()
+        cfg = RunConfig.from_dict(merge_overrides(raw, _parse_overrides(args.set)))
+    else:
+        cfg = _resolve_config(args)
+    err = full_model_gradcheck(cfg, epsilon=args.epsilon)
     print(f"{err:.6e}")
     return 0 if err < args.tolerance else 1
 

@@ -14,8 +14,6 @@ from pathlib import Path
 
 from .cnoa import OscillatorParams
 from .decoder import LossWeights
-from .encoder import SeqEncoderConfig
-from .model import ModelConfig
 from .synthetic import SyntheticConfig
 
 __all__ = ["ConfigError", "RunConfig", "DataConfig", "TopicsConfig",
@@ -70,8 +68,16 @@ class ModelSection:
     enc_heads: int = 2
     enc_dropout: float = 0.1
     enc_ff: int | None = None  # None -> 4 * dim
-    attention: str = "cnoa"
+    attention: str = "cnoa"            # "cross" selects the ablation variant
     decoder_query: str = "user_location"
+
+    def oscillator_params(self) -> OscillatorParams:
+        return OscillatorParams(e1=self.e1, e2=self.e2, i1=self.i1, i2=self.i2,
+                                tau_e=self.tau_e, tau_i=self.tau_i, k=self.k,
+                                n_steps=self.osc_iters, gamma=self.gamma)
+
+    def ff_width(self) -> int:
+        return 4 * self.dim if self.enc_ff is None else self.enc_ff
 
 
 @dataclass
@@ -144,7 +150,20 @@ class RunConfig:
         # Round-trip through the constructor-validated runtime objects so
         # field errors surface with their names.
         self.synthetic_config()
-        self.model_config()
+        m = self.model
+        m.oscillator_params()
+        if m.enc_layers < 1:
+            raise ConfigError(f"enc_layers must be >= 1, got {m.enc_layers}")
+        if not 0.0 <= m.enc_dropout < 1.0:
+            raise ConfigError(f"enc_dropout must lie in [0, 1), got {m.enc_dropout}")
+        if m.attn_heads < 1 or m.enc_heads < 1:
+            raise ConfigError("attn_heads and enc_heads must be >= 1")
+        if m.dim % m.attn_heads != 0:
+            raise ConfigError(f"dim {m.dim} not divisible by attn_heads {m.attn_heads}")
+        if m.dim % m.enc_heads != 0:
+            raise ConfigError(f"dim {m.dim} not divisible by encoder heads {m.enc_heads}")
+        if m.attention not in ("cnoa", "cross"):
+            raise ConfigError(f"unknown attention variant '{m.attention}'")
         self.loss_weights()
         if self.train.epochs < 1 or self.train.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
@@ -166,20 +185,9 @@ class RunConfig:
             activities_per_day=d.activities_per_day,
             dwell_seconds=d.dwell_seconds)
 
-    def oscillator_params(self) -> OscillatorParams:
-        m = self.model
-        return OscillatorParams(e1=m.e1, e2=m.e2, i1=m.i1, i2=m.i2,
-                                tau_e=m.tau_e, tau_i=m.tau_i, k=m.k,
-                                n_steps=m.osc_iters, gamma=m.gamma)
-
-    def model_config(self) -> ModelConfig:
-        m = self.model
-        return ModelConfig(
-            dim=m.dim, sigma=m.sigma, attn_heads=m.attn_heads,
-            n_topics=self.topics.n_topics, attention=m.attention,
-            decoder_query=m.decoder_query, osc=self.oscillator_params(),
-            encoder=SeqEncoderConfig(layers=m.enc_layers, heads=m.enc_heads,
-                                     dropout=m.enc_dropout, ff_width=m.enc_ff))
+    def model_config(self) -> ModelSection:
+        """The model section: CanoeModel's whole configuration."""
+        return self.model
 
     def loss_weights(self) -> LossWeights:
         t = self.train

@@ -16,7 +16,6 @@ import numpy as np
 from . import dcg
 from .cnoa import CnoaAttention, OscillatorParams
 from .dcg import Linear, ParamRegistry, Tensor
-from .encoder import EncoderOutput
 
 __all__ = ["LossWeights", "CrossContextDecoder", "cross_entropy"]
 
@@ -49,8 +48,7 @@ class CrossContextDecoder:
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
                  dim: int, n_locations: int, n_slots: int, n_heads: int,
-                 osc: OscillatorParams, variant: str = "cnoa",
-                 query_source: str = "user_location"):
+                 osc: OscillatorParams, variant: str, query_source: str):
         if query_source not in ("user_location", "time_user"):
             raise ValueError(f"unknown query source '{query_source}'")
         self.dim = dim
@@ -70,18 +68,20 @@ class CrossContextDecoder:
         self.time = Linear(registry, rng, "decoder.time", dim, n_slots)
         self.aux = Linear(registry, rng, "decoder.aux", 6 * dim, n_locations)
 
-    def __call__(self, enc: EncoderOutput, e_u: Tensor,
+    def __call__(self, o_us: Tensor, o_ut: Tensor, o_st: Tensor, e_u: Tensor,
                  update_state: bool = True) -> tuple[Tensor, Tensor]:
-        """Returns (y_hat [batch, d], pre-fusion concat [batch, 6d])."""
-        batch = enc.o_st.shape[0]
-        query_src = enc.o_us if self.query_source == "user_location" else enc.o_ut
+        """Fuses the user-location [batch, d], time-user [batch, d] and
+        location-time [batch, T, 2d] outputs with the user embedding.
+        Returns (y_hat [batch, d], pre-fusion concat [batch, 6d])."""
+        batch = o_st.shape[0]
+        query_src = o_us if self.query_source == "user_location" else o_ut
         query = dcg.reshape(dcg.matmul(query_src, self.w_q), (batch, 1, self.dim))
         t_user = dcg.reshape(self.p_user(e_u), (batch, 1, self.dim))
-        t_ut = dcg.reshape(self.p_ut(enc.o_ut), (batch, 1, self.dim))
-        tokens = dcg.concat([t_user, t_ut, self.p_st(enc.o_st)], axis=1)
+        t_ut = dcg.reshape(self.p_ut(o_ut), (batch, 1, self.dim))
+        tokens = dcg.concat([t_user, t_ut, self.p_st(o_st)], axis=1)
         attended = self.attn(query, tokens, tokens, update_state=update_state)
         attended = dcg.reshape(attended, (batch, self.dim))
-        fused_in = dcg.concat([enc.o_us, enc.o_st[:, -1], enc.o_ut, e_u, attended], axis=-1)
+        fused_in = dcg.concat([o_us, o_st[:, -1], o_ut, e_u, attended], axis=-1)
         return self.fuse2(dcg.relu(self.fuse1(fused_in))), fused_in
 
     def location_logits(self, y_hat: Tensor) -> Tensor:

@@ -42,7 +42,7 @@ class SmoothedTimeEmbedding:
     """Learnable slot table behind a fixed cyclic Gaussian smoother."""
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
-                 n_slots: int = 24, dim: int = 16, sigma: float = 1.0,
+                 n_slots: int, dim: int, sigma: float,
                  name: str = "time_table"):
         self.n_slots = n_slots
         self.dim = dim

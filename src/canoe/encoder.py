@@ -1,14 +1,13 @@
-"""Tri-pair interaction encoder.
+"""Tri-pair interaction encoder branches.
 
-Three pairwise context branches: user-location preferences through the
-topic head, time-user alignment through oscillatory attention over the
-smoothed slot table, and location-time dynamics through a causal
-transformer over the context window.
+Of the three pairwise context branches, two live here: time-user alignment
+through oscillatory attention over the smoothed slot table, and
+location-time dynamics through a causal transformer over the context
+window. The third, user-location preferences, is the topic head
+(topics.UserLocationHead); CanoeModel calls all three.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,36 +15,13 @@ from . import dcg
 from .cnoa import CnoaAttention, OscillatorParams
 from .dcg import Linear, ParamRegistry, Tensor, layer_norm
 from .embeddings import EmbeddingTable, SmoothedTimeEmbedding
-from .topics import UserLocationHead
 
 __all__ = [
-    "SeqEncoderConfig", "EncoderOutput", "positional_encoding", "causal_mask",
-    "layer_norm", "TransformerLayer", "TimeUserPair", "LocationTimePair",
-    "TpiEncoder",
+    "positional_encoding", "causal_mask", "layer_norm", "TransformerLayer",
+    "TimeUserPair", "LocationTimePair",
 ]
 
 _MASK_NEG = -1e30  # additive mask; exp underflows to exactly 0 after softmax
-
-
-@dataclass
-class SeqEncoderConfig:
-    layers: int = 3
-    heads: int = 2
-    dropout: float = 0.1
-    ff_width: int | None = None  # defaults to 4*dim
-
-    def __post_init__(self):
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-
-
-@dataclass
-class EncoderOutput:
-    o_us: Tensor  # [batch, d]       user-location
-    o_ut: Tensor  # [batch, d]       time-user
-    o_st: Tensor  # [batch, T, 2d]   location-time, contextual half first
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:
@@ -139,17 +115,17 @@ class LocationTimePair:
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
                  loc_table: EmbeddingTable, time_emb: SmoothedTimeEmbedding,
-                 dim: int, cfg: SeqEncoderConfig):
+                 dim: int, n_layers: int, heads: int, dropout: float,
+                 ff_width: int):
         self.loc_table = loc_table
         self.time_emb = time_emb
         self.dim = dim
-        self.cfg = cfg
-        ff = cfg.ff_width if cfg.ff_width is not None else 4 * dim
+        self.dropout = dropout
         self.in_proj = Linear(registry, rng, "loc_time.in_proj", 2 * dim, dim)
         self.layers = [
-            TransformerLayer(registry, rng, f"loc_time.layer{i}", dim,
-                             cfg.heads, ff)
-            for i in range(cfg.layers)
+            TransformerLayer(registry, rng, f"loc_time.layer{i}", dim, heads,
+                             ff_width)
+            for i in range(n_layers)
         ]
         self._pe_cache: dict[int, np.ndarray] = {}
         self._mask_cache: dict[int, np.ndarray] = {}
@@ -171,27 +147,6 @@ class LocationTimePair:
         h = x_proj * np.sqrt(self.dim) + dcg.constant(self._pe_cache[length])
         mask = self._mask_cache[length]
         for layer in self.layers:
-            h = layer(h, mask, self.cfg.dropout, rng, training)
+            h = layer(h, mask, self.dropout, rng, training)
         return dcg.concat([h, x_proj], axis=-1)
 
-
-class TpiEncoder:
-    """Bundle of the three pair branches producing (O_us, O_ut, O_st)."""
-
-    def __init__(self, ul_head: UserLocationHead, time_user: TimeUserPair,
-                 loc_time: LocationTimePair):
-        self.ul_head = ul_head
-        self.time_user = time_user
-        self.loc_time = loc_time
-
-    def encode_batch(self, users: np.ndarray, ctx_locs: np.ndarray,
-                     ctx_slots: np.ndarray, user_topics: np.ndarray,
-                     rng: np.random.Generator | None = None,
-                     training: bool = False,
-                     update_state: bool = True) -> EncoderOutput:
-        ctx_slots = np.asarray(ctx_slots)
-        o_us = self.ul_head(dcg.constant(user_topics))
-        # The decoding step's "current hour" is the most recent known slot.
-        o_ut = self.time_user(users, ctx_slots[:, -1], update_state=update_state)
-        o_st = self.loc_time(ctx_locs, ctx_slots, rng=rng, training=training)
-        return EncoderOutput(o_us=o_us, o_ut=o_ut, o_st=o_st)

@@ -12,6 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -161,17 +162,18 @@ def report_csv_rows(report: EvalReport) -> list[tuple[str, str, str]]:
 
 
 def write_report(report: EvalReport, base_path, title: str = "overall") -> None:
-    """Emit <base>.json, <base>.txt and <base>.csv next to each other."""
-    from pathlib import Path
-
-    base = Path(base_path)
-    with base.with_suffix(".json").open("w", encoding="utf-8") as fh:
+    """Emit <base>.json, <base>.txt and <base>.csv next to each other,
+    creating the parent directory; the base is taken verbatim, so a dot in
+    it is kept."""
+    base = str(base_path)
+    Path(base).parent.mkdir(parents=True, exist_ok=True)
+    with open(base + ".json", "w", encoding="utf-8") as fh:
         json.dump(report_to_dict(report), fh, indent=2)
         fh.write("\n")
-    with base.with_suffix(".txt").open("w", encoding="utf-8") as fh:
+    with open(base + ".txt", "w", encoding="utf-8") as fh:
         fh.write(format_report_table(report, title))
         fh.write("\n")
-    with base.with_suffix(".csv").open("w", encoding="utf-8") as fh:
+    with open(base + ".csv", "w", encoding="utf-8") as fh:
         fh.write("subset,metric,value\n")
         for row in report_csv_rows(report):
             fh.write(",".join(row))

@@ -1,4 +1,5 @@
-"""Full next-location model: embeddings, tri-pair encoder, decoder, losses.
+"""Full next-location model: embeddings, the three tri-pair branches,
+decoder, losses.
 
 All forward paths are batched (leading batch axis); parameters live in one
 registry so the optimizer and gradient checker see everything. The topic
@@ -7,44 +8,22 @@ matrix is a frozen input fitted upstream, never gradient-trained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dcg
-from .cnoa import OscillatorParams
+from .config import ModelSection
 from .data import WindowSample
 from .decoder import CrossContextDecoder, LossWeights, cross_entropy
 from .dcg import ParamRegistry, Tensor
 from .embeddings import EmbeddingTable, SmoothedTimeEmbedding
-from .encoder import (LocationTimePair, SeqEncoderConfig, TimeUserPair,
-                      TpiEncoder)
+from .encoder import LocationTimePair, TimeUserPair
 from .topics import UserLocationHead
 
-__all__ = ["ModelConfig", "Batch", "CanoeModel", "batch_from_samples"]
+__all__ = ["N_SLOTS", "Batch", "CanoeModel", "batch_from_samples"]
 
-
-@dataclass
-class ModelConfig:
-    dim: int = 16
-    n_slots: int = 24
-    sigma: float = 1.0
-    attn_heads: int = 2
-    n_topics: int = 450
-    attention: str = "cnoa"            # "cross" selects the ablation variant
-    decoder_query: str = "user_location"
-    osc: OscillatorParams = field(default_factory=OscillatorParams)
-    encoder: SeqEncoderConfig = field(default_factory=SeqEncoderConfig)
-
-    def __post_init__(self):
-        if self.dim % self.attn_heads != 0:
-            raise ValueError(
-                f"dim {self.dim} not divisible by attn_heads {self.attn_heads}")
-        if self.dim % self.encoder.heads != 0:
-            raise ValueError(
-                f"dim {self.dim} not divisible by encoder heads {self.encoder.heads}")
-        if self.attention not in ("cnoa", "cross"):
-            raise ValueError(f"unknown attention variant '{self.attention}'")
+N_SLOTS = 24  # hour-of-day time slots
 
 
 @dataclass
@@ -67,53 +46,60 @@ def batch_from_samples(samples: list[WindowSample]) -> Batch:
 
 
 class CanoeModel:
-    def __init__(self, cfg: ModelConfig, n_users: int, n_locations: int,
+    """Assembles the model from the config's model section. The topic count
+    is the column count of the frozen topic matrix."""
+
+    def __init__(self, cfg: ModelSection, n_users: int, n_locations: int,
                  topic_theta: np.ndarray, seed: int = 0):
-        if topic_theta.shape != (n_users, cfg.n_topics):
+        if topic_theta.ndim != 2 or topic_theta.shape[0] != n_users:
             raise ValueError(
-                f"topic matrix shape {topic_theta.shape} does not match "
-                f"({n_users}, {cfg.n_topics})")
-        self.cfg = cfg
+                f"topic matrix shape {topic_theta.shape} does not have "
+                f"{n_users} user rows")
         self.n_users = n_users
         self.n_locations = n_locations
         self.topic_theta = np.asarray(topic_theta, dtype=np.float64)
         self.registry = ParamRegistry()
         rng = np.random.default_rng([seed, 202])
         d = cfg.dim
+        osc = cfg.oscillator_params()
 
         self.time_emb = SmoothedTimeEmbedding(
-            self.registry, rng, n_slots=cfg.n_slots, dim=d, sigma=cfg.sigma)
+            self.registry, rng, n_slots=N_SLOTS, dim=d, sigma=cfg.sigma)
         self.user_table = EmbeddingTable(self.registry, rng, n_users, d,
                                          "user_table")
         self.loc_table = EmbeddingTable(self.registry, rng, n_locations, d,
                                         "loc_table")
-        ul_head = UserLocationHead(self.registry, rng, cfg.n_topics, d)
-        time_user = TimeUserPair(self.registry, rng, self.user_table,
-                                 self.time_emb, d, cfg.attn_heads, cfg.osc,
-                                 cfg.attention)
-        loc_time = LocationTimePair(self.registry, rng, self.loc_table,
-                                    self.time_emb, d, cfg.encoder)
-        self.encoder = TpiEncoder(ul_head, time_user, loc_time)
+        self.ul_head = UserLocationHead(self.registry, rng,
+                                        topic_theta.shape[1], d)
+        self.time_user = TimeUserPair(self.registry, rng, self.user_table,
+                                      self.time_emb, d, cfg.attn_heads, osc,
+                                      cfg.attention)
+        self.loc_time = LocationTimePair(
+            self.registry, rng, self.loc_table, self.time_emb, d,
+            cfg.enc_layers, cfg.enc_heads, cfg.enc_dropout, cfg.ff_width())
         self.decoder = CrossContextDecoder(
-            self.registry, rng, d, n_locations, cfg.n_slots, cfg.attn_heads,
-            cfg.osc, variant=cfg.attention, query_source=cfg.decoder_query)
+            self.registry, rng, d, n_locations, N_SLOTS, cfg.attn_heads,
+            osc, variant=cfg.attention, query_source=cfg.decoder_query)
 
     def reset_states(self) -> None:
-        self.encoder.time_user.attn.reset_state()
+        self.time_user.attn.reset_state()
         self.decoder.attn.reset_state()
 
     def forward_batch(self, batch: Batch,
                       rng: np.random.Generator | None = None,
                       training: bool = False) -> tuple[Tensor, Tensor, Tensor]:
         """Returns (location logits, time logits, auxiliary logits)."""
-        enc = self.encoder.encode_batch(
-            batch.users, batch.ctx_locs, batch.ctx_slots,
-            self.topic_theta[batch.users], rng=rng, training=training,
-            update_state=training)
+        o_us = self.ul_head(dcg.constant(self.topic_theta[batch.users]))
+        # The decoding step's "current hour" is the most recent known slot.
+        o_ut = self.time_user(batch.users, batch.ctx_slots[:, -1],
+                              update_state=training)
+        o_st = self.loc_time(batch.ctx_locs, batch.ctx_slots, rng=rng,
+                             training=training)
         e_u = self.user_table.lookup(batch.users)
-        y_hat, fused_in = self.decoder(enc, e_u, update_state=training)
+        y_hat, fused_in = self.decoder(o_us, o_ut, o_st, e_u,
+                                       update_state=training)
         return (self.decoder.location_logits(y_hat),
-                self.decoder.time_logits(enc.o_ut),
+                self.decoder.time_logits(o_ut),
                 self.decoder.aux_logits(fused_in))
 
     def loss_batch(self, batch: Batch, weights: LossWeights,

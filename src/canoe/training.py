@@ -27,8 +27,9 @@ from .model import CanoeModel, batch_from_samples
 from .topics import TopicModel
 
 __all__ = [
-    "EpochLog", "TrainResult", "phase_weights", "train",
-    "evaluate_ranks", "evaluate_model", "save_checkpoint", "load_checkpoint",
+    "EpochLog", "TrainResult", "phase_weights", "train", "evaluate_ranks",
+    "sample_entropies", "report_from_ranks", "evaluate_model",
+    "save_checkpoint", "load_checkpoint",
     "model_from_checkpoint", "CHECKPOINT_FORMAT",
 ]
 
@@ -67,7 +68,7 @@ def phase_weights(epoch: int, cfg: RunConfig) -> LossWeights:
     t = cfg.train
     if epoch < t.warmup_epochs and t.lambda_time > 0.0:
         return LossWeights(loc=0.0, time=t.lambda_time, aux=0.0)
-    return LossWeights(loc=t.lambda_loc, time=t.lambda_time, aux=t.lambda_aux)
+    return cfg.loss_weights()
 
 
 def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -92,15 +93,23 @@ def sample_entropies(dataset: Dataset, samples: list[WindowSample]) -> np.ndarra
     ])
 
 
-def evaluate_model(model: CanoeModel, dataset: Dataset,
-                   samples: list[WindowSample],
-                   thresholds=DEFAULT_THRESHOLDS, ks=DEFAULT_KS) -> EvalReport:
-    """Overall metrics plus the entropy-stratified breakdown."""
-    ranks = evaluate_ranks(model, samples)
+def report_from_ranks(ranks: np.ndarray, dataset: Dataset,
+                      samples: list[WindowSample],
+                      thresholds=DEFAULT_THRESHOLDS, ks=DEFAULT_KS) -> EvalReport:
+    """Overall metrics of the ranks of samples plus the breakdown by the
+    prefix entropy of each sample."""
     report = compute_metrics(ranks, ks)
     entropies = sample_entropies(dataset, samples)
     report.by_threshold = stratified_reports(ranks, entropies, thresholds, ks)
     return report
+
+
+def evaluate_model(model: CanoeModel, dataset: Dataset,
+                   samples: list[WindowSample],
+                   thresholds=DEFAULT_THRESHOLDS, ks=DEFAULT_KS) -> EvalReport:
+    """Overall metrics plus the entropy-stratified breakdown."""
+    return report_from_ranks(evaluate_ranks(model, samples), dataset, samples,
+                             thresholds, ks)
 
 
 def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
@@ -355,7 +364,7 @@ def model_from_checkpoint(ckpt: Checkpoint, use_best: bool = True) -> CanoeModel
     if ckpt.theta is None:
         raise ValueError("checkpoint is missing the fitted topic matrices")
     cfg = ckpt.config
-    model = CanoeModel(cfg.model_config(), n_users=ckpt.meta["n_users"],
+    model = CanoeModel(cfg.model, n_users=ckpt.meta["n_users"],
                        n_locations=ckpt.meta["n_locations"],
                        topic_theta=ckpt.theta, seed=cfg.seed)
     model.registry.load_state_arrays(ckpt.best_params if use_best else ckpt.params)

@@ -59,6 +59,31 @@ class TestGenerate:
         assert rc == 2
         assert "p_explore" in capsys.readouterr().err
 
+    # Each model value is checked when the config is read, before any file
+    # is written or any data is read.
+    @pytest.mark.parametrize("override, message", [
+        ("model.enc_layers=0", "layers must be >= 1, got 0"),
+        ("model.enc_dropout=1.0", "dropout must lie in [0, 1), got 1.0"),
+        ("model.attention=foo", "unknown attention variant 'foo'"),
+        ("model.enc_heads=3", "dim 16 not divisible by encoder heads 3"),
+    ], ids=["enc_layers", "enc_dropout", "attention", "enc_heads"])
+    def test_invalid_model_value_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                         override, message):
+        rc = main(["generate", "--seed", "1", "--out", str(tmp_path / "d.jsonl"),
+                   "--set", "model.dim=16", "--set", override])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["attn_heads", "enc_heads"])
+    def test_zero_heads_exits_2(self, tmp_path, capsys, key):
+        rc = main(["generate", "--seed", "1", "--out", str(tmp_path / "d.jsonl"),
+                   "--set", f"model.{key}=0"])
+        assert rc == 2
+        assert ("error: attn_heads and enc_heads must be >= 1"
+                in capsys.readouterr().err)
+
     def test_seed_required(self, tmp_path, capsys):
         rc = main(["generate", "--out", str(tmp_path / "x.jsonl")])
         assert rc == 2
@@ -131,6 +156,17 @@ class TestTrainEvalCommands:
         assert rc == 0
         for suffix in (".json", ".txt", ".csv"):
             assert (workspace / f"report{suffix}").exists()
+
+    def test_eval_report_base_kept_verbatim_in_new_directory(self, workspace,
+                                                              tmp_path):
+        base = tmp_path / "fresh" / "out" / "cnoa.report"
+        rc = main(["eval", "--data", str(workspace / "data.jsonl"),
+                   "--model", str(workspace / "model.ckpt"),
+                   "--report", str(base)])
+        assert rc == 0
+        assert sorted(p.name for p in base.parent.iterdir()) == [
+            "cnoa.report.config.json", "cnoa.report.csv", "cnoa.report.json",
+            "cnoa.report.txt"]
 
     def test_mmc_and_eval_report_same_n_samples(self, workspace):
         rc = main(["mmc", "--data", str(workspace / "data.jsonl"),
@@ -306,6 +342,15 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out.strip()
         assert rc == 0
         assert float(out) < 1e-4
+
+    @pytest.mark.parametrize("override, message", [
+        ("model.dim=abc", "model.dim must be "),
+        ("model.dim=9", "dim 9 not divisible by attn_heads 2"),
+    ], ids=["mistyped", "invalid"])
+    def test_set_applies_to_tiny_config(self, capsys, override, message):
+        rc = main(["gradcheck", "--set", override])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_exit_1_when_tolerance_not_met(self, capsys):
         rc = main(["gradcheck", "--tolerance", "1e-30"])

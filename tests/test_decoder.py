@@ -9,7 +9,6 @@ from canoe import dcg
 from canoe.cnoa import OscillatorParams
 from canoe.decoder import CrossContextDecoder, LossWeights, cross_entropy
 from canoe.dcg import ParamRegistry, grad_check
-from canoe.encoder import EncoderOutput
 
 
 def make_decoder(rng, dim=8, n_locs=10, n_slots=24, variant="cnoa",
@@ -22,11 +21,10 @@ def make_decoder(rng, dim=8, n_locs=10, n_slots=24, variant="cnoa",
 
 
 def make_enc_output(rng, batch=2, dim=8, length=4):
-    return EncoderOutput(
-        o_us=dcg.constant(rng.normal(size=(batch, dim))),
-        o_ut=dcg.constant(rng.normal(size=(batch, dim))),
-        o_st=dcg.constant(rng.normal(size=(batch, length, 2 * dim))),
-    )
+    """(O_us, O_ut, O_st), the decoder's three branch inputs."""
+    return (dcg.constant(rng.normal(size=(batch, dim))),
+            dcg.constant(rng.normal(size=(batch, dim))),
+            dcg.constant(rng.normal(size=(batch, length, 2 * dim))))
 
 
 class TestDecode:
@@ -35,7 +33,7 @@ class TestDecode:
         for length in (1, 3, 7):
             enc = make_enc_output(rng, batch=3, length=length)
             e_u = dcg.constant(rng.normal(size=(3, 8)))
-            y_hat, fused = dec(enc, e_u)
+            y_hat, fused = dec(*enc, e_u)
             assert y_hat.shape == (3, 8)
             assert fused.shape == (3, 48)
 
@@ -43,10 +41,11 @@ class TestDecode:
         reg, dec = make_decoder(rng)
         enc = make_enc_output(rng, batch=1, length=3)
         e_u = dcg.constant(rng.normal(size=(1, 8)))
-        _, fused = dec(enc, e_u)
-        np.testing.assert_array_equal(fused.data[0, :8], enc.o_us.data[0])
-        np.testing.assert_array_equal(fused.data[0, 8:24], enc.o_st.data[0, -1])
-        np.testing.assert_array_equal(fused.data[0, 24:32], enc.o_ut.data[0])
+        _, fused = dec(*enc, e_u)
+        o_us, o_ut, o_st = enc
+        np.testing.assert_array_equal(fused.data[0, :8], o_us.data[0])
+        np.testing.assert_array_equal(fused.data[0, 8:24], o_st.data[0, -1])
+        np.testing.assert_array_equal(fused.data[0, 24:32], o_ut.data[0])
         np.testing.assert_array_equal(fused.data[0, 32:40], e_u.data[0])
 
     def test_query_source_flag_changes_attention(self, rng):
@@ -57,8 +56,8 @@ class TestDecode:
             reg_b[name].data[...] = t.data
         enc = make_enc_output(rng, batch=2)
         e_u = dcg.constant(rng.normal(size=(2, 8)))
-        ya, _ = dec_a(enc, e_u)
-        yb, _ = dec_b(enc, e_u)
+        ya, _ = dec_a(*enc, e_u)
+        yb, _ = dec_b(*enc, e_u)
         assert not np.array_equal(ya.data, yb.data)
 
     def test_unknown_query_source_rejected(self, rng):
@@ -73,7 +72,7 @@ class TestDecode:
 
         def loss_fn(r):
             dec.attn.reset_state()
-            y_hat, _ = dec(enc, e_u, update_state=False)
+            y_hat, _ = dec(*enc, e_u, update_state=False)
             return dcg.tensor_sum(y_hat * y_hat * 0.05)
 
         assert grad_check(loss_fn, reg, 1e-5) < 1e-4
@@ -162,15 +161,16 @@ class TestDescentSanity:
 
         reg, dec = make_decoder(rng, n_locs=6)
         enc = make_enc_output(rng, batch=1, length=3)
+        o_ut = enc[1]
         e_u = dcg.constant(rng.normal(size=(1, 8)))
         target = np.array([2])
         opt = AdamW(reg, lr=1e-3, weight_decay=0.0)
 
         def compute_loss():
             dec.attn.reset_state()
-            y_hat, fused = dec(enc, e_u, update_state=False)
+            y_hat, fused = dec(*enc, e_u, update_state=False)
             return (cross_entropy(dec.location_logits(y_hat), target)
-                    + cross_entropy(dec.time_logits(enc.o_ut), np.array([5])) * 0.5
+                    + cross_entropy(dec.time_logits(o_ut), np.array([5])) * 0.5
                     + cross_entropy(dec.aux_logits(fused), target) * 0.5)
 
         first = compute_loss().item()

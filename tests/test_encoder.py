@@ -1,5 +1,7 @@
 """Tri-pair encoder: causal masking, transformer layer oracle, shapes."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,24 +9,31 @@ from canoe import dcg
 from canoe.cnoa import OscillatorParams
 from canoe.dcg import ParamRegistry
 from canoe.embeddings import EmbeddingTable, SmoothedTimeEmbedding
-from canoe.encoder import (LocationTimePair, SeqEncoderConfig, TimeUserPair,
-                           TpiEncoder, causal_mask, layer_norm,
-                           positional_encoding, TransformerLayer)
+from canoe.encoder import (LocationTimePair, TimeUserPair, causal_mask,
+                           layer_norm, positional_encoding, TransformerLayer)
 from canoe.topics import UserLocationHead
 
 
 def build_encoder(rng, dim=8, n_users=5, n_locs=10, layers=2, variant="cnoa",
                   osc=None, dropout=0.0):
     reg = ParamRegistry()
-    time_emb = SmoothedTimeEmbedding(reg, rng, n_slots=24, dim=dim)
+    time_emb = SmoothedTimeEmbedding(reg, rng, n_slots=24, dim=dim, sigma=1.0)
     user_table = EmbeddingTable(reg, rng, n_users, dim, "user_table")
     loc_table = EmbeddingTable(reg, rng, n_locs, dim, "loc_table")
     ul_head = UserLocationHead(reg, rng, n_topics=4, dim=dim)
     osc = osc or OscillatorParams()
-    cfg = SeqEncoderConfig(layers=layers, heads=2, dropout=dropout)
     tu = TimeUserPair(reg, rng, user_table, time_emb, dim, 2, osc, variant)
-    lt = LocationTimePair(reg, rng, loc_table, time_emb, dim, cfg)
-    return reg, TpiEncoder(ul_head, tu, lt)
+    lt = LocationTimePair(reg, rng, loc_table, time_emb, dim, layers, 2,
+                          dropout, 4 * dim)
+    return reg, SimpleNamespace(ul_head=ul_head, time_user=tu, loc_time=lt)
+
+
+def encode(enc, users, locs, slots, theta, rng=None, training=False,
+           update_state=True):
+    """(O_us, O_ut, O_st) of the three branches, called as CanoeModel does."""
+    return (enc.ul_head(dcg.constant(theta)),
+            enc.time_user(users, slots[:, -1], update_state=update_state),
+            enc.loc_time(locs, slots, rng=rng, training=training))
 
 
 class TestPositionalEncoding:
@@ -153,10 +162,10 @@ class TestEncodeBatch:
         locs = rng.integers(0, 10, (2, 4))
         slots = rng.integers(0, 24, (2, 4))
         theta = rng.random((2, 4))
-        out = enc.encode_batch(users, locs, slots, theta)
-        assert out.o_us.shape == (2, 8)
-        assert out.o_ut.shape == (2, 8)
-        assert out.o_st.shape == (2, 4, 16)
+        o_us, o_ut, o_st = encode(enc, users, locs, slots, theta)
+        assert o_us.shape == (2, 8)
+        assert o_ut.shape == (2, 8)
+        assert o_st.shape == (2, 4, 16)
 
     def test_evaluation_determinism(self, rng):
         reg, enc = build_encoder(rng, dropout=0.1)
@@ -165,12 +174,12 @@ class TestEncodeBatch:
         slots = rng.integers(0, 24, (2, 4))
         theta = rng.random((2, 4))
         enc.time_user.attn.reset_state()
-        a = enc.encode_batch(users, locs, slots, theta, training=False,
-                             update_state=False)
-        b = enc.encode_batch(users, locs, slots, theta, training=False,
-                             update_state=False)
-        assert a.o_ut.data.tobytes() == b.o_ut.data.tobytes()
-        assert a.o_st.data.tobytes() == b.o_st.data.tobytes()
+        _, a_ut, a_st = encode(enc, users, locs, slots, theta, training=False,
+                               update_state=False)
+        _, b_ut, b_st = encode(enc, users, locs, slots, theta, training=False,
+                               update_state=False)
+        assert a_ut.data.tobytes() == b_ut.data.tobytes()
+        assert a_st.data.tobytes() == b_st.data.tobytes()
 
     def test_dropout_active_only_in_training(self, rng):
         reg, enc = build_encoder(rng, dropout=0.5)
@@ -179,11 +188,11 @@ class TestEncodeBatch:
         slots = rng.integers(0, 24, (1, 4))
         theta = rng.random((1, 4))
         d_rng = np.random.default_rng(0)
-        tr = enc.encode_batch(users, locs, slots, theta, rng=d_rng,
-                              training=True)
-        ev = enc.encode_batch(users, locs, slots, theta, training=False,
-                              update_state=False)
-        assert not np.array_equal(tr.o_st.data, ev.o_st.data)
+        *_, tr_st = encode(enc, users, locs, slots, theta, rng=d_rng,
+                           training=True)
+        *_, ev_st = encode(enc, users, locs, slots, theta, training=False,
+                           update_state=False)
+        assert not np.array_equal(tr_st.data, ev_st.data)
 
     def test_all_outputs_finite(self, rng):
         reg, enc = build_encoder(rng)
@@ -191,6 +200,5 @@ class TestEncodeBatch:
         locs = rng.integers(0, 10, (3, 5))
         slots = rng.integers(0, 24, (3, 5))
         theta = rng.random((3, 4))
-        out = enc.encode_batch(users, locs, slots, theta)
-        for t in (out.o_us, out.o_ut, out.o_st):
+        for t in encode(enc, users, locs, slots, theta):
             assert np.all(np.isfinite(t.data))

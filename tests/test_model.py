@@ -45,9 +45,8 @@ class TestForward:
 
     def test_topic_matrix_shape_checked(self, rng):
         with pytest.raises(ValueError, match="topic matrix"):
-            cfg = RunConfig.from_dict({"topics": {"n_topics": 4},
-                                       "model": {"dim": 8}})
-            CanoeModel(cfg.model_config(), 5, 9, np.zeros((5, 3)), seed=0)
+            cfg = RunConfig.from_dict({"model": {"dim": 8}})
+            CanoeModel(cfg.model_config(), 5, 9, np.zeros((4, 3)), seed=0)
 
     def test_dim_head_divisibility_checked(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -113,11 +112,11 @@ class TestStateLifecycle:
         batch = random_batch(rng)
         model.reset_states()
         model.forward_batch(batch, training=True)
-        assert model.encoder.time_user.attn._alpha_prev is not None
+        assert model.time_user.attn._alpha_prev is not None
         assert model.decoder.attn._alpha_prev is not None
         model.reset_states()
         model.forward_batch(batch, training=False)
-        assert model.encoder.time_user.attn._alpha_prev is None
+        assert model.time_user.attn._alpha_prev is None
 
     def test_loss_parts_finite_and_weighted(self, rng):
         from canoe.decoder import LossWeights
