@@ -152,6 +152,10 @@ class RunConfig:
         self.synthetic_config()
         m = self.model
         m.oscillator_params()
+        if m.dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {m.dim}")
+        if m.enc_ff is not None and m.enc_ff < 1:
+            raise ConfigError(f"enc_ff must be null or >= 1, got {m.enc_ff}")
         if m.enc_layers < 1:
             raise ConfigError(f"enc_layers must be >= 1, got {m.enc_layers}")
         if not 0.0 <= m.enc_dropout < 1.0:
@@ -164,6 +168,8 @@ class RunConfig:
             raise ConfigError(f"dim {m.dim} not divisible by encoder heads {m.enc_heads}")
         if m.attention not in ("cnoa", "cross"):
             raise ConfigError(f"unknown attention variant '{m.attention}'")
+        if m.decoder_query not in ("user_location", "time_user"):
+            raise ConfigError(f"unknown decoder_query '{m.decoder_query}'")
         self.loss_weights()
         if self.train.epochs < 1 or self.train.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
@@ -173,6 +179,10 @@ class RunConfig:
             raise ConfigError("window_len must be >= 2")
         if self.topics.n_topics < 2:
             raise ConfigError("n_topics must be >= 2")
+        if self.topics.alpha is not None and self.topics.alpha <= 0.0:
+            raise ConfigError(f"topics.alpha must be null or > 0, got {self.topics.alpha}")
+        if self.topics.beta <= 0.0:
+            raise ConfigError(f"topics.beta must be > 0, got {self.topics.beta}")
 
     # runtime-object builders -------------------------------------------------
 

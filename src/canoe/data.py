@@ -226,9 +226,11 @@ def build_manifest(checkins: list[CheckIn]) -> dict:
 
 
 def write_checkins(path: str | Path, checkins: list[CheckIn]) -> dict:
-    """Write sorted JSONL plus the manifest sidecar; returns the manifest."""
+    """Write sorted JSONL plus the manifest sidecar, creating the parent
+    directory; returns the manifest."""
     ordered = sorted(checkins, key=lambda c: (c.user, c.t))
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         for c in ordered:
             fh.write(json.dumps({"user": c.user, "loc": c.loc, "t": c.t},

@@ -22,7 +22,7 @@ __all__ = [
     "tensor_sum", "tensor_mean", "softmax", "log_softmax",
     "concat", "reshape", "transpose",
     "gather_rows", "take_along_last",
-    "linear", "layer_norm", "masked_attention",
+    "linear", "layer_norm", "masked_attention", "zero_fill",
 ]
 
 
@@ -219,6 +219,34 @@ def backward(root: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+
+
+def zero_fill(root: Tensor, params: Iterable[Tensor]) -> Tensor:
+    """Identity on root whose backward also gives an exact-zero gradient to
+    each of params that root's graph does not reach and that has no
+    gradient yet.
+
+    For a loss whose other terms carry zero weight and were computed without
+    a graph: their parameters then end backward as the full graph, which
+    sends them zeros, would leave them.
+    """
+    reached: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in reached:
+            reached.add(id(node))
+            stack.extend(node._parents)
+    unreached = tuple(p for p in params
+                      if p.requires_grad and id(p) not in reached)
+
+    def bwd(g):
+        _accum_owned(root, g)
+        for p in unreached:
+            if p.grad is None:
+                p.grad = np.zeros_like(p.data)
+
+    return _make(root.data, (root, *unreached), bwd, "zero_fill")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ matrix is a frozen input fitted upstream, never gradient-trained.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,27 +88,39 @@ class CanoeModel:
 
     def forward_batch(self, batch: Batch,
                       rng: np.random.Generator | None = None,
-                      training: bool = False) -> tuple[Tensor, Tensor, Tensor]:
-        """Returns (location logits, time logits, auxiliary logits)."""
-        o_us = self.ul_head(dcg.constant(self.topic_theta[batch.users]))
+                      training: bool = False,
+                      location_grad: bool = True) -> tuple[Tensor, Tensor, Tensor]:
+        """Returns (location logits, time logits, auxiliary logits). With
+        location_grad False only the time logits carry a graph: the location
+        path (user-location head, location-time transformer, decoder fusion,
+        location and auxiliary heads) runs without one."""
         # The decoding step's "current hour" is the most recent known slot.
         o_ut = self.time_user(batch.users, batch.ctx_slots[:, -1],
                               update_state=training)
-        o_st = self.loc_time(batch.ctx_locs, batch.ctx_slots, rng=rng,
-                             training=training)
-        e_u = self.user_table.lookup(batch.users)
-        y_hat, fused_in = self.decoder(o_us, o_ut, o_st, e_u,
-                                       update_state=training)
-        return (self.decoder.location_logits(y_hat),
-                self.decoder.time_logits(o_ut),
-                self.decoder.aux_logits(fused_in))
+        with contextlib.nullcontext() if location_grad else dcg.no_grad():
+            o_us = self.ul_head(dcg.constant(self.topic_theta[batch.users]))
+            o_st = self.loc_time(batch.ctx_locs, batch.ctx_slots, rng=rng,
+                                 training=training)
+            e_u = self.user_table.lookup(batch.users)
+            y_hat, fused_in = self.decoder(o_us, o_ut, o_st, e_u,
+                                           update_state=training)
+            loc_logits = self.decoder.location_logits(y_hat)
+            aux_logits = self.decoder.aux_logits(fused_in)
+        return loc_logits, self.decoder.time_logits(o_ut), aux_logits
 
     def loss_batch(self, batch: Batch, weights: LossWeights,
                    rng: np.random.Generator | None = None,
                    training: bool = False) -> tuple[Tensor, dict[str, float]]:
-        """Weighted three-term objective plus unweighted component values."""
+        """Weighted three-term objective plus unweighted component values.
+
+        With zero location and auxiliary weights (the warmup phase) the
+        graph holds the time branch only. The location path runs without
+        one, so the two zero-weighted terms still have their values, and
+        every parameter outside the time branch gets an exact-zero gradient,
+        which is what the full graph gives it."""
+        time_only = weights.loc == 0.0 and weights.aux == 0.0
         loc_logits, time_logits, aux_logits = self.forward_batch(
-            batch, rng=rng, training=training)
+            batch, rng=rng, training=training, location_grad=not time_only)
         loss_loc = cross_entropy(loc_logits, batch.target_locs)
         loss_time = cross_entropy(time_logits, batch.target_slots)
         loss_aux = cross_entropy(aux_logits, batch.target_locs)
@@ -115,6 +128,8 @@ class CanoeModel:
                  + loss_aux * weights.aux)
         parts = {"loc": loss_loc.item(), "time": loss_time.item(),
                  "aux": loss_aux.item(), "total": total.item()}
+        if time_only:
+            total = dcg.zero_fill(total, (p for _, p in self.registry.items()))
         return total, parts
 
     def location_probs(self, batch: Batch) -> np.ndarray:

@@ -193,6 +193,7 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
             for k in sums:
                 sums[k] += parts[k]
             n_batches += 1
+        train_s = time.perf_counter() - tic
 
         val_acc1 = val_mrr = None
         if dataset.split.val:
@@ -209,10 +210,11 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
                          val_acc1=val_acc1, val_mrr=val_mrr)
         logs.append(entry)
         log.info("epoch %d: loss %.6f (loc %.4f time %.4f aux %.4f) "
-                 "val_acc1 %s val_mrr %s [%.1fs]",
+                 "val_acc1 %s val_mrr %s [%d steps, %.0f train samples/s, "
+                 "%.1fs]",
                  epoch, entry.loss_total, entry.loss_loc, entry.loss_time,
-                 entry.loss_aux, entry.val_acc1, entry.val_mrr,
-                 time.perf_counter() - tic)
+                 entry.loss_aux, entry.val_acc1, entry.val_mrr, n_batches,
+                 len(order) / train_s, time.perf_counter() - tic)
 
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, model, optimizer, cfg,

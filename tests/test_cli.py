@@ -66,7 +66,12 @@ class TestGenerate:
         ("model.enc_dropout=1.0", "dropout must lie in [0, 1), got 1.0"),
         ("model.attention=foo", "unknown attention variant 'foo'"),
         ("model.enc_heads=3", "dim 16 not divisible by encoder heads 3"),
-    ], ids=["enc_layers", "enc_dropout", "attention", "enc_heads"])
+        ("model.decoder_query=foo", "unknown decoder_query 'foo'"),
+        ("model.dim=0", "dim must be >= 1, got 0"),
+        ("model.dim=-4", "dim must be >= 1, got -4"),
+        ("model.enc_ff=0", "enc_ff must be null or >= 1, got 0"),
+    ], ids=["enc_layers", "enc_dropout", "attention", "enc_heads",
+            "decoder_query", "dim_zero", "dim_negative", "enc_ff"])
     def test_invalid_model_value_exits_2_writing_nothing(self, tmp_path, capsys,
                                                          override, message):
         rc = main(["generate", "--seed", "1", "--out", str(tmp_path / "d.jsonl"),
@@ -75,6 +80,13 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_in_missing_directory_is_created(self, tmp_path):
+        out = tmp_path / "new" / "deeper" / "d.jsonl"
+        assert main(["generate", "--seed", "7", "--out", str(out)]
+                    + SMALL_ARGS) == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "d.jsonl", "d.jsonl.config.json", "d.jsonl.manifest.json"]
 
     @pytest.mark.parametrize("key", ["attn_heads", "enc_heads"])
     def test_zero_heads_exits_2(self, tmp_path, capsys, key):
@@ -148,6 +160,24 @@ class TestTrainEvalCommands:
         rc = main(["train", "--data", str(tmp_path / "nope.jsonl"),
                    "--seed", "1", "--model-out", str(tmp_path / "m.ckpt")])
         assert rc == 2
+
+    # The priors are checked when the config is read: the data file named
+    # here does not exist, so any other failure would name it instead.
+    @pytest.mark.parametrize("override, message", [
+        ("topics.alpha=-1", "topics.alpha must be null or > 0, got -1"),
+        ("topics.alpha=0", "topics.alpha must be null or > 0, got 0"),
+        ("topics.beta=0", "topics.beta must be > 0, got 0"),
+        ("topics.beta=-0.01", "topics.beta must be > 0, got -0.01"),
+    ], ids=["alpha_negative", "alpha_zero", "beta_zero", "beta_negative"])
+    def test_nonpositive_topic_prior_exits_2_before_reading_data(
+            self, tmp_path, capsys, override, message):
+        rc = main(["train", "--data", str(tmp_path / "nope.jsonl"),
+                   "--seed", "1", "--model-out", str(tmp_path / "m.ckpt"),
+                   "--set", override])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_eval_writes_reports(self, workspace):
         rc = main(["eval", "--data", str(workspace / "data.jsonl"),

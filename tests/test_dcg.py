@@ -75,6 +75,21 @@ class TestBackwardContracts:
         assert not y.requires_grad
         assert y._parents == ()
 
+    def test_zero_fill_gives_unreached_params_zero_gradients(self):
+        x = dcg.parameter([1.0, 2.0])
+        y = dcg.parameter(np.ones((2, 3)))  # reached only without a graph
+        z = dcg.parameter([5.0])            # already holds a gradient
+        z.grad = np.array([4.0])
+        with dcg.no_grad():
+            off = dcg.tensor_sum(y * 2.0)
+        root = dcg.tensor_sum(x * x) + off * 0.0
+        out = dcg.zero_fill(root, [x, y, z])
+        assert out.item() == root.item()
+        dcg.backward(out)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        assert y.grad.shape == (2, 3) and not y.grad.any()
+        np.testing.assert_array_equal(z.grad, [4.0])
+
 
 class TestOperatorsAgainstFiniteDifferences:
     """Every op's backward checked against central differences on random data."""

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from canoe import dcg
 from canoe.config import RunConfig
+from canoe.dcg import AdamW
+from canoe.decoder import LossWeights, cross_entropy
 from canoe.model import Batch, CanoeModel
 
 
@@ -126,6 +129,82 @@ class TestStateLifecycle:
         total, parts = model.loss_batch(batch, LossWeights(1.0, 0.5, 0.5))
         expected = parts["loc"] + 0.5 * parts["time"] + 0.5 * parts["aux"]
         assert total.item() == pytest.approx(expected, rel=1e-12)
+
+
+def _full_graph_loss(model, batch, weights, rng):
+    """The three-term loss over the whole graph, built here from
+    forward_batch as loss_batch built it before it pruned anything."""
+    loc, time, aux = model.forward_batch(batch, rng=rng, training=True)
+    parts = {"loc": cross_entropy(loc, batch.target_locs),
+             "time": cross_entropy(time, batch.target_slots),
+             "aux": cross_entropy(aux, batch.target_locs)}
+    total = (parts["loc"] * weights.loc + parts["time"] * weights.time
+             + parts["aux"] * weights.aux)
+    return total, {**{k: v.item() for k, v in parts.items()},
+                   "total": total.item()}
+
+
+def _step_gradients(model, loss_fn, batch, weights):
+    """(gradients by parameter name, parts, graph operation count) of one
+    training step from a reset state and a fixed dropout stream."""
+    model.reset_states()
+    loss, parts = loss_fn(model, batch, weights, np.random.default_rng(7))
+    model.registry.zero_grads()
+    dcg.backward(loss)
+    grads = {name: p.grad for name, p in model.registry.items()}
+    model.registry.zero_grads()
+    return grads, parts, _graph_nodes(loss)
+
+
+def _graph_nodes(root):
+    """Operation nodes (not parameters) backward visits from root."""
+    seen, stack, ops = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if node.requires_grad and id(node) not in seen:
+            seen.add(id(node))
+            ops += node._op != "leaf"
+            stack.extend(node._parents)
+    return ops
+
+
+class TestPrunedWarmupStep:
+    """At warmup weights loss_batch builds the time branch only; gradients
+    and loss parts are those of the full graph, bit for bit."""
+
+    @pytest.mark.parametrize("cfg_kw", [
+        {"attention": "cnoa"}, {"attention": "cross"},
+        {"decoder_query": "time_user"}], ids=["cnoa", "cross", "time_user"])
+    def test_matches_the_full_graph_bitwise(self, rng, cfg_kw):
+        model = make_model(rng, **cfg_kw)
+        batch = random_batch(rng, n=16, length=6)
+        weights = LossWeights(loc=0.0, time=0.5, aux=0.0)
+
+        def pruned(m, b, w, r):
+            return m.loss_batch(b, w, rng=r, training=True)
+
+        ref, ref_parts, ref_nodes = _step_gradients(
+            model, _full_graph_loss, batch, weights)
+        got, got_parts, got_nodes = _step_gradients(model, pruned, batch, weights)
+        assert got_parts == ref_parts
+        assert got.keys() == ref.keys()
+        for name in ref:
+            assert got[name] is not None, name
+            assert np.array_equal(got[name], ref[name]), name
+        assert not got["loc_time.layer0.q.w"].any()
+        assert not got["decoder.fuse1.w"].any()
+        assert got["decoder.time.w"].any()
+        assert got_nodes < ref_nodes / 2
+
+    def test_full_weight_step_still_needs_every_gradient(self, rng):
+        model = make_model(rng)
+        model.registry.register("unused", np.zeros(3))
+        optimizer = AdamW(model.registry)
+        loss, _ = model.loss_batch(random_batch(rng), LossWeights(1.0, 0.5, 0.5))
+        model.registry.zero_grads()
+        dcg.backward(loss)
+        with pytest.raises(ValueError, match=r"missing gradients .*'unused'"):
+            optimizer.step()
 
 
 class TestFullPipelineGradcheck:

@@ -1,5 +1,9 @@
 """Training loop: determinism, staged schedule, checkpoints, resume."""
 
+import logging
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -72,6 +76,17 @@ class TestTrainLoop:
         ds.split.train = ds.split.train[:48]
         result = train(model, ds, cfg)
         assert result.logs[-1].loss_total < result.logs[0].loss_total
+
+    def test_epoch_log_line_reports_steps_and_throughput(self, caplog):
+        cfg = tiny_cfg(epochs=1, warmup=0)
+        _, ds, _, model = build_pipeline(cfg)
+        with caplog.at_level(logging.INFO, logger="canoe.training"):
+            train(model, ds, cfg)
+        steps = math.ceil(len(ds.split.train) / cfg.train.batch_size)
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("epoch 0:")]
+        assert re.search(rf"\[{steps} steps, \d+ train samples/s, [\d.]+s\]$",
+                         line), line
 
     def test_identical_seeds_identical_losses(self):
         cfg = tiny_cfg(epochs=2)
