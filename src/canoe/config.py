@@ -154,6 +154,8 @@ class RunConfig:
         m.oscillator_params()
         if m.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {m.dim}")
+        if m.sigma <= 0.0:
+            raise ConfigError(f"model.sigma must be > 0, got {m.sigma}")
         if m.enc_ff is not None and m.enc_ff < 1:
             raise ConfigError(f"enc_ff must be null or >= 1, got {m.enc_ff}")
         if m.enc_layers < 1:
@@ -171,12 +173,28 @@ class RunConfig:
         if m.decoder_query not in ("user_location", "time_user"):
             raise ConfigError(f"unknown decoder_query '{m.decoder_query}'")
         self.loss_weights()
-        if self.train.epochs < 1 or self.train.batch_size < 1:
+        t = self.train
+        if t.epochs < 1 or t.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.train.warmup_epochs < 0:
+        if t.warmup_epochs < 0:
             raise ConfigError("warmup_epochs must be >= 0")
+        if t.lr <= 0.0:
+            raise ConfigError(f"train.lr must be > 0, got {t.lr}")
+        for key in ("beta1", "beta2"):
+            value = getattr(t, key)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"train.{key} must lie in [0, 1), got {value}")
+        if t.eps <= 0.0:
+            raise ConfigError(f"train.eps must be > 0, got {t.eps}")
+        if t.weight_decay < 0.0:
+            raise ConfigError(f"train.weight_decay must be >= 0, got {t.weight_decay}")
         if self.data.window_len < 2:
             raise ConfigError("window_len must be >= 2")
+        if self.data.stride < 1:
+            raise ConfigError(f"data.stride must be >= 1, got {self.data.stride}")
+        if not self.eval.ks or min(self.eval.ks) < 1:
+            raise ConfigError(
+                f"eval.ks must be a non-empty list of k >= 1, got {self.eval.ks}")
         if self.topics.n_topics < 2:
             raise ConfigError("n_topics must be >= 2")
         if self.topics.alpha is not None and self.topics.alpha <= 0.0:

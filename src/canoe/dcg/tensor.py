@@ -17,12 +17,12 @@ import numpy as np
 __all__ = [
     "Tensor", "NumericFault", "no_grad", "set_debug_checks",
     "constant", "parameter", "backward",
-    "add", "sub", "mul", "neg", "matmul",
-    "relu", "exp", "log",
-    "tensor_sum", "tensor_mean", "softmax", "log_softmax",
+    "add", "sub", "mul", "matmul",
+    "relu", "exp",
+    "tensor_sum", "softmax",
     "concat", "reshape", "transpose",
-    "gather_rows", "take_along_last",
-    "linear", "layer_norm", "masked_attention", "zero_fill",
+    "gather_rows",
+    "linear", "layer_norm", "masked_attention", "cross_entropy", "zero_fill",
 ]
 
 
@@ -88,23 +88,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
     def __sub__(self, other):
         return sub(self, _lift(other))
 
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __getitem__(self, idx) -> "Tensor":
         """Basic indexing only (ints, slices, None, ...): backward scatters
@@ -300,13 +288,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bwd, "mul")
 
 
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        _accum_owned(a, -g)
-
-    return _make(-a.data, (a,), bwd, "neg")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """np.matmul semantics for operands with ndim >= 2, leading axes broadcast."""
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -363,15 +344,6 @@ def exp(a: Tensor) -> Tensor:
     return _make(data, (a,), bwd, "exp")
 
 
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def bwd(g):
-        _accum_owned(a, g / a.data)
-
-    return _make(data, (a,), bwd, "log")
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -395,21 +367,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (a,), bwd, "sum")
 
 
-def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    axes = _axis_tuple(axis, a.data.ndim)
-    count = 1
-    for ax in axes:
-        count *= a.data.shape[ax]
-
-    def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        _accum_owned(a, np.broadcast_to(g, a.data.shape) / count)
-
-    return _make(data, (a,), bwd, "mean")
-
-
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     e /= e.sum(axis=axis, keepdims=True)
@@ -428,19 +385,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         _accum_owned(a, _softmax_grad(g, data, axis))
 
     return _make(data, (a,), bwd, "softmax")
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-    soft = np.exp(data)
-
-    def bwd(g):
-        _accum_owned(a, g - soft * g.sum(axis=axis, keepdims=True))
-
-    return _make(data, (a,), bwd, "log_softmax")
 
 
 # ---------------------------------------------------------------------------
@@ -505,26 +449,11 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     return _make(data, (table,), bwd, "gather_rows")
 
 
-def take_along_last(a: Tensor, idx) -> Tensor:
-    """Select one entry along the last axis per leading position."""
-    idx = np.asarray(idx)
-    expanded = np.expand_dims(idx, -1)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[-1]):
-        raise IndexError(f"index out of range [0, {a.data.shape[-1]}) in take_along_last")
-    data = np.take_along_axis(a.data, expanded, axis=-1)[..., 0]
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, expanded, np.expand_dims(g, -1), axis=-1)
-        _accum_owned(a, full)
-
-    return _make(data, (a,), bwd, "take_along_last")
-
-
 # ---------------------------------------------------------------------------
-# fused nodes: each replaces a chain of the ops above, computes the chain's
-# float operations in the same order, and accumulates into shared inputs in
-# the order backward visited the chain, so gradients are bitwise the same.
+# fused nodes: each replaces a chain of primitive ops (tests/test_dcg.py
+# keeps the chains), computes the chain's float operations in the same
+# order, and accumulates into shared inputs in the order backward visited
+# the chain, so gradients are bitwise the same.
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis of x; w is [d_in, d_out], b is [d_out]."""
@@ -613,3 +542,28 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         _accum_owned(v, g_v)
 
     return _make(data, (q, k, v), bwd, "masked_attention")
+
+
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean negative log-probability of the target class, softmax over the
+    last axis of logits; targets holds one class index per leading position."""
+    targets = np.asarray(targets)
+    n_classes = logits.data.shape[-1]
+    if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
+        raise IndexError(f"target index out of range [0, {n_classes})")
+    picks = np.expand_dims(targets, -1)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # (shifted - lse) at the targets: the log-probabilities picked from the
+    # full log-softmax, without forming it
+    picked = (np.take_along_axis(shifted, picks, axis=-1) - lse)[..., 0]
+    data = -picked.mean()
+
+    def bwd(g):
+        full = np.zeros_like(logits.data)
+        g_picked = np.broadcast_to(-g, targets.shape) / targets.size
+        np.put_along_axis(full, picks, np.expand_dims(g_picked, -1), axis=-1)
+        soft = np.exp(shifted - lse)
+        _accum_owned(logits, full - soft * full.sum(axis=-1, keepdims=True))
+
+    return _make(data, (logits,), bwd, "cross_entropy")

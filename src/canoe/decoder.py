@@ -17,7 +17,7 @@ from . import dcg
 from .cnoa import CnoaAttention, OscillatorParams
 from .dcg import Linear, ParamRegistry, Tensor
 
-__all__ = ["LossWeights", "CrossContextDecoder", "cross_entropy"]
+__all__ = ["LossWeights", "CrossContextDecoder"]
 
 
 @dataclass
@@ -31,16 +31,6 @@ class LossWeights:
             raise ValueError("loss weights must be non-negative")
         if self.loc == self.time == self.aux == 0.0:
             raise ValueError("at least one loss weight must be positive")
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-probability of the target class per batch row."""
-    targets = np.asarray(targets)
-    n_classes = logits.shape[-1]
-    if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
-        raise IndexError(f"target index out of range [0, {n_classes})")
-    picked = dcg.take_along_last(dcg.log_softmax(logits, axis=-1), targets)
-    return dcg.neg(dcg.tensor_mean(picked))
 
 
 class CrossContextDecoder:

@@ -16,7 +16,7 @@ import numpy as np
 from . import dcg
 from .config import ModelSection
 from .data import WindowSample
-from .decoder import CrossContextDecoder, LossWeights, cross_entropy
+from .decoder import CrossContextDecoder, LossWeights
 from .dcg import ParamRegistry, Tensor
 from .embeddings import EmbeddingTable, SmoothedTimeEmbedding
 from .encoder import LocationTimePair, TimeUserPair
@@ -121,9 +121,9 @@ class CanoeModel:
         time_only = weights.loc == 0.0 and weights.aux == 0.0
         loc_logits, time_logits, aux_logits = self.forward_batch(
             batch, rng=rng, training=training, location_grad=not time_only)
-        loss_loc = cross_entropy(loc_logits, batch.target_locs)
-        loss_time = cross_entropy(time_logits, batch.target_slots)
-        loss_aux = cross_entropy(aux_logits, batch.target_locs)
+        loss_loc = dcg.cross_entropy(loc_logits, batch.target_locs)
+        loss_time = dcg.cross_entropy(time_logits, batch.target_slots)
+        loss_aux = dcg.cross_entropy(aux_logits, batch.target_locs)
         total = (loss_loc * weights.loc + loss_time * weights.time
                  + loss_aux * weights.aux)
         parts = {"loc": loss_loc.item(), "time": loss_time.item(),

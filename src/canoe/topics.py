@@ -70,6 +70,10 @@ def fit_lda(counts: np.ndarray, n_topics: int, alpha: float | None = None,
         raise ValueError("empty corpus: co-occurrence matrix has no visits")
     if alpha is None:
         alpha = 50.0 / n_topics
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if beta <= 0.0:
+        raise ValueError(f"beta must be > 0, got {beta}")
     n_users, n_locations = counts.shape
 
     users, locs = np.nonzero(counts)

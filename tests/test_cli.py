@@ -59,8 +59,8 @@ class TestGenerate:
         assert rc == 2
         assert "p_explore" in capsys.readouterr().err
 
-    # Each model value is checked when the config is read, before any file
-    # is written or any data is read.
+    # Each model, data, optimizer and eval value is checked when the config
+    # is read, before any file is written or any data is read.
     @pytest.mark.parametrize("override, message", [
         ("model.enc_layers=0", "layers must be >= 1, got 0"),
         ("model.enc_dropout=1.0", "dropout must lie in [0, 1), got 1.0"),
@@ -70,8 +70,23 @@ class TestGenerate:
         ("model.dim=0", "dim must be >= 1, got 0"),
         ("model.dim=-4", "dim must be >= 1, got -4"),
         ("model.enc_ff=0", "enc_ff must be null or >= 1, got 0"),
+        ("model.sigma=0", "model.sigma must be > 0, got 0"),
+        ("model.sigma=-1.5", "model.sigma must be > 0, got -1.5"),
+        ("data.stride=0", "data.stride must be >= 1, got 0"),
+        ("train.lr=0", "train.lr must be > 0, got 0"),
+        ("train.lr=-0.1", "train.lr must be > 0, got -0.1"),
+        ("train.beta1=1.5", "train.beta1 must lie in [0, 1), got 1.5"),
+        ("train.beta1=-0.1", "train.beta1 must lie in [0, 1), got -0.1"),
+        ("train.beta2=1", "train.beta2 must lie in [0, 1), got 1"),
+        ("train.eps=0", "train.eps must be > 0, got 0"),
+        ("train.weight_decay=-0.01", "train.weight_decay must be >= 0, got -0.01"),
+        ("eval.ks=[]", "eval.ks must be a non-empty list of k >= 1, got []"),
+        ("eval.ks=[1,0]", "eval.ks must be a non-empty list of k >= 1, got [1, 0]"),
     ], ids=["enc_layers", "enc_dropout", "attention", "enc_heads",
-            "decoder_query", "dim_zero", "dim_negative", "enc_ff"])
+            "decoder_query", "dim_zero", "dim_negative", "enc_ff",
+            "sigma_zero", "sigma_negative", "stride", "lr_zero", "lr_negative",
+            "beta1_above", "beta1_negative", "beta2_one", "eps", "weight_decay",
+            "ks_empty", "ks_zero"])
     def test_invalid_model_value_exits_2_writing_nothing(self, tmp_path, capsys,
                                                          override, message):
         rc = main(["generate", "--seed", "1", "--out", str(tmp_path / "d.jsonl"),

@@ -7,7 +7,7 @@ import pytest
 
 from canoe import dcg
 from canoe.cnoa import OscillatorParams
-from canoe.decoder import CrossContextDecoder, LossWeights, cross_entropy
+from canoe.decoder import CrossContextDecoder, LossWeights
 from canoe.dcg import ParamRegistry, grad_check
 
 
@@ -124,7 +124,7 @@ class TestHeads:
 class TestCrossEntropy:
     def test_uniform_prediction_equals_log_cardinality(self):
         logits = dcg.constant(np.zeros((4, 2418)))
-        loss = cross_entropy(logits, np.array([0, 5, 100, 2417]))
+        loss = dcg.cross_entropy(logits, np.array([0, 5, 100, 2417]))
         assert abs(loss.item() - math.log(2418)) < 1e-9
         assert abs(loss.item() - 7.791) < 5e-4
 
@@ -132,18 +132,18 @@ class TestCrossEntropy:
         logits = np.full((3, 6), -1e9)
         targets = np.array([1, 4, 2])
         logits[np.arange(3), targets] = 0.0
-        loss = cross_entropy(dcg.constant(logits), targets)
+        loss = dcg.cross_entropy(dcg.constant(logits), targets)
         assert loss.item() == 0.0
 
     def test_out_of_range_target_rejected(self):
         with pytest.raises(IndexError, match="target"):
-            cross_entropy(dcg.constant(np.zeros((2, 4))), np.array([0, 4]))
+            dcg.cross_entropy(dcg.constant(np.zeros((2, 4))), np.array([0, 4]))
 
     def test_weighted_combination_symmetry(self, rng):
         # lambda (1,0,0) on head A equals lambda (0,0,1) on identical head C.
         logits = dcg.constant(rng.normal(size=(4, 9)))
         targets = rng.integers(0, 9, 4)
-        ce = cross_entropy(logits, targets)
+        ce = dcg.cross_entropy(logits, targets)
         total_a = ce * 1.0 + ce * 0.0 + ce * 0.0
         total_b = ce * 0.0 + ce * 0.0 + ce * 1.0
         assert total_a.item() == total_b.item()
@@ -169,9 +169,9 @@ class TestDescentSanity:
         def compute_loss():
             dec.attn.reset_state()
             y_hat, fused = dec(*enc, e_u, update_state=False)
-            return (cross_entropy(dec.location_logits(y_hat), target)
-                    + cross_entropy(dec.time_logits(o_ut), np.array([5])) * 0.5
-                    + cross_entropy(dec.aux_logits(fused), target) * 0.5)
+            return (dcg.cross_entropy(dec.location_logits(y_hat), target)
+                    + dcg.cross_entropy(dec.time_logits(o_ut), np.array([5])) * 0.5
+                    + dcg.cross_entropy(dec.aux_logits(fused), target) * 0.5)
 
         first = compute_loss().item()
         for _ in range(25):

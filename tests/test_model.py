@@ -6,7 +6,7 @@ import pytest
 from canoe import dcg
 from canoe.config import RunConfig
 from canoe.dcg import AdamW
-from canoe.decoder import LossWeights, cross_entropy
+from canoe.decoder import LossWeights
 from canoe.model import Batch, CanoeModel
 
 
@@ -135,9 +135,9 @@ def _full_graph_loss(model, batch, weights, rng):
     """The three-term loss over the whole graph, built here from
     forward_batch as loss_batch built it before it pruned anything."""
     loc, time, aux = model.forward_batch(batch, rng=rng, training=True)
-    parts = {"loc": cross_entropy(loc, batch.target_locs),
-             "time": cross_entropy(time, batch.target_slots),
-             "aux": cross_entropy(aux, batch.target_locs)}
+    parts = {"loc": dcg.cross_entropy(loc, batch.target_locs),
+             "time": dcg.cross_entropy(time, batch.target_slots),
+             "aux": dcg.cross_entropy(aux, batch.target_locs)}
     total = (parts["loc"] * weights.loc + parts["time"] * weights.time
              + parts["aux"] * weights.aux)
     return total, {**{k: v.item() for k, v in parts.items()},

@@ -99,6 +99,16 @@ class TestFitLda:
         with pytest.raises(ValueError, match="n_topics"):
             fit_lda(two_cluster_corpus(), n_topics=1)
 
+    @pytest.mark.parametrize("prior, message", [
+        ({"alpha": -1.0}, "alpha must be > 0, got -1.0"),
+        ({"alpha": 0.0}, "alpha must be > 0, got 0.0"),
+        ({"beta": 0.0}, "beta must be > 0, got 0.0"),
+        ({"beta": -0.01}, "beta must be > 0, got -0.01"),
+    ], ids=["alpha_negative", "alpha_zero", "beta_zero", "beta_negative"])
+    def test_nonpositive_prior_rejected(self, prior, message):
+        with pytest.raises(ValueError, match=message):
+            fit_lda(two_cluster_corpus(), n_topics=2, iters=20, **prior)
+
     def test_unknown_user_rejected(self):
         model = fit_lda(two_cluster_corpus(), n_topics=2, iters=10, seed=0)
         with pytest.raises(IndexError):
