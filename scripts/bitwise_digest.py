@@ -1,0 +1,100 @@
+"""Print a sha256 digest of every artifact of a small seeded canoe run.
+
+Runs generate, then train (3 epochs, one warmup epoch) and eval for the
+cnoa and cross attention variants and for decoder_query=time_user, all
+through canoe.cli.main in a temporary directory. Prints one "name sha256"
+line per artifact: the loss CSV, the report .json/.txt/.csv and every
+checkpoint array (meta included), then the `canoe gradcheck` value.
+
+Two source trees are byte-identical in training and evaluation when their
+outputs match:
+
+    PYTHONPATH=<tree-a>/src python scripts/bitwise_digest.py > a.txt
+    PYTHONPATH=<tree-b>/src python scripts/bitwise_digest.py > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS thread, as in the test suite: the digests assume a fixed
+# execution environment.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+os.environ.setdefault("CANOE_LOG", "warn")
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from canoe.cli import main  # noqa: E402
+
+DATA_ARGS = [
+    "--set", "data.num_users=12", "--set", "data.num_locations=20",
+    "--set", "data.days=10", "--set", "data.activities_per_day=5",
+    "--set", "data.min_records=30", "--set", "data.window_len=10",
+]
+TRAIN_ARGS = DATA_ARGS + [
+    "--set", "model.dim=8", "--set", "topics.n_topics=6",
+    "--set", "topics.gibbs_iters=50", "--set", "train.epochs=3",
+    "--set", "train.warmup_epochs=1", "--set", "train.batch_size=64",
+]
+VARIANTS = {
+    "cnoa": ["--set", "model.attention=cnoa"],
+    "cross": ["--set", "model.attention=cross"],
+    "time_user": ["--set", "model.decoder_query=time_user"],
+}
+
+
+def _run(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    if rc != 0:
+        raise SystemExit(f"canoe {' '.join(argv)} exited {rc}")
+    return out.getvalue()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_lines(work: Path) -> list[str]:
+    data = work / "data.jsonl"
+    _run(["generate", "--seed", "3", "--out", str(data)] + DATA_ARGS)
+    lines = [f"data.jsonl {_sha(data.read_bytes())}"]
+    for name, extra in VARIANTS.items():
+        ckpt, log, report = (work / f"{name}.ckpt", work / f"{name}.csv",
+                             work / f"{name}.report")
+        _run(["train", "--data", str(data), "--seed", "3", "--model-out",
+              str(ckpt), "--log", str(log)] + TRAIN_ARGS + extra)
+        _run(["eval", "--data", str(data), "--model", str(ckpt),
+              "--report", str(report)])
+        lines.append(f"{name}/log.csv {_sha(log.read_bytes())}")
+        for ext in (".json", ".txt", ".csv"):
+            body = Path(str(report) + ext).read_bytes()
+            lines.append(f"{name}/report{ext} {_sha(body)}")
+        with np.load(ckpt) as arrays:
+            for key in sorted(arrays.files):
+                arr = arrays[key]
+                tag = f"{arr.dtype.str}{arr.shape}".encode()
+                lines.append(f"{name}/ckpt/{key} {_sha(tag + arr.tobytes())}")
+    lines.append(f"gradcheck {_run(['gradcheck']).strip()}")
+    return lines
+
+
+def main_digest() -> int:
+    with tempfile.TemporaryDirectory(prefix="canoe-digest-") as tmp:
+        for line in digest_lines(Path(tmp)):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())

@@ -1,11 +1,13 @@
 """CANOE: chaotic neural oscillatory attention for next-location prediction.
 
 Package layout:
-  dcg/          reverse-mode autodiff core, AdamW, gradient checking
+  dcg/          reverse-mode autodiff core, fused transformer and loss
+                nodes, AdamW, gradient checking
   kernels       numpy oscillator recurrence
   embeddings    smoothed time slots, user/location tables
   topics        CVB0 LDA and the user-preference head
-  cnoa          oscillator recurrence and oscillatory attention
+  cnoa          oscillator recurrence and oscillatory attention, one
+                fused graph node per attention site
   encoder       time-user and location-time branches (causal transformer)
   decoder       cross-context attentive decoder, heads, losses
   model         CanoeModel, built from the config's model section

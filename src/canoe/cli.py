@@ -131,7 +131,9 @@ def cmd_preprocess(args) -> int:
         "id_space": {"users": dataset.n_users, "locations": dataset.n_locations},
     }
     if args.out:
-        with Path(args.out).open("w", encoding="utf-8") as fh:
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with out.open("w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
         _echo_config(cfg, args.out)
@@ -314,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericFault as exc:

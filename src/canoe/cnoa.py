@@ -26,12 +26,12 @@ import numpy as np
 
 from . import dcg, kernels
 from .dcg import ParamRegistry, Tensor
-from .dcg.tensor import _accum_owned, _make
+from .dcg.tensor import _accum_owned, _make, _softmax, _softmax_grad, _unbroadcast
 
 __all__ = [
     "EXP_CLAMP_HI", "OscillatorParams",
     "oscillator_iterate", "oscillator_output", "osc_transform",
-    "CnoaAttention",
+    "cnoa_attention", "CnoaAttention",
 ]
 
 EXP_CLAMP_HI = 50.0
@@ -80,31 +80,79 @@ def oscillator_output(e: np.ndarray, i: np.ndarray, s: np.ndarray,
     return (np.asarray(e) - np.asarray(i)) * np.exp(expo) + np.maximum(s, 0.0)
 
 
-def osc_transform(s: Tensor, p: OscillatorParams) -> Tensor:
-    """Differentiable Osc(S) as one fused graph node.
-
-    Forward runs kernels.oscillator_forward; backward unrolls the recurrence
-    analytically through the stored ReLU gates (validated by grad_check).
-    """
-    if not np.all(np.isfinite(s.data)):
+def _oscillate(s: np.ndarray, p: OscillatorParams):
+    """Osc(s), and the map from its output gradient to the gradient in s."""
+    if not np.all(np.isfinite(s)):
         raise dcg.NumericFault("non-finite input to oscillator")
     e, i, gates_e, gates_i = kernels.oscillator_forward(
-        s.data, p.e1, p.e2, p.i1, p.i2, p.tau_e, p.tau_i, p.n_steps)
-    raw = -p.k * s.data * s.data
+        s, p.e1, p.e2, p.i1, p.i2, p.tau_e, p.tau_i, p.n_steps)
+    raw = -p.k * s * s
     decay = np.exp(np.minimum(raw, EXP_CLAMP_HI))
     emi = e - i
-    data = emi * decay + np.maximum(s.data, 0.0)
 
-    def bwd(g):
+    def grad(g):
         d_e = g * decay
         ds = kernels.oscillator_backward(d_e, -d_e, gates_e, gates_i,
                                          p.e1, p.e2, p.i1, p.i2)
         inside = raw <= EXP_CLAMP_HI
-        ds = ds + g * emi * decay * (-2.0 * p.k) * s.data * inside
-        ds = ds + g * (s.data > 0.0)
-        _accum_owned(s, ds)
+        ds = ds + g * emi * decay * (-2.0 * p.k) * s * inside
+        return ds + g * (s > 0.0)
 
-    return _make(data, (s,), bwd, "oscillator")
+    return emi * decay + np.maximum(s, 0.0), grad
+
+
+def osc_transform(s: Tensor, p: OscillatorParams) -> Tensor:
+    """Differentiable Osc(S) as one graph node (validated by grad_check)."""
+    data, grad = _oscillate(s.data, p)
+    return _make(data, (s,), lambda g: _accum_owned(s, grad(g)), "oscillator")
+
+
+def cnoa_attention(qh: Tensor, kh: Tensor, vh: Tensor, scale: float,
+                   osc: OscillatorParams | None,
+                   prev: np.ndarray | None) -> tuple[Tensor, np.ndarray]:
+    """softmax(Osc(ReLU(q k^T)) * scale) @ v from heads-first [H, ..., L, d_h]
+    projections to merged heads [..., Lq, H * d_h] as one graph node; also
+    returns alpha. osc=None drops ReLU and Osc (the cross variant). gamma != 0
+    damps each head by exp(-gamma * ||alpha - prev||_F^2), prev None or of
+    another shape meaning the uniform sentinel. The float operations are the
+    replaced chain's (tests/test_dcg.py keeps it), in its order."""
+    k_t = np.swapaxes(kh.data, -1, -2)
+    scores = np.matmul(qh.data, k_t)
+    act = scores
+    if osc is not None:
+        act, osc_grad = _oscillate(np.maximum(scores, 0.0), osc)
+    alpha = _softmax(act * scale, -1)
+    ctx = np.matmul(alpha, vh.data)
+    stabilized = osc is not None and osc.gamma != 0.0
+    if stabilized:
+        if prev is None or prev.shape != alpha.shape:
+            prev = np.full(alpha.shape, 1.0 / alpha.shape[-1])
+        diff = alpha - prev
+        factor = np.exp((diff * diff).sum(axis=(-2, -1), keepdims=True) * -osc.gamma)
+    # [H, ..., Lq, d_h] -> [..., Lq, H, d_h] -> [..., Lq, H * d_h]
+    axes = (*range(1, ctx.ndim - 1), 0, ctx.ndim - 1)
+    merged = np.transpose(ctx * factor if stabilized else ctx, axes)
+    data = merged.reshape(merged.shape[:-2] + (-1,))
+
+    def bwd(g):
+        g_out = np.transpose(g.reshape(merged.shape), np.argsort(axes))
+        g_ctx = g_out * factor if stabilized else g_out
+        g_alpha = np.matmul(g_ctx, np.swapaxes(vh.data, -1, -2))
+        if stabilized:  # one term per factor of diff * diff
+            g_sq = _unbroadcast(g_out * ctx, factor.shape) * factor * -osc.gamma * diff
+            g_alpha += g_sq + g_sq
+        g_scores = _softmax_grad(g_alpha, alpha, -1) * scale
+        if osc is not None:
+            g_scores = osc_grad(g_scores) * (scores > 0.0)
+        g_v = np.matmul(np.swapaxes(alpha, -1, -2), g_ctx)
+        g_k = np.matmul(np.swapaxes(qh.data, -1, -2), g_scores)
+        _accum_owned(vh, _unbroadcast(g_v, vh.data.shape))
+        _accum_owned(qh, _unbroadcast(np.matmul(g_scores, kh.data), qh.data.shape))
+        _accum_owned(kh, np.swapaxes(_unbroadcast(g_k, k_t.shape), -1, -2))
+
+    # backward visits the first parent's branch first, as the chain did
+    parents = (vh, qh, kh) if stabilized else (qh, kh, vh)
+    return _make(data, parents, bwd, "cnoa_attention"), alpha
 
 
 class CnoaAttention:
@@ -161,24 +209,10 @@ class CnoaAttention:
             raise ValueError(
                 f"key/value sequence lengths differ: {k.shape[-2]} vs {v.shape[-2]}")
         ndim = max(q.ndim, k.ndim, v.ndim)
-        kh = self._heads(k, self.wk, ndim)
-        k_t = dcg.transpose(kh, (*range(ndim - 1), ndim, ndim - 1))
-        scores = dcg.matmul(self._heads(q, self.wq, ndim), k_t)
-        if self.variant == "cnoa":
-            scores = osc_transform(dcg.relu(scores), self.osc)
-        alpha = dcg.softmax(scores * self._scale, axis=-1)
-        out = dcg.matmul(alpha, self._heads(v, self.wv, ndim))
-        if self.variant == "cnoa":
-            if self.osc.gamma != 0.0:
-                prev = self._alpha_prev
-                if prev is None or prev.shape != alpha.shape:
-                    prev = np.full(alpha.shape, 1.0 / alpha.shape[-1])
-                diff = alpha - dcg.constant(prev)
-                dev = dcg.tensor_sum(diff * diff, axis=(-2, -1), keepdims=True)
-                out = out * dcg.exp(dev * (-self.osc.gamma))
-            if update_state:
-                self._alpha_prev = alpha.data
-        # [H, ..., Lq, d_h] -> [..., Lq, H * d_h], heads concatenated
-        out = dcg.transpose(out, (*range(1, ndim), 0, ndim))
-        out = dcg.reshape(out, out.shape[:-2] + (-1,))
+        osc = self.osc if self.variant == "cnoa" else None
+        out, alpha = cnoa_attention(
+            self._heads(q, self.wq, ndim), self._heads(k, self.wk, ndim),
+            self._heads(v, self.wv, ndim), self._scale, osc, self._alpha_prev)
+        if osc is not None and update_state:
+            self._alpha_prev = alpha
         return dcg.matmul(out, self.w_out)

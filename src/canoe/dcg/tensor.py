@@ -17,10 +17,10 @@ import numpy as np
 __all__ = [
     "Tensor", "NumericFault", "no_grad", "set_debug_checks",
     "constant", "parameter", "backward",
-    "add", "sub", "mul", "matmul",
-    "relu", "exp",
+    "add", "mul", "matmul",
+    "relu",
     "tensor_sum", "softmax",
-    "concat", "reshape", "transpose",
+    "concat", "reshape",
     "gather_rows",
     "linear", "layer_norm", "masked_attention", "cross_entropy", "zero_fill",
 ]
@@ -87,9 +87,6 @@ class Tensor:
     # Operator sugar; scalars are lifted to constant tensors.
     def __add__(self, other):
         return add(self, _lift(other))
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
 
     def __mul__(self, other):
         return mul(self, _lift(other))
@@ -264,18 +261,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bwd, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def bwd(g):
-        # -g is a fresh array, computed before anything adds into g.
-        _accum_ub(a, g, own=True)
-        if b.requires_grad:
-            _accum_owned(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), bwd, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
@@ -333,15 +318,6 @@ def relu(a: Tensor) -> Tensor:
         _accum_owned(a, g * (a.data > 0.0))
 
     return _make(data, (a,), bwd, "relu")
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def bwd(g):
-        _accum_owned(a, g * data)
-
-    return _make(data, (a,), bwd, "exp")
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +391,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         _accum_owned(a, g.reshape(a.data.shape))
 
     return _make(data, (a,), bwd, "reshape")
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    data = np.transpose(a.data, axes)
-    inverse = np.argsort(axes)
-
-    def bwd(g):
-        _accum_owned(a, np.transpose(g, inverse))
-
-    return _make(data, (a,), bwd, "transpose")
 
 
 # ---------------------------------------------------------------------------

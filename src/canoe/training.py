@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import logging
 import time
+import zipfile
+import zlib
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -254,7 +256,9 @@ def _flatten(raw: dict, prefix: str = "") -> dict:
 
 
 def write_log_csv(path: str | Path, logs: list[EpochLog]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for entry in logs:
             fh.write(",".join("" if v is None else repr(v)
@@ -338,26 +342,37 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format: {meta.get('format')!r}")
-        params, best, opt = {}, {}, {}
-        theta = phi = None
-        step = 0
-        for key in data.files:
-            if key.startswith("param/"):
-                params[key[len("param/"):]] = data[key]
-            elif key.startswith("best/"):
-                best[key[len("best/"):]] = data[key]
-            elif key == "opt/step":
-                step = int(data[key])
-            elif key.startswith("opt/"):
-                opt[key[len("opt/"):]] = data[key]
-            elif key == "topics/theta":
-                theta = data[key]
-            elif key == "topics/phi":
-                phi = data[key]
+    """Read a checkpoint; ValueError for a file that is not one, truncated,
+    corrupt or without its meta record."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            if not isinstance(meta, dict):
+                raise ValueError("meta is not a JSON object")
+            arrays = {key: data[key] for key in data.files}
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path} is not a canoe checkpoint: {exc}") from exc
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"unsupported checkpoint format: {meta.get('format')!r}")
+    params, best, opt = {}, {}, {}
+    theta = phi = None
+    step = 0
+    for key, arr in arrays.items():
+        if key.startswith("param/"):
+            params[key[len("param/"):]] = arr
+        elif key.startswith("best/"):
+            best[key[len("best/"):]] = arr
+        elif key == "opt/step":
+            step = int(arr)
+        elif key.startswith("opt/"):
+            opt[key[len("opt/"):]] = arr
+        elif key == "topics/theta":
+            theta = arr
+        elif key == "topics/phi":
+            phi = arr
     return Checkpoint(meta=meta, params=params, best_params=best or dict(params),
                       opt_arrays=opt, opt_step=step, theta=theta, phi=phi)
 

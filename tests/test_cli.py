@@ -348,6 +348,75 @@ class TestTrainEvalCommands:
         assert ("error: unsupported checkpoint format: 'canoe-ckpt-2'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize("damage", ["truncated", "no_meta", "meta_list",
+                                        "text"])
+    def test_broken_checkpoint_exits_2(self, workspace, tmp_path, capsys,
+                                       command, damage):
+        bad = tmp_path / "bad.ckpt"
+        good = workspace / "model.ckpt"
+        if damage == "truncated":
+            bad.write_bytes(good.read_bytes()[:-100])
+        elif damage in ("no_meta", "meta_list"):
+            with np.load(good) as data:
+                arrays = {key: data[key] for key in data.files if key != "meta"}
+            if damage == "meta_list":
+                arrays["meta"] = np.frombuffer(b"[]", dtype=np.uint8)
+            with bad.open("wb") as fh:
+                np.savez(fh, **arrays)
+        else:
+            bad.write_text("not a checkpoint\n")
+        data = str(workspace / "data.jsonl")
+        argv = {
+            "eval": ["eval", "--data", data, "--model", str(bad),
+                     "--report", str(tmp_path / "report")],
+            "resume": ["train", "--data", data, "--resume", str(bad),
+                       "--model-out", str(tmp_path / "m.ckpt"),
+                       "--set", "train.epochs=3"],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not a canoe checkpoint: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
+
+    @pytest.mark.parametrize("flag", ["--data", "--config", "--model"])
+    def test_directory_as_input_exits_2(self, workspace, tmp_path, capsys,
+                                        flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        data = str(workspace / "data.jsonl")
+        argv = {
+            "--data": ["train", "--data", str(folder), "--seed", "3",
+                       "--model-out", str(tmp_path / "m.ckpt")],
+            "--config": ["preprocess", "--config", str(folder), "--data", data],
+            "--model": ["eval", "--data", data, "--model", str(folder),
+                        "--report", str(tmp_path / "report")],
+        }[flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["folder"]
+
+    def test_log_in_missing_directory_is_created(self, workspace, tmp_path):
+        log = tmp_path / "new" / "log.csv"
+        rc = main(["train", "--data", str(workspace / "data.jsonl"),
+                   "--seed", "3", "--model-out", str(tmp_path / "m.ckpt"),
+                   "--log", str(log)] + TRAIN_ARGS)
+        assert rc == 0
+        assert log.read_text() == (workspace / "log.csv").read_text()
+        assert (tmp_path / "m.ckpt.config.json").exists()
+
+    def test_preprocess_out_in_missing_directory_is_created(
+            self, workspace, tmp_path, capsys):
+        out = tmp_path / "new" / "s.json"
+        rc = main(["preprocess", "--data", str(workspace / "data.jsonl"),
+                   "--out", str(out)] + SMALL_ARGS)
+        assert rc == 0
+        printed = capsys.readouterr().out.strip().splitlines()[-1]
+        assert json.loads(out.read_text()) == json.loads(printed)
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "s.json", "s.json.config.json"]
+
     def test_numeric_fault_exits_1_with_error_line(self, workspace, tmp_path,
                                                    capsys):
         with np.load(workspace / "model.ckpt") as data:

@@ -373,6 +373,43 @@ class TestCnoaAttention:
 
         assert grad_check(loss_fn, reg, 1e-5) < 1e-4
 
+    def test_gradcheck_against_stored_state(self):
+        # The stabilizer against a stored, non-uniform alpha: the full-model
+        # gradcheck resets the state, so it only sees the uniform sentinel.
+        # Scores stay off the decay clamp, so the stabilizer's share of the
+        # gradient is large enough to show.
+        rng = np.random.default_rng(21)
+        reg, attn = self._build(rng, OscillatorParams(k=-2.0, n_steps=2,
+                                                      gamma=1.0))
+        q_raw = rng.normal(size=(2, 1, 6)) * 3.0
+        kv_raw = rng.normal(size=(5, 4)) * 3.0
+        attn(dcg.constant(rng.normal(size=(2, 1, 6)) * 10.0),
+             dcg.constant(kv_raw * 10.0 / 3.0), dcg.constant(kv_raw))
+        stored = attn._alpha_prev
+        assert np.abs(stored - 1.0 / 5).max() > 0.5
+
+        def loss_fn(r):
+            out = attn(dcg.constant(q_raw), dcg.constant(kv_raw),
+                       dcg.constant(kv_raw), update_state=False)
+            return dcg.tensor_sum(out * out)
+
+        assert grad_check(loss_fn, reg, 1e-5) < 1e-6
+        assert attn._alpha_prev is stored
+
+    @pytest.mark.parametrize("variant", ["cnoa", "cross"])
+    def test_one_graph_node_per_call(self, rng, variant):
+        reg, attn = self._build(rng, OscillatorParams(), variant=variant)
+        q = dcg.constant(rng.normal(size=(2, 1, 6)))
+        kv = dcg.constant(rng.normal(size=(5, 4)))
+        out = attn(q, kv, kv)
+        ops, stack = [], [out]
+        while stack:
+            node = stack.pop()
+            ops.append(node._op)
+            stack.extend(node._parents)
+        assert ops.count("cnoa_attention") == 1
+        assert out._parents[0]._op == "cnoa_attention"
+
     def test_invalid_head_split_rejected(self, rng):
         reg = ParamRegistry()
         with pytest.raises(ValueError, match="divisible"):

@@ -1,11 +1,16 @@
 """Autodiff core: operator gradients, backward contracts, AdamW, grad_check."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from canoe import dcg
+from canoe.cnoa import (CnoaAttention, OscillatorParams, cnoa_attention,
+                        osc_transform)
 from canoe.dcg import AdamW, Linear, ParamRegistry, grad_check
-from canoe.dcg.tensor import _accum_owned, _axis_tuple, _make, _unbroadcast
+from canoe.dcg.tensor import (_accum_owned, _accum_ub, _axis_tuple, _make,
+                              _unbroadcast)
 
 
 class TestBackwardContracts:
@@ -56,7 +61,7 @@ class TestBackwardContracts:
         x = dcg.parameter([1000.0])
         with np.errstate(over="ignore"):
             with pytest.raises(dcg.NumericFault):
-                dcg.backward(dcg.tensor_sum(dcg.exp(x)))
+                dcg.backward(dcg.tensor_sum(_exp(x)))
 
     def test_debug_checks_name_offending_operator(self):
         dcg.set_debug_checks(True)
@@ -64,7 +69,7 @@ class TestBackwardContracts:
             x = dcg.parameter([1000.0])
             with np.errstate(over="ignore"):
                 with pytest.raises(dcg.NumericFault, match="exp"):
-                    dcg.exp(x)
+                    _exp(x)
         finally:
             dcg.set_debug_checks(False)
 
@@ -106,7 +111,7 @@ class TestOperatorsAgainstFiniteDifferences:
         assert grad_check(loss_fn, reg, eps) < tol
 
     def test_add_sub_mul_broadcast(self):
-        self._check(lambda a, b: dcg.tensor_sum(a * b + a - b),
+        self._check(lambda a, b: dcg.tensor_sum(_sub(a * b + a, b)),
                     [(3, 4), (1, 4)])
 
     def test_matmul_2d(self):
@@ -115,11 +120,11 @@ class TestOperatorsAgainstFiniteDifferences:
 
     def test_matmul_batched(self):
         self._check(
-            lambda a, b: dcg.tensor_sum(dcg.matmul(a, dcg.transpose(b, (0, 2, 1)))),
+            lambda a, b: dcg.tensor_sum(dcg.matmul(a, _transpose(b, (0, 2, 1)))),
             [(2, 3, 4), (2, 5, 4)])
 
     def test_exp(self):
-        self._check(lambda a: dcg.tensor_sum(dcg.exp(a) * (a * a + 1.0)),
+        self._check(lambda a: dcg.tensor_sum(_exp(a) * (a * a + 1.0)),
                     [(4, 3)])
 
     def test_reductions_and_softmax(self):
@@ -236,12 +241,34 @@ def _take_along_last(a, idx):
     return _make(data, (a,), bwd, "take_along_last")
 
 
+def _sub(a, b):
+    """The primitive nodes the fused cnoa_attention replaced; _sub is also
+    layer_norm's."""
+    def bwd(g):
+        _accum_ub(a, g, own=True)
+        if b.requires_grad:
+            _accum_owned(b, _unbroadcast(-g, b.data.shape))
+
+    return _make(a.data - b.data, (a, b), bwd, "sub")
+
+
+def _exp(a):
+    data = np.exp(a.data)
+    return _make(data, (a,), lambda g: _accum_owned(a, g * data), "exp")
+
+
+def _transpose(a, axes):
+    inverse = np.argsort(axes)
+    return _make(np.transpose(a.data, axes), (a,),
+                 lambda g: _accum_owned(a, np.transpose(g, inverse)), "transpose")
+
+
 def _composite_linear(x, w, b):
     return dcg.matmul(x, w) + b
 
 
 def _composite_layer_norm(x, gamma, beta):
-    centered = x - _mean(x, axis=-1, keepdims=True)
+    centered = _sub(x, _mean(x, axis=-1, keepdims=True))
     var = _mean(centered * centered, axis=-1, keepdims=True)
     return _div(centered, _sqrt(var + 1e-5)) * gamma + beta
 
@@ -251,17 +278,41 @@ def _composite_attention(q, k, v, heads, mask, scale):
 
     def split(t):
         t = dcg.reshape(t, (batch, length, heads, dim // heads))
-        return dcg.transpose(t, (0, 2, 1, 3))
+        return _transpose(t, (0, 2, 1, 3))
 
     q, k, v = split(q), split(k), split(v)
-    scores = dcg.matmul(q, dcg.transpose(k, (0, 1, 3, 2))) * scale
+    scores = dcg.matmul(q, _transpose(k, (0, 1, 3, 2))) * scale
     alpha = dcg.softmax(scores + dcg.constant(mask), axis=-1)
-    ctx = dcg.transpose(dcg.matmul(alpha, v), (0, 2, 1, 3))
+    ctx = _transpose(dcg.matmul(alpha, v), (0, 2, 1, 3))
     return dcg.reshape(ctx, (batch, length, dim))
 
 
 def _composite_cross_entropy(logits, targets):
     return _neg(_mean(_take_along_last(_log_softmax(logits), targets)))
+
+
+def _composite_cnoa(qh, kh, vh, scale, osc, prev):
+    nd = qh.ndim
+    scores = dcg.matmul(qh, _transpose(kh, (*range(nd - 2), nd - 1, nd - 2)))
+    if osc is not None:
+        scores = osc_transform(dcg.relu(scores), osc)
+    alpha = dcg.softmax(scores * scale, axis=-1)
+    out = dcg.matmul(alpha, vh)
+    if osc is not None and osc.gamma != 0.0:
+        if prev is None or prev.shape != alpha.shape:
+            prev = np.full(alpha.shape, 1.0 / alpha.shape[-1])
+        diff = _sub(alpha, dcg.constant(prev))
+        dev = dcg.tensor_sum(diff * diff, axis=(-2, -1), keepdims=True)
+        out = out * _exp(dev * (-osc.gamma))
+    out = _transpose(out, (*range(1, nd - 1), 0, nd - 1))
+    return dcg.reshape(out, out.shape[:-2] + (-1,)), alpha.data
+
+
+def _project(x, w, ndim):
+    """[..., L, d] -> [H, ..., L, d_h], the projection CnoaAttention feeds
+    to cnoa_attention."""
+    site = SimpleNamespace(n_heads=w.shape[0], head_dim=w.shape[-1])
+    return CnoaAttention._heads(site, x, w, ndim)
 
 
 class TestFusedNodesMatchComposites:
@@ -278,14 +329,16 @@ class TestFusedNodesMatchComposites:
             results = []
             for op in (fused, composite):
                 ts = [dcg.parameter(a.copy()) for a in inputs]
-                out = op(*ts)
+                out, extra = op(*ts), []
+                if isinstance(out, tuple):  # a node that also returns arrays
+                    out, *extra = out
                 weight = np.random.default_rng(seed + 1).normal(size=out.shape)
                 terms = [dcg.tensor_sum(out * weight),
                          dcg.tensor_sum(ts[0] * ts[0] * side)]
                 if side_first:  # backward visits the last operand of + first
                     terms.reverse()
                 dcg.backward(terms[0] + terms[1])
-                results.append([out.data] + [t.grad for t in ts])
+                results.append([out.data, *extra] + [t.grad for t in ts])
             for got, want in zip(*results):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
@@ -322,6 +375,45 @@ class TestFusedNodesMatchComposites:
         self._compare(via(dcg.cross_entropy), via(_composite_cross_entropy),
                       [(7, 9)])
 
+    @pytest.mark.parametrize("osc", [
+        None,
+        OscillatorParams(k=-2.0, n_steps=2, gamma=0.0),
+        OscillatorParams(k=-2.0, n_steps=2, gamma=1.0),
+        OscillatorParams(gamma=1.0),  # the default k=-500 saturates the decay
+    ], ids=["cross", "gamma0", "gamma1", "default"])
+    @pytest.mark.parametrize("prev", ["none", "wrong_shape", "stored"])
+    @pytest.mark.parametrize("case", ["self", "time_user", "decoder"])
+    def test_cnoa_attention(self, osc, prev, case):
+        # The first input feeds k and v, and q too in self-attention. The
+        # time-user site has 2-D keys against 3-D queries.
+        shapes, alpha_shape = {
+            "self": ([(3, 4, 5)], (2, 3, 4, 4)),
+            "time_user": ([(6, 5), (3, 2, 4)], (2, 3, 2, 6)),
+            "decoder": ([(3, 6, 5), (3, 1, 4)], (2, 3, 1, 6)),
+        }[case]
+        stored = {
+            "none": None,
+            "wrong_shape": np.full(alpha_shape[:-1] + (1,), 1.0),
+            "stored": np.random.default_rng(9).dirichlet(
+                np.ones(alpha_shape[-1]), size=alpha_shape[:-1]),
+        }[prev]
+        scale = 1.0 / np.sqrt(3)
+
+        def via(attention):
+            def op(kv, *rest):
+                q = kv if len(rest) == 3 else rest[0]
+                wq, wk, wv = rest[-3:]
+                ndim = max(q.ndim, kv.ndim)
+                # small scores, so that the softmax does not saturate
+                return attention(_project(q, wq * 0.25, ndim),
+                                 _project(kv, wk * 0.25, ndim),
+                                 _project(kv, wv, ndim), scale, osc, stored)
+            return op
+
+        weights = [(2, shapes[-1][-1], 3), (2, 5, 3), (2, 5, 3)]
+        self._compare(via(cnoa_attention), via(_composite_cnoa),
+                      shapes + weights)
+
 
 class TestGradientOwnership:
     """Backward hands arrays over without copying; no gradient may alias
@@ -350,20 +442,30 @@ class TestGradientOwnership:
         np.testing.assert_array_equal(t.grad, c[:, :3] + c[:, 3:])
 
     def test_transposed_view_added_onto_existing_gradient(self):
-        x = dcg.parameter(np.arange(6.0).reshape(2, 3))
+        rng = np.random.default_rng(3)
+        qh = dcg.constant(rng.normal(size=(2, 1, 3, 4)))
+        vh = dcg.constant(rng.normal(size=(2, 1, 5, 4)))
+        x = dcg.parameter(rng.normal(size=(2, 1, 5, 4)))
         h = x * 2.0
-        c = np.arange(6.0).reshape(3, 2) + 1.0
-        d = np.full((2, 3), 0.25)
-        # h first takes the transposed view of the transpose node's
-        # gradient, then h * d adds onto it, and the other way round
-        for out in (dcg.tensor_sum(dcg.transpose(h, (1, 0)) * c)
-                    + dcg.tensor_sum(h * d),
-                    dcg.tensor_sum(h * d)
-                    + dcg.tensor_sum(dcg.transpose(h, (1, 0)) * c)):
+        c = rng.normal(size=(1, 3, 8))
+        d = np.full(h.shape, 0.25)
+
+        def attended():
+            out, _ = cnoa_attention(qh, h, vh, 0.5, None, None)
+            return dcg.tensor_sum(out * c)
+
+        dcg.backward(attended())
+        # cnoa_attention hands kh a transposed view of its key gradient
+        assert not h.grad.flags.c_contiguous
+        g_node = h.grad.copy()
+        # h first takes that view, then h * d adds onto it, and the other
+        # way round
+        for out in (attended() + dcg.tensor_sum(h * d),
+                    dcg.tensor_sum(h * d) + attended()):
             x.grad = h.grad = None
             dcg.backward(out)
-            np.testing.assert_array_equal(h.grad, c.T + d)
-            np.testing.assert_array_equal(x.grad, 2.0 * (c.T + d))
+            np.testing.assert_array_equal(h.grad, g_node + d)
+            np.testing.assert_array_equal(x.grad, 2.0 * (g_node + d))
 
 
 class TestUnbroadcast:
@@ -543,6 +645,6 @@ def test_forward_deterministic_bitwise():
     x = dcg.parameter(rng.normal(size=(6, 6)))
 
     def forward():
-        return dcg.tensor_sum(dcg.softmax(dcg.matmul(x, x)) * dcg.exp(x * 0.1))
+        return dcg.tensor_sum(dcg.softmax(dcg.matmul(x, x)) * _exp(x * 0.1))
 
     assert forward().item() == forward().item()
