@@ -1,10 +1,12 @@
 """Print a sha256 digest of every artifact of a small seeded canoe run.
 
 Runs generate, then train (3 epochs, one warmup epoch) and eval for the
-cnoa and cross attention variants and for decoder_query=time_user, all
-through canoe.cli.main in a temporary directory. Prints one "name sha256"
-line per artifact: the loss CSV, the report .json/.txt/.csv and every
-checkpoint array (meta included), then the `canoe gradcheck` value.
+cnoa and cross attention variants and for decoder_query=time_user, then
+the Markov baseline (`canoe mmc`) and the prefix-entropy CSV (`canoe
+entropy`), all through canoe.cli.main in a temporary directory. Prints one
+"name sha256" line per artifact: the loss CSV, the report .json/.txt/.csv
+and every checkpoint array (meta included) of each variant, the mmc report
+.json/.txt/.csv and the entropy CSV, then the `canoe gradcheck` value.
 
 Two source trees are byte-identical in training and evaluation when their
 outputs match:
@@ -85,6 +87,12 @@ def digest_lines(work: Path) -> list[str]:
                 arr = arrays[key]
                 tag = f"{arr.dtype.str}{arr.shape}".encode()
                 lines.append(f"{name}/ckpt/{key} {_sha(tag + arr.tobytes())}")
+    mmc, entropy = work / "mmc.report", work / "entropy.csv"
+    _run(["mmc", "--data", str(data), "--report", str(mmc)] + DATA_ARGS)
+    for ext in (".json", ".txt", ".csv"):
+        lines.append(f"mmc/report{ext} {_sha(Path(str(mmc) + ext).read_bytes())}")
+    _run(["entropy", "--data", str(data), "--report", str(entropy)] + DATA_ARGS)
+    lines.append(f"entropy.csv {_sha(entropy.read_bytes())}")
     lines.append(f"gradcheck {_run(['gradcheck']).strip()}")
     return lines
 

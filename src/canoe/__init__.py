@@ -3,7 +3,7 @@
 Package layout:
   dcg/          reverse-mode autodiff core, fused transformer and loss
                 nodes, AdamW, gradient checking
-  kernels       numpy oscillator recurrence
+  kernels       backend flags the benchmark harness reads (numpy only)
   embeddings    smoothed time slots, user/location tables
   topics        CVB0 LDA and the user-preference head
   cnoa          oscillator recurrence and oscillatory attention, one

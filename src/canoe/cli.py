@@ -179,7 +179,10 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.model)
     cfg = ckpt.config
     if args.thresholds:
-        cfg.eval.thresholds = [float(x) for x in args.thresholds.split(",")]
+        thresholds = [float(x) for x in args.thresholds.split(",")]
+        # checked as the config checks eval.thresholds
+        cfg = RunConfig.from_dict(merge_overrides(
+            cfg.to_dict(), {"eval.thresholds": thresholds}))
     dataset = _load_dataset(args.data, cfg)
     _check_id_space(dataset, ckpt)
     model = model_from_checkpoint(ckpt, use_best=True)

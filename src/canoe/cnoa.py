@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dcg, kernels
+from . import dcg
 from .dcg import ParamRegistry, Tensor
 from .dcg.tensor import _accum_owned, _make, _softmax, _softmax_grad, _unbroadcast
 
@@ -62,13 +62,29 @@ class OscillatorParams:
             raise ValueError("oscillator coefficients must be finite")
 
 
+def _recurrence(s: np.ndarray, p: OscillatorParams):
+    """The recurrence for p.n_steps from E = I = 0, elementwise over s
+    (simultaneous update); returns the final (E, I) and each step's ReLU
+    gates, which the backward through the unrolled steps needs."""
+    if not np.all(np.isfinite(s)):
+        raise dcg.NumericFault("non-finite input to oscillator")
+    e = np.zeros_like(s)
+    i = np.zeros_like(s)
+    gates = []
+    for _ in range(p.n_steps):
+        pre_e = p.e1 * e + p.e2 * i + s - p.tau_e
+        pre_i = p.i1 * e + p.i2 * i - p.tau_i
+        gate_e = (pre_e > 0.0).astype(np.float64)
+        gate_i = (pre_i > 0.0).astype(np.float64)
+        gates.append((gate_e, gate_i))
+        e = pre_e * gate_e
+        i = pre_i * gate_i
+    return e, i, gates
+
+
 def oscillator_iterate(s: np.ndarray, p: OscillatorParams) -> tuple[np.ndarray, np.ndarray]:
     """Run the recurrence for p.n_steps from E=I=0; returns final (E, I)."""
-    s = np.asarray(s, dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise dcg.NumericFault("non-finite input to oscillator_iterate")
-    e, i, _, _ = kernels.oscillator_forward(
-        s, p.e1, p.e2, p.i1, p.i2, p.tau_e, p.tau_i, p.n_steps)
+    e, i, _ = _recurrence(np.asarray(s, dtype=np.float64), p)
     return e, i
 
 
@@ -82,18 +98,22 @@ def oscillator_output(e: np.ndarray, i: np.ndarray, s: np.ndarray,
 
 def _oscillate(s: np.ndarray, p: OscillatorParams):
     """Osc(s), and the map from its output gradient to the gradient in s."""
-    if not np.all(np.isfinite(s)):
-        raise dcg.NumericFault("non-finite input to oscillator")
-    e, i, gates_e, gates_i = kernels.oscillator_forward(
-        s, p.e1, p.e2, p.i1, p.i2, p.tau_e, p.tau_i, p.n_steps)
+    e, i, gates = _recurrence(s, p)
     raw = -p.k * s * s
     decay = np.exp(np.minimum(raw, EXP_CLAMP_HI))
     emi = e - i
 
     def grad(g):
-        d_e = g * decay
-        ds = kernels.oscillator_backward(d_e, -d_e, gates_e, gates_i,
-                                         p.e1, p.e2, p.i1, p.i2)
+        # back through the unrolled recurrence from dE = g*decay, dI = -dE
+        de = g * decay
+        di = -de
+        ds = np.zeros_like(de)
+        for gate_e, gate_i in reversed(gates):
+            deg = de * gate_e
+            dig = di * gate_i
+            ds += deg
+            de = p.e1 * deg + p.i1 * dig
+            di = p.e2 * deg + p.i2 * dig
         inside = raw <= EXP_CLAMP_HI
         ds = ds + g * emi * decay * (-2.0 * p.k) * s * inside
         return ds + g * (s > 0.0)

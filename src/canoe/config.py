@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -188,6 +189,8 @@ class RunConfig:
             raise ConfigError(f"train.eps must be > 0, got {t.eps}")
         if t.weight_decay < 0.0:
             raise ConfigError(f"train.weight_decay must be >= 0, got {t.weight_decay}")
+        if t.clip_norm < 0.0:
+            raise ConfigError(f"train.clip_norm must be >= 0, got {t.clip_norm}")
         if self.data.window_len < 2:
             raise ConfigError("window_len must be >= 2")
         if self.data.stride < 1:
@@ -238,8 +241,9 @@ def _section_from_dict(section_cls, raw, path: str):
 
 def _fits(value, tp) -> bool:
     """Whether a JSON value fits a field type, without converting it: int
-    takes no bool and no float, float also takes an int, X | None also
-    takes null, list[X] checks every item."""
+    takes no bool and no float, float takes a finite float or int (JSON
+    NaN and Infinity parse as floats), X | None also takes null, list[X]
+    checks every item."""
     args = typing.get_args(tp)
     if typing.get_origin(tp) is list:
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
@@ -247,7 +251,10 @@ def _fits(value, tp) -> bool:
         return any(_fits(value, a) for a in args)
     if isinstance(value, bool):
         return tp is bool
-    return isinstance(value, (int, float) if tp is float else tp)
+    if tp is float:
+        # NaN fails the comparison; so do infinities and ints beyond float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, tp)
 
 
 def merge_overrides(raw: dict, overrides: dict | None) -> dict:

@@ -34,7 +34,6 @@ class ActivitySequence:
     user: int
     locations: list[int]
     slots: list[int]
-    timestamps: list[int]
 
     def __len__(self) -> int:
         return len(self.locations)
@@ -81,15 +80,14 @@ def extract_activity_sequence(checkins: list[CheckIn],
                               theta: int = 3600) -> ActivitySequence:
     """Collapse consecutive same-location runs; keep runs dwelling >= theta.
 
-    A kept run is represented by its first timestamp (and that timestamp's
-    hour slot). Input must be one user's check-ins sorted by time.
+    A kept run is represented by its location and the hour slot of its first
+    timestamp. Input must be one user's check-ins sorted by time.
     """
     if not checkins:
         raise ValueError("cannot extract an activity sequence from no check-ins")
     user = checkins[0].user
     locations: list[int] = []
     slots: list[int] = []
-    timestamps: list[int] = []
     run_loc = checkins[0].loc
     run_start = checkins[0].t
     run_end = checkins[0].t
@@ -99,7 +97,6 @@ def extract_activity_sequence(checkins: list[CheckIn],
         if run_end - run_start >= theta:
             locations.append(run_loc)
             slots.append(hour_slot(run_start))
-            timestamps.append(run_start)
 
     for c in checkins[1:]:
         if c.user != user:
@@ -113,8 +110,7 @@ def extract_activity_sequence(checkins: list[CheckIn],
             close_run()
             run_loc, run_start, run_end = c.loc, c.t, c.t
     close_run()
-    return ActivitySequence(user=user, locations=locations, slots=slots,
-                            timestamps=timestamps)
+    return ActivitySequence(user=user, locations=locations, slots=slots)
 
 
 def make_windows(seq: ActivitySequence, window_len: int = 20,

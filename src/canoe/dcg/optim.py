@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .registry import ParamRegistry
+from .registry import ParamRegistry, check_state, name_list
 
 __all__ = ["AdamW"]
 
@@ -37,7 +37,7 @@ class AdamW:
     def step(self) -> None:
         missing = [name for name, t in self.registry.items() if t.grad is None]
         if missing:
-            raise ValueError(f"missing gradients for parameters: {missing[:5]}")
+            raise ValueError(f"missing gradients for parameters: {name_list(missing)}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
@@ -59,10 +59,12 @@ class AdamW:
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {f"m/{k}": a.copy() for k, a in self.m.items()}
         out.update({f"v/{k}": a.copy() for k, a in self.v.items()})
+        out["step"] = np.array(self.step_count, dtype=np.int64)
         return out
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
+    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        check_state(arrays, self.state_arrays(), "optimizer state")
         for k in self.m:
             self.m[k][...] = arrays[f"m/{k}"]
             self.v[k][...] = arrays[f"v/{k}"]
-        self.step_count = int(step_count)
+        self.step_count = int(arrays["step"])

@@ -69,18 +69,30 @@ class ParamRegistry:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = [n for n in self._params if n not in arrays]
-        unexpected = [n for n in arrays if n not in self._params]
-        if missing or unexpected:
-            raise ValueError(f"parameter names differ from the model's: "
-                             f"missing {missing}, unexpected {unexpected}")
+        check_state(arrays, {n: t.data for n, t in self._params.items()},
+                    "parameter")
         for name, t in self._params.items():
-            src = arrays[name]
-            if src.shape != t.data.shape:
-                raise ValueError(
-                    f"shape mismatch for '{name}': {src.shape} vs {t.data.shape}"
-                )
-            t.data[...] = src
+            t.data[...] = arrays[name]
+
+
+def name_list(names: list[str]) -> str:
+    """The first five names, then how many more there are."""
+    more = f" and {len(names) - 5} more" if len(names) > 5 else ""
+    return f"{names[:5]}{more}"
+
+
+def check_state(arrays: dict[str, np.ndarray],
+                expected: dict[str, np.ndarray], what: str) -> None:
+    """ValueError unless arrays has exactly the expected names and shapes."""
+    missing = [n for n in expected if n not in arrays]
+    unexpected = [n for n in arrays if n not in expected]
+    if missing or unexpected:
+        raise ValueError(f"{what} names differ from the model's: missing "
+                         f"{name_list(missing)}, unexpected {name_list(unexpected)}")
+    for name, want in expected.items():
+        if arrays[name].shape != want.shape:
+            raise ValueError(f"shape mismatch for '{name}': "
+                             f"{arrays[name].shape} vs {want.shape}")
 
 
 class Linear:

@@ -13,18 +13,7 @@ import numpy as np
 from . import dcg
 from .dcg import ParamRegistry, Tensor
 
-__all__ = [
-    "periodic_distance", "smoothing_weights",
-    "SmoothedTimeEmbedding", "EmbeddingTable",
-]
-
-
-def periodic_distance(tau: int, h: int, n_slots: int) -> int:
-    """Wraparound distance between two slots on a cycle of length n_slots."""
-    if not (0 <= tau < n_slots) or not (0 <= h < n_slots):
-        raise ValueError(f"slots must lie in [0, {n_slots}), got ({tau}, {h})")
-    d = abs(tau - h)
-    return min(d, n_slots - d)
+__all__ = ["smoothing_weights", "SmoothedTimeEmbedding", "EmbeddingTable"]
 
 
 def smoothing_weights(n_slots: int, sigma: float) -> np.ndarray:

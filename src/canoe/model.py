@@ -18,6 +18,7 @@ from .config import ModelSection
 from .data import WindowSample
 from .decoder import CrossContextDecoder, LossWeights
 from .dcg import ParamRegistry, Tensor
+from .dcg.tensor import _softmax
 from .embeddings import EmbeddingTable, SmoothedTimeEmbedding
 from .encoder import LocationTimePair, TimeUserPair
 from .topics import UserLocationHead
@@ -135,7 +136,7 @@ class CanoeModel:
     def location_probs(self, batch: Batch) -> np.ndarray:
         with dcg.no_grad():
             loc_logits, _, _ = self.forward_batch(batch, training=False)
-            return dcg.softmax(loc_logits, axis=-1).data
+        return _softmax(loc_logits.data, -1)
 
     def rank_targets(self, batch: Batch) -> np.ndarray:
         """1-indexed rank of each target; probability ties break by

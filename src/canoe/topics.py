@@ -29,11 +29,6 @@ class TopicModel:
     gibbs_iters: int           # CVB0 sweeps (name kept for configs and checkpoints)
     seed: int
 
-    def user_topics(self, user: int) -> np.ndarray:
-        if not (0 <= user < self.theta.shape[0]):
-            raise IndexError(f"unknown user {user}")
-        return self.theta[user]
-
 
 def build_cooccurrence(location_lists: list[list[int]], n_locations: int) -> np.ndarray:
     """Visit-count matrix [n_users, n_locations] from per-user location lists."""

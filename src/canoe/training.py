@@ -38,6 +38,9 @@ __all__ = [
 log = logging.getLogger("canoe.training")
 
 CHECKPOINT_FORMAT = "canoe-ckpt-3"
+# the meta records a checkpoint is read back with
+_META_KEYS = ("epoch", "n_users", "n_locations", "best_epoch", "best_key",
+              "config", "topic_model", "logs")
 EVAL_BATCH = 512
 
 
@@ -144,7 +147,7 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
             raise ValueError("a resumed run takes its topic model from the checkpoint")
         _check_resumable(resume, cfg)
         topic_model = resume.topic_model()
-        optimizer.load_state_arrays(resume.opt_arrays, resume.opt_step)
+        optimizer.load_state_arrays(resume.opt_arrays)
         start_epoch = resume.meta["epoch"] + 1
         logs = resume.logs()
         best_key, best_epoch = resume.meta["best_key"], resume.meta["best_epoch"]
@@ -277,7 +280,6 @@ def save_checkpoint(path: str | Path, model: CanoeModel, optimizer: AdamW,
         arrays[f"param/{name}"] = arr
     for name, arr in optimizer.state_arrays().items():
         arrays[f"opt/{name}"] = arr
-    arrays["opt/step"] = np.array(optimizer.step_count, dtype=np.int64)
     if best_params:
         for name, arr in best_params.items():
             arrays[f"best/{name}"] = arr
@@ -321,7 +323,6 @@ class Checkpoint:
     params: dict[str, np.ndarray]
     best_params: dict[str, np.ndarray]
     opt_arrays: dict[str, np.ndarray]
-    opt_step: int
     theta: np.ndarray | None
     phi: np.ndarray | None
 
@@ -357,16 +358,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ValueError(f"{path} is not a canoe checkpoint: {exc}") from exc
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format: {meta.get('format')!r}")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"{path} is not a canoe checkpoint: its meta lacks "
+                         f"{', '.join(missing)}")
     params, best, opt = {}, {}, {}
     theta = phi = None
-    step = 0
     for key, arr in arrays.items():
         if key.startswith("param/"):
             params[key[len("param/"):]] = arr
         elif key.startswith("best/"):
             best[key[len("best/"):]] = arr
-        elif key == "opt/step":
-            step = int(arr)
         elif key.startswith("opt/"):
             opt[key[len("opt/"):]] = arr
         elif key == "topics/theta":
@@ -374,7 +376,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         elif key == "topics/phi":
             phi = arr
     return Checkpoint(meta=meta, params=params, best_params=best or dict(params),
-                      opt_arrays=opt, opt_step=step, theta=theta, phi=phi)
+                      opt_arrays=opt, theta=theta, phi=phi)
 
 
 def model_from_checkpoint(ckpt: Checkpoint, use_best: bool = True) -> CanoeModel:

@@ -82,11 +82,26 @@ class TestGenerate:
         ("train.weight_decay=-0.01", "train.weight_decay must be >= 0, got -0.01"),
         ("eval.ks=[]", "eval.ks must be a non-empty list of k >= 1, got []"),
         ("eval.ks=[1,0]", "eval.ks must be a non-empty list of k >= 1, got [1, 0]"),
+        ("train.clip_norm=-1", "train.clip_norm must be >= 0, got -1"),
+        # JSON's NaN and Infinity parse as floats; every number must be finite
+        ("train.lr=NaN", "train.lr must be float, got nan"),
+        ("model.sigma=NaN", "model.sigma must be float, got nan"),
+        ("model.sigma=Infinity", "model.sigma must be float, got inf"),
+        ("model.k=1e400", "model.k must be float, got inf"),
+        ("topics.alpha=NaN", "topics.alpha must be float | None, got nan"),
+        ("topics.beta=NaN", "topics.beta must be float, got nan"),
+        ("train.eps=NaN", "train.eps must be float, got nan"),
+        ("train.lambda_loc=NaN", "train.lambda_loc must be float, got nan"),
+        ("train.clip_norm=NaN", "train.clip_norm must be float, got nan"),
+        ("eval.thresholds=[0.5,-Infinity]",
+         "eval.thresholds must be list[float], got [0.5, -inf]"),
     ], ids=["enc_layers", "enc_dropout", "attention", "enc_heads",
             "decoder_query", "dim_zero", "dim_negative", "enc_ff",
             "sigma_zero", "sigma_negative", "stride", "lr_zero", "lr_negative",
             "beta1_above", "beta1_negative", "beta2_one", "eps", "weight_decay",
-            "ks_empty", "ks_zero"])
+            "ks_empty", "ks_zero", "clip_norm_negative", "lr_nan", "sigma_nan",
+            "sigma_inf", "k_overflow", "alpha_nan", "beta_nan", "eps_nan",
+            "lambda_loc_nan", "clip_norm_nan", "threshold_neg_inf"])
     def test_invalid_model_value_exits_2_writing_nothing(self, tmp_path, capsys,
                                                          override, message):
         rc = main(["generate", "--seed", "1", "--out", str(tmp_path / "d.jsonl"),
@@ -192,6 +207,26 @@ class TestTrainEvalCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_number_in_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1, "train": {"lr": NaN}}\n')
+        rc = main(["train", "--data", str(tmp_path / "nope.jsonl"),
+                   "--config", str(cfg), "--model-out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: train.lr must be ")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("thresholds", ["0.5,nan", "inf", "0.8,-inf"])
+    def test_eval_non_finite_threshold_exits_2(self, workspace, tmp_path,
+                                               capsys, thresholds):
+        rc = main(["eval", "--data", str(workspace / "data.jsonl"),
+                   "--model", str(workspace / "model.ckpt"),
+                   "--report", str(tmp_path / "report"),
+                   "--thresholds", thresholds])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: eval.thresholds must be ")
         assert list(tmp_path.iterdir()) == []
 
     def test_eval_writes_reports(self, workspace):
@@ -350,22 +385,30 @@ class TestTrainEvalCommands:
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize("damage", ["truncated", "no_meta", "meta_list",
-                                        "text"])
+                                        "text", "meta_without_config",
+                                        "meta_without_epoch",
+                                        "meta_without_logs"])
     def test_broken_checkpoint_exits_2(self, workspace, tmp_path, capsys,
                                        command, damage):
         bad = tmp_path / "bad.ckpt"
         good = workspace / "model.ckpt"
+        key = damage.removeprefix("meta_without_")
         if damage == "truncated":
             bad.write_bytes(good.read_bytes()[:-100])
-        elif damage in ("no_meta", "meta_list"):
+        elif damage == "text":
+            bad.write_text("not a checkpoint\n")
+        else:
             with np.load(good) as data:
-                arrays = {key: data[key] for key in data.files if key != "meta"}
+                arrays = {key: data[key] for key in data.files}
+            meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
             if damage == "meta_list":
                 arrays["meta"] = np.frombuffer(b"[]", dtype=np.uint8)
+            elif damage.startswith("meta_without_"):
+                del meta[key]
+                arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                               dtype=np.uint8)
             with bad.open("wb") as fh:
                 np.savez(fh, **arrays)
-        else:
-            bad.write_text("not a checkpoint\n")
         data = str(workspace / "data.jsonl")
         argv = {
             "eval": ["eval", "--data", data, "--model", str(bad),
@@ -377,6 +420,36 @@ class TestTrainEvalCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad} is not a canoe checkpoint: ")
+        if damage.startswith("meta_without_"):
+            assert err.endswith(f": its meta lacks {key}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
+
+    @pytest.mark.parametrize("damage, message", [
+        ("first_moments", "optimizer state names differ from the model's: "
+         "missing ['m/time_table', 'm/user_table', 'm/loc_table', "
+         "'m/ul_head.l1.w', 'm/ul_head.l1.b'] and "),
+        ("step", "optimizer state names differ from the model's: "
+         "missing ['step'], unexpected []"),
+        ("shape", "shape mismatch for 'm/time_table': (1,) vs (24, 8)"),
+    ], ids=["first_moments", "step", "shape"])
+    def test_resume_with_broken_optimizer_state_exits_2(
+            self, workspace, tmp_path, capsys, damage, message):
+        with np.load(workspace / "model.ckpt") as data:
+            arrays = {name: data[name] for name in data.files}
+        if damage == "first_moments":
+            arrays = {k: a for k, a in arrays.items() if not k.startswith("opt/m/")}
+        elif damage == "step":
+            del arrays["opt/step"]
+        else:
+            arrays["opt/m/time_table"] = np.zeros(1)
+        bad = tmp_path / "bad.ckpt"
+        with bad.open("wb") as fh:
+            np.savez(fh, **arrays)
+        rc = main(["train", "--data", str(workspace / "data.jsonl"),
+                   "--resume", str(bad), "--model-out", str(tmp_path / "m.ckpt"),
+                   "--set", "train.epochs=3"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
 
     @pytest.mark.parametrize("flag", ["--data", "--config", "--model"])

@@ -67,6 +67,21 @@ class TestOscillatorIterate:
         assert abs(e - 2.0) < 1e-12  # ReLU(1*1 + (-1)*0 + 1 - 0)
         assert abs(i - 1.0) < 1e-12  # ReLU(1*1 + 1*0 - 0)
 
+    def test_matches_scalar_recurrence(self, rng):
+        s = rng.random((3, 4)) * 2
+        p = OscillatorParams(e1=1.0, e2=-1.0, i1=1.0, i2=1.0, tau_e=0.1,
+                             tau_i=0.2, n_steps=4)
+        e, i = oscillator_iterate(s, p)
+        # reference scalar loop
+        e_ref = np.zeros_like(s)
+        i_ref = np.zeros_like(s)
+        for _ in range(4):
+            pe = 1.0 * e_ref - 1.0 * i_ref + s - 0.1
+            pi = 1.0 * e_ref + 1.0 * i_ref - 0.2
+            e_ref, i_ref = np.maximum(pe, 0), np.maximum(pi, 0)
+        np.testing.assert_array_equal(e, e_ref)
+        np.testing.assert_array_equal(i, i_ref)
+
     def test_non_finite_input_faults(self):
         p = OscillatorParams()
         with pytest.raises(dcg.NumericFault):

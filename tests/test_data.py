@@ -73,8 +73,7 @@ class TestExtraction:
 class TestWindows:
     def _seq(self, n):
         return ActivitySequence(user=0, locations=list(range(n)),
-                                slots=[i % 24 for i in range(n)],
-                                timestamps=[i * H for i in range(n)])
+                                slots=[i % 24 for i in range(n)])
 
     def test_exact_length_yields_one_sample(self):
         samples = make_windows(self._seq(20), window_len=20)
@@ -133,7 +132,7 @@ class TestSplit:
 
 class TestTrainRegion:
     def test_region_covers_train_targets_only(self):
-        seq = ActivitySequence(0, list(range(30)), [0] * 30, list(range(30)))
+        seq = ActivitySequence(0, list(range(30)), [0] * 30)
         samples = make_windows(seq, window_len=10)
         split = split_samples({0: samples})
         region = train_location_region({0: seq}, split)
@@ -143,7 +142,7 @@ class TestTrainRegion:
             assert s.seq_pos > last_train_target
 
     def test_user_without_train_samples_empty(self):
-        seq = ActivitySequence(1, [1, 2, 3], [0, 1, 2], [0, H, 2 * H])
+        seq = ActivitySequence(1, [1, 2, 3], [0, 1, 2])
         region = train_location_region({1: seq}, split_samples({}))
         assert region[1] == []
 

@@ -624,6 +624,18 @@ class TestParamRegistry:
             reg.load_state_arrays({"p": np.zeros(3), "r": np.zeros(2)})
         np.testing.assert_array_equal(reg["p"].data, np.arange(3.0))
 
+    def test_load_mismatch_names_at_most_five_of_each(self):
+        reg = ParamRegistry()
+        for n in range(7):
+            reg.register(f"p{n}", np.zeros(1))
+        foreign = {f"x{n}": np.zeros(1) for n in range(6)}
+        with pytest.raises(ValueError) as info:
+            reg.load_state_arrays(foreign)
+        assert str(info.value) == (
+            "parameter names differ from the model's: "
+            "missing ['p0', 'p1', 'p2', 'p3', 'p4'] and 2 more, "
+            "unexpected ['x0', 'x1', 'x2', 'x3', 'x4'] and 1 more")
+
 
 class TestLinear:
     def test_names_init_and_forward(self):

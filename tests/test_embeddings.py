@@ -8,7 +8,7 @@ import pytest
 from canoe import dcg
 from canoe.dcg import ParamRegistry
 from canoe.embeddings import (EmbeddingTable, SmoothedTimeEmbedding,
-                              periodic_distance, smoothing_weights)
+                              smoothing_weights)
 
 
 def kernel_weights_oracle(tau: int, n_slots: int, sigma: float) -> np.ndarray:
@@ -19,28 +19,6 @@ def kernel_weights_oracle(tau: int, n_slots: int, sigma: float) -> np.ndarray:
         terms.append(math.exp(-(delta ** 2) / (2 * sigma ** 2)))
     z = sum(terms)
     return np.array([t / z for t in terms])
-
-
-class TestPeriodicDistance:
-    def test_wraparound_adjacency(self):
-        assert periodic_distance(23, 0, 24) == 1
-
-    def test_antipodal(self):
-        assert periodic_distance(0, 12, 24) == 12
-
-    def test_identity(self):
-        assert periodic_distance(5, 5, 24) == 0
-
-    def test_symmetry_and_bound(self):
-        for tau in range(24):
-            for h in range(24):
-                d = periodic_distance(tau, h, 24)
-                assert d == periodic_distance(h, tau, 24)
-                assert 0 <= d <= 12
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            periodic_distance(24, 0, 24)
 
 
 class TestSmoothingWeights:

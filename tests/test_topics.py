@@ -47,7 +47,7 @@ class TestFitLda:
         counts = two_cluster_corpus()
         counts = np.vstack([counts, np.zeros((1, 4), dtype=np.int64)])
         model = fit_lda(counts, n_topics=4, iters=30, seed=0)
-        np.testing.assert_allclose(model.user_topics(8), 0.25, rtol=1e-12)
+        np.testing.assert_allclose(model.theta[8], 0.25, rtol=1e-12)
 
     def test_bitwise_reproducibility(self):
         counts = two_cluster_corpus()
@@ -108,11 +108,6 @@ class TestFitLda:
     def test_nonpositive_prior_rejected(self, prior, message):
         with pytest.raises(ValueError, match=message):
             fit_lda(two_cluster_corpus(), n_topics=2, iters=20, **prior)
-
-    def test_unknown_user_rejected(self):
-        model = fit_lda(two_cluster_corpus(), n_topics=2, iters=10, seed=0)
-        with pytest.raises(IndexError):
-            model.user_topics(100)
 
     def test_default_alpha_is_symmetric_50_over_t(self):
         model = fit_lda(two_cluster_corpus(), n_topics=5, iters=10, seed=0)
