@@ -2,11 +2,15 @@
 
 Runs generate, then train (3 epochs, one warmup epoch) and eval for the
 cnoa and cross attention variants and for decoder_query=time_user, then
-the Markov baseline (`canoe mmc`) and the prefix-entropy CSV (`canoe
-entropy`), all through canoe.cli.main in a temporary directory. Prints one
-"name sha256" line per artifact: the loss CSV, the report .json/.txt/.csv
-and every checkpoint array (meta included) of each variant, the mmc report
-.json/.txt/.csv and the entropy CSV, then the `canoe gradcheck` value.
+the Markov baseline (`canoe mmc`), the prefix-entropy CSV (`canoe
+entropy`) and the preprocessing summary (`canoe preprocess --out`), all
+through canoe.cli.main in a temporary directory. The last three run twice:
+on the training data, and on a noisier file (data.p_explore=0.2) windowed
+with data.stride=3, so that strided windows and non-trivial entropies are
+covered. Prints one "name sha256" line per artifact: the loss CSV, the
+report .json/.txt/.csv and every checkpoint array (meta included) of each
+variant, the mmc report .json/.txt/.csv, the entropy CSV and the
+preprocessing summary of each file, then the `canoe gradcheck` value.
 
 Two source trees are byte-identical in training and evaluation when their
 outputs match:
@@ -47,6 +51,8 @@ TRAIN_ARGS = DATA_ARGS + [
     "--set", "topics.gibbs_iters=50", "--set", "train.epochs=3",
     "--set", "train.warmup_epochs=1", "--set", "train.batch_size=64",
 ]
+# Exploring users and every third window: the data-layer-only runs.
+NOISY_ARGS = DATA_ARGS + ["--set", "data.p_explore=0.2", "--set", "data.stride=3"]
 VARIANTS = {
     "cnoa": ["--set", "model.attention=cnoa"],
     "cross": ["--set", "model.attention=cross"],
@@ -87,13 +93,29 @@ def digest_lines(work: Path) -> list[str]:
                 arr = arrays[key]
                 tag = f"{arr.dtype.str}{arr.shape}".encode()
                 lines.append(f"{name}/ckpt/{key} {_sha(tag + arr.tobytes())}")
-    mmc, entropy = work / "mmc.report", work / "entropy.csv"
-    _run(["mmc", "--data", str(data), "--report", str(mmc)] + DATA_ARGS)
-    for ext in (".json", ".txt", ".csv"):
-        lines.append(f"mmc/report{ext} {_sha(Path(str(mmc) + ext).read_bytes())}")
-    _run(["entropy", "--data", str(data), "--report", str(entropy)] + DATA_ARGS)
-    lines.append(f"entropy.csv {_sha(entropy.read_bytes())}")
+    lines += _data_layer_lines(work, data, "", DATA_ARGS)
+    noisy = work / "noisy.jsonl"
+    _run(["generate", "--seed", "4", "--out", str(noisy)] + NOISY_ARGS)
+    lines.append(f"noisy.jsonl {_sha(noisy.read_bytes())}")
+    lines += _data_layer_lines(work, noisy, "noisy/", NOISY_ARGS)
     lines.append(f"gradcheck {_run(['gradcheck']).strip()}")
+    return lines
+
+
+def _data_layer_lines(work: Path, data: Path, prefix: str,
+                      args: list[str]) -> list[str]:
+    """Digests of the mmc report, the entropy CSV and the preprocessing
+    summary of one check-in file, read with the given --set args."""
+    out = work / prefix
+    mmc, entropy, summary = (out / "mmc.report", out / "entropy.csv",
+                             out / "preprocess.json")
+    _run(["mmc", "--data", str(data), "--report", str(mmc)] + args)
+    lines = [f"{prefix}mmc/report{ext} {_sha(Path(str(mmc) + ext).read_bytes())}"
+             for ext in (".json", ".txt", ".csv")]
+    _run(["entropy", "--data", str(data), "--report", str(entropy)] + args)
+    lines.append(f"{prefix}entropy.csv {_sha(entropy.read_bytes())}")
+    _run(["preprocess", "--data", str(data), "--out", str(summary)] + args)
+    lines.append(f"{prefix}preprocess.json {_sha(summary.read_bytes())}")
     return lines
 
 

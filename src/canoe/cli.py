@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -239,6 +240,8 @@ def cmd_entropy(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .checks import full_model_gradcheck, tiny_gradcheck_config
 
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {args.tolerance}")
     if args.config is None:
         raw = tiny_gradcheck_config().to_dict()
         cfg = RunConfig.from_dict(merge_overrides(raw, _parse_overrides(args.set)))

@@ -7,7 +7,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.decoder import JSONDecoder
+from json.scanner import make_scanner
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
     "CheckIn", "ActivitySequence", "WindowSample", "Split", "Dataset",
@@ -18,10 +22,10 @@ __all__ = [
 
 SECONDS_PER_HOUR = 3600
 SECONDS_PER_DAY = 86400
+_LOC, _BY_TIME = itemgetter(1), itemgetter(2)  # CheckIn.loc and CheckIn.t
 
 
-@dataclass(frozen=True)
-class CheckIn:
+class CheckIn(NamedTuple):
     user: int
     loc: int
     t: int  # seconds
@@ -39,8 +43,7 @@ class ActivitySequence:
         return len(self.locations)
 
 
-@dataclass(frozen=True)
-class WindowSample:
+class WindowSample(NamedTuple):
     """One supervised instance cut from an activity sequence.
 
     seq_pos is the target's index within the user's full activity sequence;
@@ -85,30 +88,28 @@ def extract_activity_sequence(checkins: list[CheckIn],
     """
     if not checkins:
         raise ValueError("cannot extract an activity sequence from no check-ins")
-    user = checkins[0].user
+    user, run_loc, run_start = checkins[0]
+    run_end = prev_t = run_start
     locations: list[int] = []
     slots: list[int] = []
-    run_loc = checkins[0].loc
-    run_start = checkins[0].t
-    run_end = checkins[0].t
-    prev_t = checkins[0].t
 
     def close_run():
         if run_end - run_start >= theta:
             locations.append(run_loc)
             slots.append(hour_slot(run_start))
 
-    for c in checkins[1:]:
-        if c.user != user:
+    # the first check-in extends its own run by nothing
+    for c_user, loc, t in checkins:
+        if c_user != user:
             raise ValueError("check-ins from multiple users passed to extraction")
-        if c.t < prev_t:
+        if t < prev_t:
             raise ValueError("check-ins must be sorted by timestamp")
-        prev_t = c.t
-        if c.loc == run_loc:
-            run_end = c.t
+        prev_t = t
+        if loc == run_loc:
+            run_end = t
         else:
             close_run()
-            run_loc, run_start, run_end = c.loc, c.t, c.t
+            run_loc, run_start, run_end = loc, t, t
     close_run()
     return ActivitySequence(user=user, locations=locations, slots=slots)
 
@@ -121,18 +122,12 @@ def make_windows(seq: ActivitySequence, window_len: int = 20,
         raise ValueError(f"window_len must be >= 2, got {window_len}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    samples = []
-    for start in range(0, len(seq) - window_len + 1, stride):
-        end = start + window_len - 1
-        samples.append(WindowSample(
-            user=seq.user,
-            context_locations=tuple(seq.locations[start:end]),
-            context_slots=tuple(seq.slots[start:end]),
-            target_location=seq.locations[end],
-            target_slot=seq.slots[end],
-            seq_pos=end,
-        ))
-    return samples
+    # slices of tuples are the context tuples themselves, with no list copy
+    locations, slots, user = tuple(seq.locations), tuple(seq.slots), seq.user
+    return [WindowSample(user, locations[end + 1 - window_len:end],
+                         slots[end + 1 - window_len:end],
+                         locations[end], slots[end], end)
+            for end in range(window_len - 1, len(locations), stride)]
 
 
 def split_samples(samples_by_user: dict[int, list[WindowSample]],
@@ -176,16 +171,16 @@ def prepare_dataset(checkins: list[CheckIn], theta: int = 3600,
     if not checkins:
         raise ValueError("empty check-in list")
     by_user: dict[int, list[CheckIn]] = {}
-    max_user = 0
-    max_loc = 0
     for c in checkins:
-        by_user.setdefault(c.user, []).append(c)
-        max_user = max(max_user, c.user)
-        max_loc = max(max_loc, c.loc)
+        recs = by_user.get(c.user)
+        if recs is None:
+            by_user[c.user] = [c]
+        else:
+            recs.append(c)
     sequences: dict[int, ActivitySequence] = {}
     samples_by_user: dict[int, list[WindowSample]] = {}
     for user in sorted(by_user):
-        recs = sorted(by_user[user], key=lambda c: c.t)
+        recs = sorted(by_user[user], key=_BY_TIME)
         seq = extract_activity_sequence(recs, theta=theta)
         if len(seq) < min_records:
             continue
@@ -194,7 +189,8 @@ def prepare_dataset(checkins: list[CheckIn], theta: int = 3600,
                                              stride=stride)
     split = split_samples(samples_by_user)
     return Dataset(sequences=sequences, split=split,
-                   n_users=max_user + 1, n_locations=max_loc + 1)
+                   n_users=max(0, max(by_user)) + 1,
+                   n_locations=max(0, max(map(_LOC, checkins))) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +235,38 @@ def write_checkins(path: str | Path, checkins: list[CheckIn]) -> dict:
     return manifest
 
 
+def _parse_record(path: str | Path, line_no: int, line: str) -> CheckIn:
+    """One stripped line as a CheckIn, checked in the order a reader meets
+    the faults: JSON syntax, the key set, each value's type in file order,
+    then the user and loc signs."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{line_no}: record must be a JSON object "
+                         f"({exc.msg} at column {exc.colno})") from None
+    if not isinstance(row, dict) or set(row) != {"user", "loc", "t"}:
+        raise ValueError(f"{path}:{line_no}: record keys must be exactly user/loc/t")
+    for key, value in row.items():
+        # bool is an int subclass; JSON true/false is not an id
+        if type(value) is not int:
+            raise ValueError(
+                f"{path}:{line_no}: {key} must be an integer, got {value!r}")
+    for key in ("user", "loc"):
+        if row[key] < 0:
+            raise ValueError(
+                f"{path}:{line_no}: {key} must be non-negative, got {row[key]}")
+    return CheckIn(row["user"], row["loc"], row["t"])
+
+
 def read_checkins(path: str | Path) -> list[CheckIn]:
+    """Read a JSONL check-in file in file order, skipping blank lines.
+
+    Each line is parsed on its own. A well-formed record takes the fast
+    path, json's C scanner and one combined check; any other line goes
+    through _parse_record, whose ValueError names <path>:<line> and the
+    first fault.
+    """
+    scan = make_scanner(JSONDecoder())
     out = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -247,21 +274,14 @@ def read_checkins(path: str | Path) -> list[CheckIn]:
             if not line:
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: record must be a JSON object "
-                                 f"({exc.msg} at column {exc.colno})") from None
-            if not isinstance(row, dict) or set(row) != {"user", "loc", "t"}:
-                raise ValueError(
-                    f"{path}:{line_no}: record keys must be exactly user/loc/t")
-            for key, value in row.items():
-                # bool is an int subclass; JSON true/false is not an id
-                if type(value) is not int:
-                    raise ValueError(
-                        f"{path}:{line_no}: {key} must be an integer, got {value!r}")
-            for key in ("user", "loc"):
-                if row[key] < 0:
-                    raise ValueError(
-                        f"{path}:{line_no}: {key} must be non-negative, got {row[key]}")
-            out.append(CheckIn(user=row["user"], loc=row["loc"], t=row["t"]))
+                row, end = scan(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                row, end = None, -1
+            if end == len(line) and type(row) is dict and len(row) == 3:
+                user, loc, t = row.get("user"), row.get("loc"), row.get("t")
+                if (type(user) is int and type(loc) is int and type(t) is int
+                        and user >= 0 and loc >= 0):
+                    out.append(CheckIn(user, loc, t))
+                    continue
+            out.append(_parse_record(path, line_no, line))
     return out

@@ -478,7 +478,12 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     """Multi-head softmax(q k^T * scale + mask) v for [B, L, dim] inputs.
 
     The heads are split from and merged back into the last axis inside the
-    node, as views; mask is additive and broadcasts against [B, H, L, L].
+    node, as views. mask is additive and broadcasts against [B, H, L, L]:
+    0 for an open key, and for a blocked key a negative value large enough
+    (such as -1e30) that its softmax weight is exactly 0. Every query row
+    must keep at least one open key, as causal_mask's rows do; the blocked
+    lanes are then set to exactly 0 without passing through exp, whose
+    underflow path is slow.
     """
     batch, length, dim = q.data.shape
 
@@ -489,7 +494,12 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     scores = np.matmul(qh, np.transpose(kh, (0, 1, 3, 2)))
     scores *= scale
     scores += mask
-    alpha = _softmax(scores, -1)
+    blocked = mask < 0
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.copyto(scores, 0.0, where=blocked)
+    alpha = np.exp(scores, out=scores)
+    np.copyto(alpha, 0.0, where=blocked)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
     ctx = np.matmul(alpha, vh)
     data = np.transpose(ctx, (0, 2, 1, 3)).reshape(batch, length, dim)
 

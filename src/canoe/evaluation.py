@@ -13,12 +13,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 __all__ = [
     "EvalReport", "StratumReport", "compute_metrics", "prefix_entropy",
+    "entropy_of_counts",
     "stratified_reports", "report_to_dict", "format_report_table",
     "report_csv_rows", "write_report",
 ]
@@ -65,12 +66,20 @@ def prefix_entropy(prefix: Sequence[int]) -> float:
     n = len(prefix)
     if n < 1:
         raise ValueError("prefix must contain at least one element")
-    counts = Counter(prefix)
+    return entropy_of_counts(Counter(prefix).values(), n)
+
+
+def entropy_of_counts(counts: Collection[int], n: int) -> float:
+    """prefix_entropy of a prefix of n items with these per-location counts.
+
+    The sum runs over counts in the given order, so counts in first-seen
+    order, as Counter(prefix) holds them, give prefix_entropy's float.
+    """
     m = len(counts)
     if m == 1:
         return 0.0
     h = 0.0
-    for c in counts.values():
+    for c in counts:
         p = c / n
         h -= p * math.log(p)
     # summed entropy can exceed ln(m) by one ulp when counts are equal

@@ -24,7 +24,8 @@ from .data import Dataset, WindowSample
 from .dcg import AdamW, NumericFault
 from .decoder import LossWeights
 from .evaluation import (DEFAULT_KS, DEFAULT_THRESHOLDS, EvalReport,
-                         compute_metrics, prefix_entropy, stratified_reports)
+                         compute_metrics, entropy_of_counts, prefix_entropy,
+                         stratified_reports)
 from .model import CanoeModel, batch_from_samples
 from .topics import TopicModel
 
@@ -41,6 +42,7 @@ CHECKPOINT_FORMAT = "canoe-ckpt-3"
 # the meta records a checkpoint is read back with
 _META_KEYS = ("epoch", "n_users", "n_locations", "best_epoch", "best_key",
               "config", "topic_model", "logs")
+_TOPIC_META_KEYS = ("n_topics", "alpha", "beta", "gibbs_iters", "seed")
 EVAL_BATCH = 512
 
 
@@ -92,10 +94,26 @@ def evaluate_ranks(model: CanoeModel, samples: list[WindowSample],
 
 
 def sample_entropies(dataset: Dataset, samples: list[WindowSample]) -> np.ndarray:
-    return np.array([
-        prefix_entropy(dataset.sequences[s.user].locations[:s.seq_pos])
-        for s in samples
-    ])
+    """prefix_entropy of each sample's prefix, locations[:seq_pos] of its
+    user's sequence, with one pass over each user's locations."""
+    out = np.empty(len(samples))
+    by_user: dict[int, list[int]] = {}
+    for i, s in enumerate(samples):
+        by_user.setdefault(s.user, []).append(i)
+    for user, rows in by_user.items():
+        locations = dataset.sequences[user].locations
+        counts: dict[int, int] = {}  # first-seen order, as Counter keeps it
+        n = 0
+        for i in sorted(rows, key=lambda i: samples[i].seq_pos):
+            pos = samples[i].seq_pos
+            if not 0 < pos <= len(locations):  # a slice clamps or wraps
+                out[i] = prefix_entropy(locations[:pos])
+                continue
+            for loc in locations[n:pos]:
+                counts[loc] = counts.get(loc, 0) + 1
+            n = pos
+            out[i] = entropy_of_counts(counts.values(), n)
+    return out
 
 
 def report_from_ranks(ranks: np.ndarray, dataset: Dataset,
@@ -362,6 +380,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if missing:
         raise ValueError(f"{path} is not a canoe checkpoint: its meta lacks "
                          f"{', '.join(missing)}")
+    if "topics/theta" in arrays:  # Checkpoint.topic_model() rebuilds from all three
+        if "topics/phi" not in arrays:
+            raise ValueError(f"{path} is not a canoe checkpoint: it holds "
+                             f"topics/theta without topics/phi")
+        topic_meta = meta["topic_model"]
+        if not isinstance(topic_meta, dict):
+            raise ValueError(f"{path} is not a canoe checkpoint: its meta "
+                             f"topic_model is {json.dumps(topic_meta)}, not an "
+                             f"object, beside topics/theta")
+        missing = [key for key in _TOPIC_META_KEYS if key not in topic_meta]
+        if missing:
+            raise ValueError(f"{path} is not a canoe checkpoint: its meta "
+                             f"topic_model lacks {', '.join(missing)}")
     params, best, opt = {}, {}, {}
     theta = phi = None
     for key, arr in arrays.items():

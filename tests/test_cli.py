@@ -387,7 +387,10 @@ class TestTrainEvalCommands:
     @pytest.mark.parametrize("damage", ["truncated", "no_meta", "meta_list",
                                         "text", "meta_without_config",
                                         "meta_without_epoch",
-                                        "meta_without_logs"])
+                                        "meta_without_logs",
+                                        "topic_model_null",
+                                        "topic_model_without_alpha",
+                                        "topics_without_phi"])
     def test_broken_checkpoint_exits_2(self, workspace, tmp_path, capsys,
                                        command, damage):
         bad = tmp_path / "bad.ckpt"
@@ -401,10 +404,17 @@ class TestTrainEvalCommands:
             with np.load(good) as data:
                 arrays = {key: data[key] for key in data.files}
             meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
+            if damage.startswith("meta_without_"):
+                del meta[key]
+            elif damage == "topic_model_null":
+                meta["topic_model"] = None
+            elif damage == "topic_model_without_alpha":
+                meta["topic_model"] = {"n_topics": meta["topic_model"]["n_topics"]}
+            elif damage == "topics_without_phi":
+                del arrays["topics/phi"]
             if damage == "meta_list":
                 arrays["meta"] = np.frombuffer(b"[]", dtype=np.uint8)
-            elif damage.startswith("meta_without_"):
-                del meta[key]
+            elif damage != "no_meta":
                 arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
                                                dtype=np.uint8)
             with bad.open("wb") as fh:
@@ -422,6 +432,14 @@ class TestTrainEvalCommands:
         assert err.startswith(f"error: {bad} is not a canoe checkpoint: ")
         if damage.startswith("meta_without_"):
             assert err.endswith(f": its meta lacks {key}\n")
+        elif damage == "topic_model_null":
+            assert err.endswith(": its meta topic_model is null, not an object, "
+                                "beside topics/theta\n")
+        elif damage == "topic_model_without_alpha":
+            assert err.endswith(": its meta topic_model lacks alpha, beta, "
+                                "gibbs_iters, seed\n")
+        elif damage == "topics_without_phi":
+            assert err.endswith(": it holds topics/theta without topics/phi\n")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
 
     @pytest.mark.parametrize("damage, message", [
@@ -542,3 +560,12 @@ class TestGradcheckCommand:
     def test_exit_1_when_tolerance_not_met(self, capsys):
         rc = main(["gradcheck", "--tolerance", "1e-30"])
         assert rc == 1
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tolerance):
+        rc = main(["gradcheck", "--tolerance", tolerance])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: tolerance must be finite and > 0, "
+                                f"got {float(tolerance)}\n")

@@ -13,6 +13,7 @@ from canoe.data import (ActivitySequence, CheckIn, WindowSample,
                         write_checkins)
 from canoe.evaluation import prefix_entropy
 from canoe.synthetic import SyntheticConfig, generate_synthetic
+from canoe.training import sample_entropies
 
 H = 3600
 
@@ -190,6 +191,33 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=rf"bad.jsonl:2: {field} must be"):
             read_checkins(path)
 
+    def test_layout_does_not_change_records(self, tmp_path):
+        rows = [(3, 1, 500), (0, 2, 70), (3, 0, 20), (0, 2, 70), (1, 4, 9)]
+        lines = [json.dumps({"user": u, "loc": l, "t": t}) for u, l, t in rows]
+        clean = tmp_path / "clean.jsonl"
+        clean.write_text("".join(line + "\n" for line in lines))
+        messy = tmp_path / "messy.jsonl"
+        # CRLF endings, whitespace-only lines, padding, no final newline
+        messy.write_bytes(("  \r\n" + "\r\n\t \r\n".join(lines[:3]) + "\r\n"
+                           + " " + lines[3] + " \n\n" + lines[4]).encode())
+        want = [CheckIn(u, l, t) for u, l, t in rows]
+        assert read_checkins(clean) == want
+        assert read_checkins(messy) == want
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"user": 1, "t": 2.5, "loc": "x"}', "t must be an integer, got 2.5"),
+        ('{"loc": null, "user": 1.0, "t": 3}', "loc must be an integer, got None"),
+        ('{"user": -1, "loc": -2, "t": 3}', "user must be non-negative, got -1"),
+        ('{"loc": -2, "user": -1, "t": 3}', "user must be non-negative, got -1"),
+        ('{"user": 1, "loc": -2, "t": -3}', "loc must be non-negative, got -2"),
+    ])
+    def test_first_fault_is_named(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"user": 0, "loc": 0, "t": 0}\n\n' + line + "\n")
+        with pytest.raises(ValueError) as info:
+            read_checkins(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
     def test_manifest_counts(self):
         cs = [CheckIn(0, 0, 0), CheckIn(0, 1, 86400 * 3), CheckIn(2, 0, 100)]
         m = build_manifest(cs)
@@ -211,6 +239,34 @@ class TestPrepareDataset:
         cs = [CheckIn(7, 33, 0), CheckIn(7, 33, 7200)]
         ds = prepare_dataset(cs, window_len=2, min_records=0)
         assert ds.n_users == 8 and ds.n_locations == 34
+
+
+class TestSampleEntropies:
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_equal_to_prefix_entropy_per_sample(self, stride):
+        cfg = SyntheticConfig(seed=11, num_users=6, num_locations=25, days=12,
+                              p_explore=0.3)
+        ds = prepare_dataset(generate_synthetic(cfg), window_len=8,
+                             stride=stride, min_records=20)
+        for samples in (ds.split.train, ds.split.val, ds.split.test):
+            assert samples
+            want = [prefix_entropy(ds.sequences[s.user].locations[:s.seq_pos])
+                    for s in samples]
+            np.testing.assert_array_equal(sample_entropies(ds, samples), want)
+            # in any sample order
+            np.testing.assert_array_equal(
+                sample_entropies(ds, samples[::-1]), want[::-1])
+        assert 0.0 < min(want) < max(want) < 1.0
+
+    def test_positions_outside_the_sequence_act_as_slices(self):
+        seq = ActivitySequence(0, [1, 2, 1, 3], [0, 1, 2, 3])
+        ds = prepare_dataset([CheckIn(0, 0, 0)], min_records=1000)
+        ds.sequences[0] = seq
+        samples = [WindowSample(0, (), (), 0, 0, pos) for pos in (9, 2, -1)]
+        want = [prefix_entropy(seq.locations[:pos]) for pos in (9, 2, -1)]
+        np.testing.assert_array_equal(sample_entropies(ds, samples), want)
+        with pytest.raises(ValueError, match="at least one element"):
+            sample_entropies(ds, samples + [WindowSample(0, (), (), 0, 0, 0)])
 
 
 class TestSyntheticGenerator:
