@@ -1,8 +1,8 @@
 """Print a sha256 digest of every artifact of a small seeded canoe run.
 
-Runs generate, then train (3 epochs, one warmup epoch) and eval for the
-cnoa and cross attention variants and for decoder_query=time_user, then
-the Markov baseline (`canoe mmc`), the prefix-entropy CSV (`canoe
+Runs generate, then train (8 epochs, one warmup epoch, dim 16) and eval
+for the cnoa and cross attention variants and for decoder_query=time_user,
+then the Markov baseline (`canoe mmc`), the prefix-entropy CSV (`canoe
 entropy`) and the preprocessing summary (`canoe preprocess --out`), all
 through canoe.cli.main in a temporary directory. The last three run twice:
 on the training data, and on a noisier file (data.p_explore=0.2) windowed
@@ -11,6 +11,9 @@ covered. Prints one "name sha256" line per artifact: the loss CSV, the
 report .json/.txt/.csv and every checkpoint array (meta included) of each
 variant, the mmc report .json/.txt/.csv, the entropy CSV and the
 preprocessing summary of each file, then the `canoe gradcheck` value.
+The training is long enough that the three variants rank the test split
+differently, so their report lines differ and a change to attention shows
+in them.
 
 Two source trees are byte-identical in training and evaluation when their
 outputs match:
@@ -47,8 +50,8 @@ DATA_ARGS = [
     "--set", "data.min_records=30", "--set", "data.window_len=10",
 ]
 TRAIN_ARGS = DATA_ARGS + [
-    "--set", "model.dim=8", "--set", "topics.n_topics=6",
-    "--set", "topics.gibbs_iters=50", "--set", "train.epochs=3",
+    "--set", "model.dim=16", "--set", "topics.n_topics=6",
+    "--set", "topics.gibbs_iters=50", "--set", "train.epochs=8",
     "--set", "train.warmup_epochs=1", "--set", "train.batch_size=64",
 ]
 # Exploring users and every third window: the data-layer-only runs.

@@ -6,12 +6,14 @@ overridden with repeated --set section.key=value flags, and dedicated flags
 (--seed, ...) win over both. Every file-producing command echoes its fully
 resolved config next to its primary output. Exit codes: 0 success,
 1 check failure or numeric fault, 2 usage, config or data error. CANOE_LOG in
-{error,warn,info,debug} controls verbosity.
+{error,warn,info,debug} controls verbosity. On glibc, main() first sets the
+allocator thresholds of steady_heap().
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import math
@@ -24,7 +26,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config, merge_overrides
 from .data import Dataset, prepare_dataset, read_checkins, write_checkins
 from .dcg import NumericFault
-from .evaluation import write_report
+from .evaluation import EvalReport, write_report
 from .mmc import fit_mmc, rank_of_target
 from .model import CanoeModel
 from .synthetic import generate_synthetic
@@ -46,6 +48,32 @@ def _setup_logging() -> None:
         level = "info"
     logging.basicConfig(level=_LOG_LEVELS[level],
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
+
+
+# mallopt parameters (glibc malloc.h) and the values steady_heap sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20  # the largest value every 64-bit glibc accepts
+_TRIM_THRESHOLD = 1 << 30
+
+
+def steady_heap() -> None:
+    """Stop glibc from handing back heap pages that the next training step
+    faults in again: raise the mmap threshold, then, only if glibc took
+    that, the trim threshold (set alone, the trim threshold freezes the mmap
+    threshold at 128 KiB). Does nothing where mallopt is missing; never
+    raises."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        log.debug("heap: no mallopt here; allocator left as it is")
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+    trim_set = mmap_set and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
+    log.debug("heap: mallopt mmap threshold %d %s, trim threshold %d %s",
+              _MMAP_THRESHOLD, "set" if mmap_set else "refused",
+              _TRIM_THRESHOLD, "set" if trim_set else "not set")
 
 
 def _parse_overrides(pairs: list[str] | None) -> dict:
@@ -176,6 +204,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _print_summary(report: EvalReport) -> None:
+    """The stdout line of eval and mmc: Acc at the smallest k, named as
+    report.json names it, and the MRR."""
+    k = min(report.acc)
+    print(json.dumps({"n_samples": report.n_samples,
+                      f"acc@{k}": report.acc[k], "mrr": report.mrr}))
+
+
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.model)
     cfg = ckpt.config
@@ -191,8 +227,7 @@ def cmd_eval(args) -> int:
                             thresholds=cfg.eval.thresholds, ks=cfg.eval.ks)
     write_report(report, args.report, title="canoe")
     _echo_config(cfg, args.report)
-    print(json.dumps({"n_samples": report.n_samples,
-                      "acc1": report.acc[min(report.acc)], "mrr": report.mrr}))
+    _print_summary(report)
     return 0
 
 
@@ -210,8 +245,7 @@ def cmd_mmc(args) -> int:
                                thresholds=cfg.eval.thresholds, ks=cfg.eval.ks)
     write_report(report, args.report, title="1-mmc")
     _echo_config(cfg, args.report)
-    print(json.dumps({"n_samples": report.n_samples,
-                      "acc1": report.acc[min(report.acc)], "mrr": report.mrr}))
+    _print_summary(report)
     return 0
 
 
@@ -318,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
+    steady_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

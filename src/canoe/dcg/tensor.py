@@ -60,7 +60,9 @@ def set_debug_checks(flag: bool) -> None:
 class Tensor:
     """A node in the computation graph: float64 data plus optional grad."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    # __weakref__ lets a caller see when a graph has been freed
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)

@@ -2,7 +2,9 @@
 
 BLAS threading is pinned to one thread before numpy loads anywhere: the
 matrices here are tiny (thread fan-out only adds overhead) and the
-determinism checks assume a fixed execution environment.
+determinism checks assume a fixed execution environment. The heap gets the
+allocator thresholds the CLI sets, so tests that call train() directly
+allocate as `canoe train` does.
 """
 
 import os
@@ -14,11 +16,14 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from canoe.cli import steady_heap  # noqa: E402
 from canoe.config import RunConfig  # noqa: E402
 from canoe.data import prepare_dataset, train_location_region  # noqa: E402
 from canoe.model import CanoeModel  # noqa: E402
 from canoe.synthetic import generate_synthetic  # noqa: E402
 from canoe.topics import build_cooccurrence, fit_lda  # noqa: E402
+
+steady_heap()
 
 
 def build_pipeline(cfg: RunConfig):

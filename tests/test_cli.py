@@ -1,13 +1,15 @@
 """CLI contract: exit codes, determinism, config echo, report parity."""
 
+import ctypes
 import hashlib
 import json
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from canoe.cli import main
+from canoe.cli import main, steady_heap
 from canoe.config import ConfigError, RunConfig, load_config
 
 
@@ -255,6 +257,23 @@ class TestTrainEvalCommands:
         eval_n = json.loads((workspace / "report.json").read_text())["n_samples"]
         mmc_n = json.loads((workspace / "mmc_report.json").read_text())["n_samples"]
         assert eval_n == mmc_n
+
+    @pytest.mark.parametrize("command, extra, key", [
+        ("eval", [], "acc@1"),
+        ("mmc", SMALL_ARGS + ["--set", "eval.ks=[5,10]"], "acc@5"),
+    ])
+    def test_summary_names_the_k_it_reports(self, workspace, tmp_path, capsys,
+                                            command, extra, key):
+        report = tmp_path / "report"
+        model = (["--model", str(workspace / "model.ckpt")]
+                 if command == "eval" else [])
+        rc = main([command, "--data", str(workspace / "data.jsonl"),
+                   "--report", str(report)] + model + extra)
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert summary == {"n_samples": written["n_samples"],
+                           key: written["acc"][key], "mrr": written["mrr"]}
 
     def test_eval_thresholds_flag_overrides_config(self, workspace):
         rc = main(["eval", "--data", str(workspace / "data.jsonl"),
@@ -569,3 +588,41 @@ class TestGradcheckCommand:
         assert captured.out == ""
         assert captured.err == ("error: tolerance must be finite and > 0, "
                                 f"got {float(tolerance)}\n")
+
+
+def _raising(exc: Exception):
+    def cdll(name):
+        raise exc
+    return cdll
+
+
+class TestSteadyHeap:
+    @pytest.mark.parametrize("mmap_reply, expected", [
+        (1, [(-3, 32 << 20), (-1, 1 << 30)]),
+        (0, [(-3, 32 << 20)]),  # refused: the trim threshold is never set
+    ], ids=["accepted", "refused"])
+    def test_mmap_threshold_first_then_trim_threshold(self, monkeypatch,
+                                                      mmap_reply, expected):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return mmap_reply if param == -3 else 1
+
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        steady_heap()
+        assert calls == expected
+
+    @pytest.mark.parametrize("fake_cdll", [
+        _raising(OSError("no C library")),
+        lambda name: types.SimpleNamespace(),  # a C library without mallopt
+        _raising(TypeError("dlopen of None is not supported")),
+    ], ids=["oserror", "no_mallopt", "typeerror"])
+    def test_without_mallopt_nothing_is_set_and_commands_run(
+            self, monkeypatch, workspace, fake_cdll):
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        steady_heap()
+        rc = main(["preprocess", "--data", str(workspace / "data.jsonl")]
+                  + SMALL_ARGS)
+        assert rc == 0

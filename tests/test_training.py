@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from canoe import dcg
 from canoe.config import RunConfig
 from canoe.dcg import AdamW
-from canoe.model import batch_from_samples
+from canoe.model import CanoeModel, batch_from_samples
 from canoe.training import (evaluate_model, evaluate_ranks, load_checkpoint,
                             model_from_checkpoint, phase_weights,
                             save_checkpoint, train)
@@ -109,6 +110,29 @@ class TestTrainLoop:
             entry = result.logs[0]
             for v in (entry.loss_loc, entry.loss_time, entry.loss_aux):
                 assert np.isfinite(v) and v > 0
+
+    def test_no_graph_outlives_its_step(self, monkeypatch):
+        """Each step's graph is freed before the next forward builds one,
+        in the warmup epoch and in the full-loss epoch."""
+        cfg = tiny_cfg(epochs=2, warmup=1)
+        _, ds, _, model = build_pipeline(cfg)
+        loss_batch = CanoeModel.loss_batch
+        refs, alive_at_next_call, phases = [], [], []
+
+        def recording(self, batch, weights, **kwargs):
+            if refs:
+                alive_at_next_call.append(refs[-1]() is not None)
+            loss, parts = loss_batch(self, batch, weights, **kwargs)
+            refs.append(weakref.ref(loss))
+            phases.append(weights.loc)
+            return loss, parts
+
+        monkeypatch.setattr(CanoeModel, "loss_batch", recording)
+        train(model, ds, cfg)
+        steps = math.ceil(len(ds.split.train) / cfg.train.batch_size)
+        assert steps >= 2
+        assert phases == [0.0] * steps + [1.0] * steps
+        assert alive_at_next_call == [False] * (2 * steps - 1)
 
     def test_log_csv_format(self, tmp_path):
         cfg = tiny_cfg(epochs=1)
