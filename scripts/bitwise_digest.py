@@ -7,10 +7,12 @@ entropy`) and the preprocessing summary (`canoe preprocess --out`), all
 through canoe.cli.main in a temporary directory. The last three run twice:
 on the training data, and on a noisier file (data.p_explore=0.2) windowed
 with data.stride=3, so that strided windows and non-trivial entropies are
-covered. Prints one "name sha256" line per artifact: the loss CSV, the
+covered. Prints one "name sha256" line per artifact: each check-in file
+and the JSON line `canoe generate` printed for it, the loss CSV, the
 report .json/.txt/.csv and every checkpoint array (meta included) of each
 variant, the mmc report .json/.txt/.csv, the entropy CSV and the
-preprocessing summary of each file, then the `canoe gradcheck` value.
+preprocessing summary of each file, every `<output>.config.json` echo,
+then the `canoe gradcheck` value.
 The training is long enough that the three variants rank the test split
 differently, so their report lines differ and a change to attention shows
 in them.
@@ -78,8 +80,9 @@ def _sha(data: bytes) -> str:
 
 def digest_lines(work: Path) -> list[str]:
     data = work / "data.jsonl"
-    _run(["generate", "--seed", "3", "--out", str(data)] + DATA_ARGS)
-    lines = [f"data.jsonl {_sha(data.read_bytes())}"]
+    printed = _run(["generate", "--seed", "3", "--out", str(data)] + DATA_ARGS)
+    lines = [f"data.jsonl {_sha(data.read_bytes())}",
+             f"data.jsonl/stdout {_sha(printed.encode())}"]
     for name, extra in VARIANTS.items():
         ckpt, log, report = (work / f"{name}.ckpt", work / f"{name}.csv",
                              work / f"{name}.report")
@@ -98,9 +101,12 @@ def digest_lines(work: Path) -> list[str]:
                 lines.append(f"{name}/ckpt/{key} {_sha(tag + arr.tobytes())}")
     lines += _data_layer_lines(work, data, "", DATA_ARGS)
     noisy = work / "noisy.jsonl"
-    _run(["generate", "--seed", "4", "--out", str(noisy)] + NOISY_ARGS)
+    printed = _run(["generate", "--seed", "4", "--out", str(noisy)] + NOISY_ARGS)
     lines.append(f"noisy.jsonl {_sha(noisy.read_bytes())}")
+    lines.append(f"noisy.jsonl/stdout {_sha(printed.encode())}")
     lines += _data_layer_lines(work, noisy, "noisy/", NOISY_ARGS)
+    lines += [f"{echo.relative_to(work)} {_sha(echo.read_bytes())}"
+              for echo in sorted(work.rglob("*.config.json"))]
     lines.append(f"gradcheck {_run(['gradcheck']).strip()}")
     return lines
 

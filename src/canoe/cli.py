@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: generate, preprocess, train, eval, mmc, entropy, gradcheck.
-Configuration is a JSON document (see config.py); individual values can be
-overridden with repeated --set section.key=value flags, and dedicated flags
-(--seed, ...) win over both. Every file-producing command echoes its fully
-resolved config next to its primary output. Exit codes: 0 success,
+Configuration is a JSON document (see config.py). _resolve_config builds
+every command's config: the --config file, or else the command's base (the
+defaults; the checkpoint's config on eval and train --resume; the tiny
+config on gradcheck), then repeated --set section.key=value overrides, then
+dedicated flags (--seed, --thresholds). Every file-producing command echoes
+its fully resolved config next to its primary output. Exit codes: 0 success,
 1 check failure or numeric fault, 2 usage, config or data error. CANOE_LOG in
 {error,warn,info,debug} controls verbosity. On glibc, main() first sets the
 allocator thresholds of steady_heap().
@@ -23,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, merge_overrides
-from .data import Dataset, prepare_dataset, read_checkins, write_checkins
+from .config import ConfigError, RunConfig, load_config
+from .data import (Dataset, prepare_dataset, read_checkins, write_checkins,
+                   write_text)
 from .dcg import NumericFault
 from .evaluation import EvalReport, write_report
 from .mmc import fit_mmc, rank_of_target
@@ -89,21 +92,25 @@ def _parse_overrides(pairs: list[str] | None) -> dict:
     return out
 
 
-def _resolve_config(args, require_seed: bool = False) -> RunConfig:
+def _resolve_config(args, base: RunConfig | None = None,
+                    require_seed: bool = False) -> RunConfig:
+    """The command's config: --config, or else base (the defaults when
+    None), then --set, then --seed and --thresholds."""
+    config = getattr(args, "config", None)
     overrides = _parse_overrides(getattr(args, "set", None))
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    elif require_seed and "seed" not in overrides and args.config is None:
+    elif require_seed and "seed" not in overrides and config is None:
         raise ConfigError("--seed is required (or provide it in --config)")
-    return load_config(args.config, overrides)
+    if getattr(args, "thresholds", None):
+        # checked as the config checks eval.thresholds
+        overrides["eval.thresholds"] = [float(x) for x in args.thresholds.split(",")]
+    return load_config(config, overrides, base)
 
 
 def _echo_config(cfg: RunConfig, primary_output: str | Path) -> None:
-    path = Path(str(primary_output) + ".config.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_text(f"{primary_output}.config.json",
+               json.dumps(cfg.to_dict(), indent=2) + "\n")
 
 
 def _load_dataset(path: str, cfg: RunConfig) -> Dataset:
@@ -160,11 +167,7 @@ def cmd_preprocess(args) -> int:
         "id_space": {"users": dataset.n_users, "locations": dataset.n_locations},
     }
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        write_text(args.out, json.dumps(summary, indent=2) + "\n")
         _echo_config(cfg, args.out)
     print(json.dumps(summary))
     return 0
@@ -172,11 +175,11 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     if args.resume:
+        if args.config is not None:
+            raise ConfigError("--config cannot be used with --resume: the "
+                              "config is the checkpoint's, changed by --set")
         ckpt = load_checkpoint(args.resume)
-        overrides = _parse_overrides(args.set)
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        cfg = RunConfig.from_dict(merge_overrides(ckpt.config.to_dict(), overrides))
+        cfg = _resolve_config(args, base=ckpt.config)
         # train() refuses any change outside the train and eval sections, so
         # the data is read as the checkpoint's run read it.
         dataset = _load_dataset(args.data, ckpt.config)
@@ -214,12 +217,7 @@ def _print_summary(report: EvalReport) -> None:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.model)
-    cfg = ckpt.config
-    if args.thresholds:
-        thresholds = [float(x) for x in args.thresholds.split(",")]
-        # checked as the config checks eval.thresholds
-        cfg = RunConfig.from_dict(merge_overrides(
-            cfg.to_dict(), {"eval.thresholds": thresholds}))
+    cfg = _resolve_config(args, base=ckpt.config)
     dataset = _load_dataset(args.data, cfg)
     _check_id_space(dataset, ckpt)
     model = model_from_checkpoint(ckpt, use_best=True)
@@ -254,12 +252,8 @@ def cmd_entropy(args) -> int:
     dataset = _load_dataset(args.data, cfg)
     test = dataset.split.test
     values = sample_entropies(dataset, test)
-    path = Path(args.report)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("user,seq_pos,prefix_entropy\n")
-        for s, h in zip(test, values.tolist()):
-            fh.write(f"{s.user},{s.seq_pos},{h!r}\n")
+    write_text(args.report, "user,seq_pos,prefix_entropy\n" + "".join(
+        f"{s.user},{s.seq_pos},{h!r}\n" for s, h in zip(test, values.tolist())))
     _echo_config(cfg, args.report)
     summary = {
         "n_samples": len(test),
@@ -276,11 +270,7 @@ def cmd_gradcheck(args) -> int:
 
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {args.tolerance}")
-    if args.config is None:
-        raw = tiny_gradcheck_config().to_dict()
-        cfg = RunConfig.from_dict(merge_overrides(raw, _parse_overrides(args.set)))
-    else:
-        cfg = _resolve_config(args)
+    cfg = _resolve_config(args, base=tiny_gradcheck_config())
     err = full_model_gradcheck(cfg, epsilon=args.epsilon)
     print(f"{err:.6e}")
     return 0 if err < args.tolerance else 1

@@ -243,10 +243,14 @@ def _fits(value, tp) -> bool:
     """Whether a JSON value fits a field type, without converting it: int
     takes no bool and no float, float takes a finite float or int (JSON
     NaN and Infinity parse as floats), X | None also takes null, list[X]
-    checks every item."""
+    checks every item, and tuple[X, Y, ...] takes a list of exactly that
+    many items of those types."""
     args = typing.get_args(tp)
     if typing.get_origin(tp) is list:
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if typing.get_origin(tp) is tuple:
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(map(_fits, value, args)))
     if args:
         return any(_fits(value, a) for a in args)
     if isinstance(value, bool):
@@ -271,10 +275,11 @@ def merge_overrides(raw: dict, overrides: dict | None) -> dict:
     return raw
 
 
-def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Load JSON config (defaults when path is None) and apply overrides
-    (see merge_overrides)."""
-    raw: dict = {}
+def load_config(path: str | Path | None, overrides: dict | None = None,
+                base: RunConfig | None = None) -> RunConfig:
+    """The JSON config file at path, or else base (the defaults when None),
+    with the overrides applied (see merge_overrides)."""
+    raw = {} if base is None else base.to_dict()
     if path is not None:
         with Path(path).open("r", encoding="utf-8") as fh:
             raw = json.load(fh)

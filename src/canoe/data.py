@@ -1,5 +1,6 @@
 """Trajectory data model: check-ins, dwell-filtered activity sequences,
-sliding windows and chronological per-user splits, plus JSONL dataset I/O.
+sliding windows and chronological per-user splits, plus JSONL dataset I/O
+and write_text, through which every text output is written.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ __all__ = [
     "CheckIn", "ActivitySequence", "WindowSample", "Split", "Dataset",
     "hour_slot", "extract_activity_sequence", "make_windows", "split_samples",
     "train_location_region", "prepare_dataset",
-    "write_checkins", "read_checkins", "manifest_path", "build_manifest",
+    "write_checkins", "read_checkins", "build_manifest", "write_text",
 ]
 
 SECONDS_PER_HOUR = 3600
@@ -194,10 +195,15 @@ def prepare_dataset(checkins: list[CheckIn], theta: int = 3600,
 
 
 # ---------------------------------------------------------------------------
-# dataset file format: JSON Lines sorted by (user, t) plus a sidecar manifest
+# file I/O: every text file a command writes, and the JSON Lines dataset
+# format, sorted by (user, t)
 
-def manifest_path(dataset_path: str | Path) -> Path:
-    return Path(str(dataset_path) + ".manifest.json")
+def write_text(path: str | Path, text: str) -> None:
+    """Write text to path as UTF-8, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def build_manifest(checkins: list[CheckIn]) -> dict:
@@ -218,21 +224,14 @@ def build_manifest(checkins: list[CheckIn]) -> dict:
 
 
 def write_checkins(path: str | Path, checkins: list[CheckIn]) -> dict:
-    """Write sorted JSONL plus the manifest sidecar, creating the parent
-    directory; returns the manifest."""
+    """Write the check-ins as JSONL sorted by (user, t), creating the parent
+    directory; returns their counts (build_manifest)."""
     ordered = sorted(checkins, key=lambda c: (c.user, c.t))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for c in ordered:
-            fh.write(json.dumps({"user": c.user, "loc": c.loc, "t": c.t},
-                                separators=(",", ":")))
-            fh.write("\n")
-    manifest = build_manifest(ordered)
-    with manifest_path(path).open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return manifest
+    write_text(path, "".join(
+        json.dumps({"user": c.user, "loc": c.loc, "t": c.t},
+                   separators=(",", ":")) + "\n"
+        for c in ordered))
+    return build_manifest(ordered)
 
 
 def _parse_record(path: str | Path, line_no: int, line: str) -> CheckIn:

@@ -12,10 +12,11 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Collection, Sequence
 
 import numpy as np
+
+from .data import write_text
 
 __all__ = [
     "EvalReport", "StratumReport", "compute_metrics", "prefix_entropy",
@@ -175,15 +176,7 @@ def write_report(report: EvalReport, base_path, title: str = "overall") -> None:
     creating the parent directory; the base is taken verbatim, so a dot in
     it is kept."""
     base = str(base_path)
-    Path(base).parent.mkdir(parents=True, exist_ok=True)
-    with open(base + ".json", "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
-    with open(base + ".txt", "w", encoding="utf-8") as fh:
-        fh.write(format_report_table(report, title))
-        fh.write("\n")
-    with open(base + ".csv", "w", encoding="utf-8") as fh:
-        fh.write("subset,metric,value\n")
-        for row in report_csv_rows(report):
-            fh.write(",".join(row))
-            fh.write("\n")
+    write_text(base + ".json", json.dumps(report_to_dict(report), indent=2) + "\n")
+    write_text(base + ".txt", format_report_table(report, title) + "\n")
+    write_text(base + ".csv", "subset,metric,value\n" + "".join(
+        ",".join(row) + "\n" for row in report_csv_rows(report)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+import typing
 import zipfile
 import zlib
 from dataclasses import astuple, dataclass
@@ -19,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dcg
-from .config import RunConfig
-from .data import Dataset, WindowSample
+from .config import RunConfig, _fits
+from .data import Dataset, WindowSample, write_text
 from .dcg import AdamW, NumericFault
 from .decoder import LossWeights
 from .evaluation import (DEFAULT_KS, DEFAULT_THRESHOLDS, EvalReport,
@@ -39,10 +40,6 @@ __all__ = [
 log = logging.getLogger("canoe.training")
 
 CHECKPOINT_FORMAT = "canoe-ckpt-3"
-# the meta records a checkpoint is read back with
-_META_KEYS = ("epoch", "n_users", "n_locations", "best_epoch", "best_key",
-              "config", "topic_model", "logs")
-_TOPIC_META_KEYS = ("n_topics", "alpha", "beta", "gibbs_iters", "seed")
 EVAL_BATCH = 512
 
 
@@ -58,6 +55,18 @@ class EpochLog:
 
 
 CSV_HEADER = "epoch,loss_total,loss_loc,loss_time,loss_aux,val_acc1,val_mrr"
+
+# the meta records a checkpoint is read back with, each with its JSON type
+# in config._fits's terms: a log row is an EpochLog, best_key is
+# [val_acc1, val_mrr], and topic_model holds TopicModel's scalar fields
+_META_TYPES = {
+    "epoch": int, "n_users": int, "n_locations": int, "best_epoch": int,
+    "best_key": tuple[float, float] | None, "config": dict,
+    "topic_model": dict | None,
+    "logs": list[tuple[tuple(typing.get_type_hints(EpochLog).values())]],
+}
+_TOPIC_META_TYPES = {key: tp for key, tp in typing.get_type_hints(TopicModel).items()
+                     if tp is not np.ndarray}
 
 
 @dataclass
@@ -246,7 +255,9 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
                             best_epoch, best_key, logs)
 
     if log_path is not None:
-        write_log_csv(log_path, logs)
+        write_text(log_path, CSV_HEADER + "\n" + "".join(
+            ",".join("" if v is None else repr(v) for v in astuple(entry)) + "\n"
+            for entry in logs))
 
     acc1, mrr = best_key or (None, None)
     return TrainResult(logs, best_epoch, acc1, mrr)
@@ -277,16 +288,6 @@ def _flatten(raw: dict, prefix: str = "") -> dict:
     return out
 
 
-def write_log_csv(path: str | Path, logs: list[EpochLog]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for entry in logs:
-            fh.write(",".join("" if v is None else repr(v)
-                              for v in astuple(entry)) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # checkpointing
 
@@ -315,10 +316,7 @@ def save_checkpoint(path: str | Path, model: CanoeModel, optimizer: AdamW,
         "best_key": best_key,
         "config": cfg.to_dict(),
         "topic_model": None if topic_model is None else {
-            "n_topics": topic_model.n_topics, "alpha": topic_model.alpha,
-            "beta": topic_model.beta, "gibbs_iters": topic_model.gibbs_iters,
-            "seed": topic_model.seed,
-        },
+            key: getattr(topic_model, key) for key in _TOPIC_META_TYPES},
         "logs": [astuple(entry) for entry in logs],
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -356,9 +354,8 @@ class Checkpoint:
         if self.theta is None:
             return None
         tm = self.meta["topic_model"]
-        return TopicModel(n_topics=tm["n_topics"], theta=self.theta,
-                          phi=self.phi, alpha=tm["alpha"], beta=tm["beta"],
-                          gibbs_iters=tm["gibbs_iters"], seed=tm["seed"])
+        return TopicModel(theta=self.theta, phi=self.phi,
+                          **{key: tm[key] for key in _TOPIC_META_TYPES})
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -377,10 +374,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ValueError(f"{path} is not a canoe checkpoint: {exc}") from exc
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format: {meta.get('format')!r}")
-    missing = [key for key in _META_KEYS if key not in meta]
-    if missing:
-        raise ValueError(f"{path} is not a canoe checkpoint: its meta lacks "
-                         f"{', '.join(missing)}")
+    _check_meta(path, meta, _META_TYPES, "")
     if "topics/theta" in arrays:  # Checkpoint.topic_model() rebuilds from all three
         if "topics/phi" not in arrays:
             raise ValueError(f"{path} is not a canoe checkpoint: it holds "
@@ -390,10 +384,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise ValueError(f"{path} is not a canoe checkpoint: its meta "
                              f"topic_model is {json.dumps(topic_meta)}, not an "
                              f"object, beside topics/theta")
-        missing = [key for key in _TOPIC_META_KEYS if key not in topic_meta]
-        if missing:
-            raise ValueError(f"{path} is not a canoe checkpoint: its meta "
-                             f"topic_model lacks {', '.join(missing)}")
+        _check_meta(path, topic_meta, _TOPIC_META_TYPES, "topic_model ")
     params, best, opt = {}, {}, {}
     theta = phi = None
     for key, arr in arrays.items():
@@ -409,6 +400,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             phi = arr
     return Checkpoint(meta=meta, params=params, best_params=best or dict(params),
                       opt_arrays=opt, theta=theta, phi=phi)
+
+
+def _check_meta(path, meta: dict, types: dict, where: str) -> None:
+    """ValueError naming every key of types that meta lacks, or else the
+    first whose value does not fit its type."""
+    missing = [key for key in types if key not in meta]
+    if missing:
+        raise ValueError(f"{path} is not a canoe checkpoint: its meta {where}"
+                         f"lacks {', '.join(missing)}")
+    for key, tp in types.items():
+        if not _fits(meta[key], tp):
+            name = tp.__name__ if isinstance(tp, type) else tp
+            raise ValueError(f"{path} is not a canoe checkpoint: its meta "
+                             f"{where}{key} must be {name}")
 
 
 def model_from_checkpoint(ckpt: Checkpoint, use_best: bool = True) -> CanoeModel:

@@ -23,6 +23,16 @@ TRAIN_ARGS = SMALL_ARGS + [
     "--set", "topics.gibbs_iters=50", "--set", "train.epochs=2",
     "--set", "train.warmup_epochs=1", "--set", "train.batch_size=64",
 ]
+LOG_ROW = "tuple[int, float, float, float, float, float | None, float | None]"
+# A checkpoint meta value of the wrong type: (key, value, the type named).
+MISTYPED_META = {
+    "epoch_text": ("epoch", "0", "int"),
+    "n_users_text": ("n_users", "6", "int"),
+    "best_key_number": ("best_key", 5, "tuple[float, float] | None"),
+    "logs_short_row": ("logs", [[0, 1.0]], f"list[{LOG_ROW}]"),
+    "config_list": ("config", [], "dict"),
+    "topic_model_seed_text": ("topic_model seed", "3", "int"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +49,11 @@ def workspace(tmp_path_factory):
 
 
 class TestGenerate:
-    def test_manifest_matches_line_count(self, tmp_path):
+    def test_manifest_matches_line_count(self, tmp_path, capsys):
         out = tmp_path / "d.jsonl"
         assert main(["generate", "--seed", "7", "--out", str(out)]
                     + SMALL_ARGS) == 0
-        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        manifest = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert manifest["checkins"] == len(out.read_text().splitlines())
 
     def test_same_seed_same_sha256(self, tmp_path):
@@ -112,13 +122,6 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert list(tmp_path.iterdir()) == []
-
-    def test_out_in_missing_directory_is_created(self, tmp_path):
-        out = tmp_path / "new" / "deeper" / "d.jsonl"
-        assert main(["generate", "--seed", "7", "--out", str(out)]
-                    + SMALL_ARGS) == 0
-        assert sorted(p.name for p in out.parent.iterdir()) == [
-            "d.jsonl", "d.jsonl.config.json", "d.jsonl.manifest.json"]
 
     @pytest.mark.parametrize("key", ["attn_heads", "enc_heads"])
     def test_zero_heads_exits_2(self, tmp_path, capsys, key):
@@ -329,6 +332,21 @@ class TestTrainEvalCommands:
         assert rc == 2
         assert "n_locations" in capsys.readouterr().err
 
+    def test_resume_refuses_config_writing_nothing(self, workspace, tmp_path,
+                                                   capsys):
+        other = tmp_path / "other.json"
+        other.write_text('{"train": {"lr": 0.5}, "model": {"dim": 32}}\n')
+        rc = main(["train", "--data", str(workspace / "data.jsonl"),
+                   "--resume", str(workspace / "model.ckpt"),
+                   "--config", str(other),
+                   "--model-out", str(tmp_path / "resumed.ckpt"),
+                   "--log", str(tmp_path / "log.csv"),
+                   "--set", "train.epochs=3"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --config cannot be used with --resume")
+        assert [p.name for p in tmp_path.iterdir()] == ["other.json"]
+
     def test_resume_override_into_non_section_exits_2(self, workspace,
                                                      tmp_path, capsys):
         rc = main(["train", "--data", str(workspace / "data.jsonl"),
@@ -409,7 +427,7 @@ class TestTrainEvalCommands:
                                         "meta_without_logs",
                                         "topic_model_null",
                                         "topic_model_without_alpha",
-                                        "topics_without_phi"])
+                                        "topics_without_phi", *MISTYPED_META])
     def test_broken_checkpoint_exits_2(self, workspace, tmp_path, capsys,
                                        command, damage):
         bad = tmp_path / "bad.ckpt"
@@ -431,6 +449,12 @@ class TestTrainEvalCommands:
                 meta["topic_model"] = {"n_topics": meta["topic_model"]["n_topics"]}
             elif damage == "topics_without_phi":
                 del arrays["topics/phi"]
+            elif damage in MISTYPED_META:
+                key, value, _ = MISTYPED_META[damage]
+                if key.startswith("topic_model "):
+                    meta["topic_model"][key.split()[1]] = value
+                else:
+                    meta[key] = value
             if damage == "meta_list":
                 arrays["meta"] = np.frombuffer(b"[]", dtype=np.uint8)
             elif damage != "no_meta":
@@ -459,6 +483,9 @@ class TestTrainEvalCommands:
                                 "gibbs_iters, seed\n")
         elif damage == "topics_without_phi":
             assert err.endswith(": it holds topics/theta without topics/phi\n")
+        elif damage in MISTYPED_META:
+            key, _, type_name = MISTYPED_META[damage]
+            assert err.endswith(f": its meta {key} must be {type_name}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
 
     @pytest.mark.parametrize("damage, message", [
@@ -507,25 +534,36 @@ class TestTrainEvalCommands:
         assert err.startswith("error: ") and "Is a directory" in err
         assert [p.name for p in tmp_path.iterdir()] == ["folder"]
 
-    def test_log_in_missing_directory_is_created(self, workspace, tmp_path):
-        log = tmp_path / "new" / "log.csv"
-        rc = main(["train", "--data", str(workspace / "data.jsonl"),
-                   "--seed", "3", "--model-out", str(tmp_path / "m.ckpt"),
-                   "--log", str(log)] + TRAIN_ARGS)
-        assert rc == 0
-        assert log.read_text() == (workspace / "log.csv").read_text()
-        assert (tmp_path / "m.ckpt.config.json").exists()
-
-    def test_preprocess_out_in_missing_directory_is_created(
-            self, workspace, tmp_path, capsys):
-        out = tmp_path / "new" / "s.json"
-        rc = main(["preprocess", "--data", str(workspace / "data.jsonl"),
-                   "--out", str(out)] + SMALL_ARGS)
-        assert rc == 0
+    @pytest.mark.parametrize("command, outputs", [
+        ("generate", ["d.jsonl", "d.jsonl.config.json"]),
+        ("preprocess", ["s.json", "s.json.config.json"]),
+        ("train", ["log.csv", "m.ckpt", "m.ckpt.config.json"]),
+        ("eval", ["r.config.json", "r.csv", "r.json", "r.txt"]),
+        ("mmc", ["r.config.json", "r.csv", "r.json", "r.txt"]),
+        ("entropy", ["e.csv", "e.csv.config.json"]),
+    ], ids=["generate", "preprocess", "train", "eval", "mmc", "entropy"])
+    def test_output_in_missing_directory_is_created(self, workspace, tmp_path,
+                                                    capsys, command, outputs):
+        new = tmp_path / "new" / "deeper"
+        data = ["--data", str(workspace / "data.jsonl")]
+        argv = {
+            "generate": ["--seed", "7", "--out", str(new / "d.jsonl")] + SMALL_ARGS,
+            "preprocess": data + ["--out", str(new / "s.json")] + SMALL_ARGS,
+            "train": data + ["--seed", "3", "--model-out", str(new / "m.ckpt"),
+                             "--log", str(new / "log.csv")] + TRAIN_ARGS,
+            "eval": data + ["--model", str(workspace / "model.ckpt"),
+                            "--report", str(new / "r")],
+            "mmc": data + ["--report", str(new / "r")] + SMALL_ARGS,
+            "entropy": data + ["--report", str(new / "e.csv")] + SMALL_ARGS,
+        }[command]
+        assert main([command] + argv) == 0
+        assert sorted(p.name for p in new.iterdir()) == outputs
         printed = capsys.readouterr().out.strip().splitlines()[-1]
-        assert json.loads(out.read_text()) == json.loads(printed)
-        assert sorted(p.name for p in out.parent.iterdir()) == [
-            "s.json", "s.json.config.json"]
+        if command == "preprocess":
+            assert json.loads((new / "s.json").read_text()) == json.loads(printed)
+        elif command == "train":
+            assert ((new / "log.csv").read_text()
+                    == (workspace / "log.csv").read_text())
 
     def test_numeric_fault_exits_1_with_error_line(self, workspace, tmp_path,
                                                    capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from canoe.data import (ActivitySequence, CheckIn, WindowSample,
                         build_manifest, extract_activity_sequence, hour_slot,
-                        make_windows, manifest_path, prepare_dataset,
+                        make_windows, prepare_dataset,
                         read_checkins, split_samples, train_location_region,
                         write_checkins)
 from canoe.evaluation import prefix_entropy
@@ -158,9 +158,9 @@ class TestDatasetIO:
         back = read_checkins(path)
         assert sorted(back, key=lambda c: (c.user, c.t)) == \
             sorted(cs, key=lambda c: (c.user, c.t))
-        assert manifest["checkins"] == 50
-        with manifest_path(path).open() as fh:
-            assert json.load(fh) == manifest
+        assert manifest == build_manifest(cs)
+        # the counts are returned, not written beside the data
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
 
     def test_lines_sorted_by_user_then_time(self, tmp_path):
         cs = [CheckIn(1, 0, 50), CheckIn(0, 0, 99), CheckIn(0, 1, 10)]
