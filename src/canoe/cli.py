@@ -104,7 +104,12 @@ def _resolve_config(args, base: RunConfig | None = None,
         raise ConfigError("--seed is required (or provide it in --config)")
     if getattr(args, "thresholds", None):
         # checked as the config checks eval.thresholds
-        overrides["eval.thresholds"] = [float(x) for x in args.thresholds.split(",")]
+        try:
+            overrides["eval.thresholds"] = [
+                float(x) for x in args.thresholds.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--thresholds expects comma-separated "
+                              f"numbers: {exc}") from None
     return load_config(config, overrides, base)
 
 

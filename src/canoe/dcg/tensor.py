@@ -22,7 +22,7 @@ __all__ = [
     "tensor_sum", "softmax",
     "concat", "reshape",
     "gather_rows",
-    "linear", "layer_norm", "masked_attention", "cross_entropy", "zero_fill",
+    "linear", "transformer_layer", "cross_entropy", "zero_fill",
 ]
 
 
@@ -423,76 +423,107 @@ def gather_rows(table: Tensor, idx) -> Tensor:
 # order, and accumulates into shared inputs in the order backward visited
 # the chain, so gradients are bitwise the same.
 
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b over the last axis of x: one gemm, the bias added into its
+    output."""
+    k, n = w.shape
+    data = (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (n,))
+    data += b
+    return data
+
+
+def _linear_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray,
+                 need_x: bool = True) -> tuple:
+    """(x gradient, or None without need_x; w gradient) of _linear for output
+    gradient g. The b gradient is _unbroadcast(g, b.shape)."""
+    k, n = w.shape
+    g2 = g.reshape(-1, n)
+    g_x = (g2 @ w.T).reshape(x.shape) if need_x else None
+    return g_x, x.reshape(-1, k).T @ g2
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis of x; w is [d_in, d_out], b is [d_out]."""
-    k, n = w.data.shape
-    x2 = x.data.reshape(-1, k)
-    data = (x2 @ w.data).reshape(x.data.shape[:-1] + (n,))
-    data += b.data
+    data = _linear(x.data, w.data, b.data)
 
     def bwd(g):
         _accum_ub(b, g)
-        g2 = g.reshape(-1, n)
-        if x.requires_grad:
-            _accum_owned(x, (g2 @ w.data.T).reshape(x.data.shape))
-        if w.requires_grad:
-            _accum_owned(w, x2.T @ g2)
+        g_x, g_w = _linear_grad(g, x.data, w.data, x.requires_grad)
+        _accum_owned(x, g_x)
+        _accum_owned(w, g_w)
 
     return _make(data, (x, w, b), bwd, "linear")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis."""
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    den = np.sqrt(var + eps)
-    normed = centered / den
-    data = normed * gamma.data
-    data += beta.data
-    count = x.data.shape[-1]
-
-    def bwd(g):
-        _accum_ub(beta, g)
-        g_normed = g * gamma.data
-        if gamma.requires_grad:
-            _accum_owned(gamma, _unbroadcast(g * normed, gamma.data.shape))
-        if not x.requires_grad:
-            return
-        # normed = centered / den, with den = sqrt(mean(centered^2) + eps)
-        g_centered = g_normed / den
-        g_den = _unbroadcast(-g_normed * centered / (den * den), den.shape)
-        g_var = g_den * 0.5 / den
-        g_sq = np.broadcast_to(g_var, centered.shape) / count
-        # var = mean(centered * centered): one term per factor, added apart
-        term = g_sq * centered
-        g_centered += term
-        g_centered += term
-        # centered = x - mean(x)
-        g_mean = _unbroadcast(-g_centered, den.shape)
-        _accum_owned(x, g_centered)
-        _accum_owned(x, np.broadcast_to(g_mean, x.data.shape) / count)
-
-    return _make(data, (x, gamma, beta), bwd, "layer_norm")
+_LN_EPS = 1e-5
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                     mask: np.ndarray, scale: float) -> Tensor:
-    """Multi-head softmax(q k^T * scale + mask) v for [B, L, dim] inputs.
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> tuple:
+    """(out, centered, den) of out = (x - mean) / den * gamma + beta over
+    the last axis, den = sqrt(var + eps). x is overwritten: centered is x
+    minus its mean, in place."""
+    x -= x.mean(axis=-1, keepdims=True)
+    out = x * x
+    den = np.sqrt(out.mean(axis=-1, keepdims=True) + _LN_EPS)
+    np.divide(x, den, out=out)
+    out *= gamma
+    out += beta
+    return out, x, den
 
-    The heads are split from and merged back into the last axis inside the
-    node, as views. mask is additive and broadcasts against [B, H, L, L]:
-    0 for an open key, and for a blocked key a negative value large enough
-    (such as -1e30) that its softmax weight is exactly 0. Every query row
-    must keep at least one open key, as causal_mask's rows do; the blocked
-    lanes are then set to exactly 0 without passing through exp, whose
-    underflow path is slow.
+
+def _layer_norm_grad(g: np.ndarray, gamma: np.ndarray, centered: np.ndarray,
+                     den: np.ndarray) -> tuple:
+    """(x gradient, gamma gradient) of _layer_norm for output gradient g, as
+    fresh arrays. The beta gradient is _unbroadcast(g, beta.shape)."""
+    count = centered.shape[-1]
+    t = centered / den  # normed
+    t *= g
+    g_gamma = _unbroadcast(t, gamma.shape)
+    g_x = g * gamma  # the gradient of normed, then of centered
+    # normed = centered / den, with den = sqrt(mean(centered^2) + eps)
+    np.negative(g_x, out=t)
+    t *= centered
+    t /= den * den
+    g_var = _unbroadcast(t, den.shape) * 0.5 / den
+    g_x /= den
+    # var = mean(centered * centered): one term per factor, added apart
+    np.divide(np.broadcast_to(g_var, t.shape), count, out=t)
+    t *= centered
+    g_x += t
+    g_x += t
+    # centered = x - mean(x)
+    np.negative(g_x, out=t)
+    g_mean = _unbroadcast(t, den.shape)
+    np.divide(np.broadcast_to(g_mean, t.shape), count, out=t)
+    g_x += t
+    return g_x, g_gamma
+
+
+def _split_heads(t: np.ndarray, heads: int) -> np.ndarray:
+    """[B, L, dim] -> [B, H, L, dim/H], a view."""
+    batch, length, _ = t.shape
+    return np.transpose(t.reshape(batch, length, heads, -1), (0, 2, 1, 3))
+
+
+def _merge_heads(t: np.ndarray) -> np.ndarray:
+    """[B, H, L, dim/H] -> [B, L, dim], a fresh array."""
+    batch, heads, length, width = t.shape
+    return np.transpose(t, (0, 2, 1, 3)).reshape(batch, length, heads * width)
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+               mask: np.ndarray, scale: float) -> tuple:
+    """(context [B, L, dim], weights [B, H, L, L]) of multi-head
+    softmax(q k^T * scale + mask) v for [B, L, dim] inputs.
+
+    mask is additive and broadcasts against [B, H, L, L]: 0 for an open
+    key, and for a blocked key a negative value large enough (such as
+    -1e30) that its softmax weight is exactly 0. Every query row must keep
+    at least one open key, as causal_mask's rows do; the blocked lanes are
+    then set to exactly 0 without passing through exp, whose underflow path
+    is slow.
     """
-    batch, length, dim = q.data.shape
-
-    def split(t):  # [B, L, dim] -> [B, H, L, dim/H]
-        return np.transpose(t.reshape(batch, length, heads, -1), (0, 2, 1, 3))
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh = _split_heads(q, heads), _split_heads(k, heads)
     scores = np.matmul(qh, np.transpose(kh, (0, 1, 3, 2)))
     scores *= scale
     scores += mask
@@ -502,24 +533,100 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     alpha = np.exp(scores, out=scores)
     np.copyto(alpha, 0.0, where=blocked)
     alpha /= alpha.sum(axis=-1, keepdims=True)
-    ctx = np.matmul(alpha, vh)
-    data = np.transpose(ctx, (0, 2, 1, 3)).reshape(batch, length, dim)
+    return _merge_heads(np.matmul(alpha, _split_heads(v, heads))), alpha
 
-    def merge(gh):  # [B, H, L, dim/H] -> [B, L, dim], a fresh array
-        return np.transpose(gh, (0, 2, 1, 3)).reshape(batch, length, dim)
+
+def _attention_grad(g: np.ndarray, q: np.ndarray, k: np.ndarray,
+                    v: np.ndarray, alpha: np.ndarray, heads: int,
+                    scale: float) -> tuple:
+    """(q, k, v gradients) of _attention for context gradient g. The k
+    gradient is a strided [B, L, dim] view of a fresh array."""
+    qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
+    g_ctx = _split_heads(g, heads)
+    g_alpha = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
+    g_v = _merge_heads(np.matmul(np.swapaxes(alpha, -1, -2), g_ctx))
+    g_scores = _softmax_grad(g_alpha, alpha, -1)
+    g_scores *= scale
+    g_q = _merge_heads(np.matmul(g_scores, kh))
+    g_k = np.matmul(np.swapaxes(qh, -1, -2), g_scores)
+    return g_q, np.transpose(g_k, (0, 3, 1, 2)).reshape(k.shape), g_v
+
+
+def transformer_layer(x: Tensor, params: Sequence[Tensor], heads: int,
+                      mask: np.ndarray, scale: float,
+                      dropout: Sequence[np.ndarray] | None = None) -> Tensor:
+    """One post-LN encoder layer over x [B, L, dim], as one node:
+
+        h = LN1(x + o(attention(q(x), k(x), v(x))) * drop1)
+        out = LN2(h + ff2(relu(ff1(h))) * drop2)
+
+    params are the 16 tensors q.w, q.b, k.w, k.b, v.w, v.b, o.w, o.b,
+    ln1.gamma, ln1.beta, ff1.w, ff1.b, ff2.w, ff2.b, ln2.gamma, ln2.beta;
+    each projection is _linear, attention is _attention over `heads` heads
+    with mask and scale, LN is _layer_norm. dropout is None or the two
+    [B, L, dim] masks drop1 and drop2.
+
+    The forward pass reuses its temporaries in place and keeps only what
+    backward reads, and nothing without a graph. Backward accumulates into
+    x the residual term first, then the q, k and v terms, the order in
+    which backward visits the layer written as a chain of nodes.
+    """
+    qw, qb, kw, kb, vw, vb, ow, ob, g1, b1, w1, c1, w2, c2, g2, b2 = params
+    parents = (x, *params)
+    keep = _enabled() and any(p.requires_grad for p in parents)
+    q, k, v = (_linear(x.data, w.data, b.data)
+               for w, b in ((qw, qb), (kw, kb), (vw, vb)))
+    ctx, alpha = _attention(q, k, v, heads, mask, scale)
+    if not keep:
+        del q, k, v, alpha
+    r1 = _linear(ctx, ow.data, ob.data)
+    if dropout is not None:
+        r1 *= dropout[0]
+    r1 += x.data
+    h, centered1, den1 = _layer_norm(r1, g1.data, b1.data)
+    if not keep:
+        del ctx, r1, centered1
+    f = _linear(h, w1.data, c1.data)
+    np.maximum(f, 0.0, out=f)
+    r2 = _linear(f, w2.data, c2.data)
+    if not keep:
+        del f
+    if dropout is not None:
+        r2 *= dropout[1]
+    r2 += h
+    data, centered2, den2 = _layer_norm(r2, g2.data, b2.data)
 
     def bwd(g):
-        g_ctx = split(g)
-        g_alpha = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
-        g_v = merge(np.matmul(np.swapaxes(alpha, -1, -2), g_ctx))
-        g_scores = _softmax_grad(g_alpha, alpha, -1) * scale
-        g_q = merge(np.matmul(g_scores, kh))
-        g_k = np.matmul(np.swapaxes(qh, -1, -2), g_scores)
-        _accum_owned(q, g_q)
-        _accum_owned(k, np.transpose(g_k, (0, 3, 1, 2)).reshape(batch, length, dim))
-        _accum_owned(v, g_v)
+        _accum_ub(b2, g)
+        g_r2, g_g2 = _layer_norm_grad(g, g2.data, centered2, den2)
+        _accum_owned(g2, g_g2)
+        g_f2 = g_r2 if dropout is None else g_r2 * dropout[1]
+        _accum_ub(c2, g_f2)
+        g_f, g_w2 = _linear_grad(g_f2, f, w2.data)
+        _accum_owned(w2, g_w2)
+        g_f *= f > 0.0  # relu's output is positive where its input was
+        _accum_ub(c1, g_f)
+        g_h, g_w1 = _linear_grad(g_f, h, w1.data)
+        _accum_owned(w1, g_w1)
+        g_r2 += g_h  # now the gradient of h: the residual's term, then ff1's
+        _accum_ub(b1, g_r2)
+        g_r1, g_g1 = _layer_norm_grad(g_r2, g1.data, centered1, den1)
+        _accum_owned(g1, g_g1)
+        # g_o may be g_r1 itself, which x's gradient may take over: nothing
+        # adds into it before o's backward has read it
+        g_o = g_r1 if dropout is None else g_r1 * dropout[0]
+        _accum_owned(x, g_r1)
+        _accum_ub(ob, g_o)
+        g_ctx, g_ow = _linear_grad(g_o, ctx, ow.data)
+        _accum_owned(ow, g_ow)
+        g_qkv = _attention_grad(g_ctx, q, k, v, alpha, heads, scale)
+        for (w, b), g_p in zip(((qw, qb), (kw, kb), (vw, vb)), g_qkv):
+            _accum_ub(b, g_p)
+            g_x, g_w = _linear_grad(g_p, x.data, w.data, x.requires_grad)
+            _accum_owned(w, g_w)
+            _accum_owned(x, g_x)
 
-    return _make(data, (q, k, v), bwd, "masked_attention")
+    return _make(data, parents, bwd, "transformer_layer")
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

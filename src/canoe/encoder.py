@@ -13,11 +13,11 @@ import numpy as np
 
 from . import dcg
 from .cnoa import CnoaAttention, OscillatorParams
-from .dcg import Linear, ParamRegistry, Tensor, layer_norm
+from .dcg import Linear, ParamRegistry, Tensor
 from .embeddings import EmbeddingTable, SmoothedTimeEmbedding
 
 __all__ = [
-    "positional_encoding", "causal_mask", "layer_norm", "TransformerLayer",
+    "positional_encoding", "causal_mask", "TransformerLayer",
     "TimeUserPair", "LocationTimePair",
 ]
 
@@ -40,17 +40,9 @@ def causal_mask(length: int) -> np.ndarray:
     return np.triu(np.full((length, length), _MASK_NEG), k=1)
 
 
-def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
-             training: bool) -> Tensor:
-    # Inverted dropout: scaling at train time, identity at evaluation.
-    if not training or rate <= 0.0 or rng is None:
-        return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * dcg.constant(mask)
-
-
 class TransformerLayer:
-    """Post-LN encoder layer: masked self-attention then position-wise FF."""
+    """Post-LN encoder layer: masked self-attention then position-wise FF,
+    one dcg.transformer_layer node."""
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
                  prefix: str, dim: int, heads: int, ff_width: int):
@@ -58,27 +50,28 @@ class TransformerLayer:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
         self._scale = 1.0 / np.sqrt(dim // heads)
-
-        self.q = Linear(registry, rng, f"{prefix}.q", dim, dim)
-        self.k = Linear(registry, rng, f"{prefix}.k", dim, dim)
-        self.v = Linear(registry, rng, f"{prefix}.v", dim, dim)
-        self.o = Linear(registry, rng, f"{prefix}.o", dim, dim)
-        self.ln1_g = registry.register(f"{prefix}.ln1_g", np.ones(dim))
-        self.ln1_b = registry.register(f"{prefix}.ln1_b", np.zeros(dim))
-        self.ff1 = Linear(registry, rng, f"{prefix}.ff1", dim, ff_width)
-        self.ff2 = Linear(registry, rng, f"{prefix}.ff2", ff_width, dim)
-        self.ln2_g = registry.register(f"{prefix}.ln2_g", np.ones(dim))
-        self.ln2_b = registry.register(f"{prefix}.ln2_b", np.zeros(dim))
+        q, k, v, o = (Linear(registry, rng, f"{prefix}.{name}", dim, dim)
+                      for name in "qkvo")
+        ln1 = (registry.register(f"{prefix}.ln1_g", np.ones(dim)),
+               registry.register(f"{prefix}.ln1_b", np.zeros(dim)))
+        ff1 = Linear(registry, rng, f"{prefix}.ff1", dim, ff_width)
+        ff2 = Linear(registry, rng, f"{prefix}.ff2", ff_width, dim)
+        ln2 = (registry.register(f"{prefix}.ln2_g", np.ones(dim)),
+               registry.register(f"{prefix}.ln2_b", np.zeros(dim)))
+        # in registration order, the order transformer_layer takes them in
+        self.params = (q.w, q.b, k.w, k.b, v.w, v.b, o.w, o.b, *ln1,
+                       ff1.w, ff1.b, ff2.w, ff2.b, *ln2)
 
     def __call__(self, x: Tensor, mask: np.ndarray, dropout_rate: float,
                  rng: np.random.Generator | None, training: bool) -> Tensor:
-        ctx = dcg.masked_attention(self.q(x), self.k(x), self.v(x), self.heads,
-                                   mask, self._scale)
-        x = layer_norm(x + _dropout(self.o(ctx), dropout_rate, rng, training),
-                       self.ln1_g, self.ln1_b)
-        ff = self.ff2(dcg.relu(self.ff1(x)))
-        return layer_norm(x + _dropout(ff, dropout_rate, rng, training),
-                          self.ln2_g, self.ln2_b)
+        drop = None
+        if training and dropout_rate > 0.0 and rng is not None:
+            # inverted dropout: the attention output's mask, then the
+            # feed-forward output's
+            drop = [(rng.random(x.shape) >= dropout_rate) / (1.0 - dropout_rate)
+                    for _ in range(2)]
+        return dcg.transformer_layer(x, self.params, self.heads, mask,
+                                     self._scale, drop)
 
 
 class TimeUserPair:

@@ -375,6 +375,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format: {meta.get('format')!r}")
     _check_meta(path, meta, _META_TYPES, "")
+    # untrained checkpoints store epoch 0 and best_epoch -1
+    for key, low, high in (("epoch", 0, None), ("n_users", 1, None),
+                           ("n_locations", 1, None),
+                           ("best_epoch", -1, meta["epoch"])):
+        if meta[key] < low or (high is not None and meta[key] > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ValueError(f"{path} is not a canoe checkpoint: its meta "
+                             f"{key} must be {bound}, got {meta[key]}")
     if "topics/theta" in arrays:  # Checkpoint.topic_model() rebuilds from all three
         if "topics/phi" not in arrays:
             raise ValueError(f"{path} is not a canoe checkpoint: it holds "

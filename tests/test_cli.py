@@ -24,14 +24,21 @@ TRAIN_ARGS = SMALL_ARGS + [
     "--set", "train.warmup_epochs=1", "--set", "train.batch_size=64",
 ]
 LOG_ROW = "tuple[int, float, float, float, float, float | None, float | None]"
-# A checkpoint meta value of the wrong type: (key, value, the type named).
-MISTYPED_META = {
+# A checkpoint meta value of the wrong type or out of range: damage ->
+# (meta key, value written there, what the error says it must be).
+BAD_META = {
     "epoch_text": ("epoch", "0", "int"),
     "n_users_text": ("n_users", "6", "int"),
     "best_key_number": ("best_key", 5, "tuple[float, float] | None"),
     "logs_short_row": ("logs", [[0, 1.0]], f"list[{LOG_ROW}]"),
     "config_list": ("config", [], "dict"),
     "topic_model_seed_text": ("topic_model seed", "3", "int"),
+    # the workspace checkpoint has finished epochs 0 and 1
+    "epoch_negative": ("epoch", -3, ">= 0, got -3"),
+    "n_users_zero": ("n_users", 0, ">= 1, got 0"),
+    "n_locations_negative": ("n_locations", -4, ">= 1, got -4"),
+    "best_epoch_below": ("best_epoch", -7, "in [-1, 1], got -7"),
+    "best_epoch_above": ("best_epoch", 2, "in [-1, 1], got 2"),
 }
 
 
@@ -234,6 +241,18 @@ class TestTrainEvalCommands:
         assert capsys.readouterr().err.startswith("error: eval.thresholds must be ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_eval_unparsable_threshold_exits_2(self, workspace, tmp_path,
+                                               capsys):
+        rc = main(["eval", "--data", str(workspace / "data.jsonl"),
+                   "--model", str(workspace / "model.ckpt"),
+                   "--report", str(tmp_path / "report"),
+                   "--thresholds", "0.5,abc"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --thresholds expects comma-separated numbers: could not "
+            "convert string to float: 'abc'\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_eval_writes_reports(self, workspace):
         rc = main(["eval", "--data", str(workspace / "data.jsonl"),
                    "--model", str(workspace / "model.ckpt"),
@@ -427,7 +446,7 @@ class TestTrainEvalCommands:
                                         "meta_without_logs",
                                         "topic_model_null",
                                         "topic_model_without_alpha",
-                                        "topics_without_phi", *MISTYPED_META])
+                                        "topics_without_phi", *BAD_META])
     def test_broken_checkpoint_exits_2(self, workspace, tmp_path, capsys,
                                        command, damage):
         bad = tmp_path / "bad.ckpt"
@@ -449,8 +468,8 @@ class TestTrainEvalCommands:
                 meta["topic_model"] = {"n_topics": meta["topic_model"]["n_topics"]}
             elif damage == "topics_without_phi":
                 del arrays["topics/phi"]
-            elif damage in MISTYPED_META:
-                key, value, _ = MISTYPED_META[damage]
+            elif damage in BAD_META:
+                key, value, _ = BAD_META[damage]
                 if key.startswith("topic_model "):
                     meta["topic_model"][key.split()[1]] = value
                 else:
@@ -483,9 +502,9 @@ class TestTrainEvalCommands:
                                 "gibbs_iters, seed\n")
         elif damage == "topics_without_phi":
             assert err.endswith(": it holds topics/theta without topics/phi\n")
-        elif damage in MISTYPED_META:
-            key, _, type_name = MISTYPED_META[damage]
-            assert err.endswith(f": its meta {key} must be {type_name}\n")
+        elif damage in BAD_META:
+            key, _, requirement = BAD_META[damage]
+            assert err.endswith(f": its meta {key} must be {requirement}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
 
     @pytest.mark.parametrize("damage, message", [

@@ -9,8 +9,9 @@ from canoe import dcg
 from canoe.cnoa import (CnoaAttention, OscillatorParams, cnoa_attention,
                         osc_transform)
 from canoe.dcg import AdamW, Linear, ParamRegistry, grad_check
-from canoe.dcg.tensor import (_accum_owned, _accum_ub, _axis_tuple, _make,
-                              _unbroadcast)
+from canoe.dcg.tensor import (_accum, _accum_owned, _accum_ub, _attention,
+                              _attention_grad, _axis_tuple, _layer_norm,
+                              _layer_norm_grad, _make, _unbroadcast)
 
 
 class TestBackwardContracts:
@@ -164,7 +165,7 @@ class TestOperatorsAgainstFiniteDifferences:
     def test_layer_norm(self):
         c = np.random.default_rng(1).normal(size=(2, 3, 5))
         self._check(
-            lambda x, g, b: dcg.tensor_sum(dcg.layer_norm(x, g, b) * c),
+            lambda x, g, b: dcg.tensor_sum(_layer_norm_node(x, g, b) * c),
             [(2, 3, 5), (5,), (5,)])
 
     def test_masked_attention(self):
@@ -172,8 +173,17 @@ class TestOperatorsAgainstFiniteDifferences:
         mask = np.triu(np.full((4, 4), -1e30), k=1)
         self._check(
             lambda q, k, v: dcg.tensor_sum(
-                dcg.masked_attention(q, k, v, 2, mask, 0.6) * c),
+                _attention_node(q, k, v, 2, mask, 0.6) * c),
             [(2, 4, 6)] * 3)
+
+    def test_transformer_layer_with_dropout(self):
+        c = np.random.default_rng(1).normal(size=(2, 3, 4))
+        mask = np.triu(np.full((3, 3), -1e30), k=1)
+        drop = _dropout_masks(np.random.default_rng(2), (2, 3, 4))
+        self._check(
+            lambda x, *params: dcg.tensor_sum(
+                dcg.transformer_layer(x, params, 2, mask, 0.6, drop) * c),
+            [(2, 3, 4)] + _layer_param_shapes(4, 6))
 
     def test_repeated_gather_sums_gradients(self):
         table = dcg.parameter(np.arange(6.0).reshape(3, 2))
@@ -184,8 +194,31 @@ class TestOperatorsAgainstFiniteDifferences:
                                       [[0, 0], [2, 2], [0, 0]])
 
 
+def _layer_norm_node(x, gamma, beta):
+    """transformer_layer's layer norm kernels as a node of their own."""
+    out, centered, den = _layer_norm(x.data.copy(), gamma.data, beta.data)
+
+    def bwd(g):
+        g_x, g_gamma = _layer_norm_grad(g, gamma.data, centered, den)
+        _accum_owned(x, g_x)
+        _accum_owned(gamma, g_gamma)
+        _accum(beta, _unbroadcast(g, beta.data.shape))
+    return _make(out, (x, gamma, beta), bwd, "layer_norm")
+
+
+def _attention_node(q, k, v, heads, mask, scale):
+    """transformer_layer's attention kernels as a node of their own."""
+    ctx, alpha = _attention(q.data, k.data, v.data, heads, mask, scale)
+
+    def bwd(g):
+        grads = _attention_grad(g, q.data, k.data, v.data, alpha, heads, scale)
+        for t, grad in zip((q, k, v), grads):
+            _accum_owned(t, grad)
+    return _make(ctx, (q, k, v), bwd, "attention")
+
+
 def _div(a, b):
-    """The primitive division node the fused layer_norm replaced."""
+    """The primitive division node of the layer norm transformer_layer fuses."""
     def bwd(g):
         _accum_owned(a, _unbroadcast(g / b.data, a.data.shape))
         _accum_owned(b, _unbroadcast(-g * a.data / (b.data * b.data),
@@ -201,7 +234,7 @@ def _sqrt(a):
 
 def _neg(a):
     """The primitive nodes the fused cross_entropy replaced; _mean is also
-    layer_norm's."""
+    the layer norm's."""
     return _make(-a.data, (a,), lambda g: _accum_owned(a, -g), "neg")
 
 
@@ -243,7 +276,7 @@ def _take_along_last(a, idx):
 
 def _sub(a, b):
     """The primitive nodes the fused cnoa_attention replaced; _sub is also
-    layer_norm's."""
+    the layer norm's."""
     def bwd(g):
         _accum_ub(a, g, own=True)
         if b.requires_grad:
@@ -285,6 +318,34 @@ def _composite_attention(q, k, v, heads, mask, scale):
     alpha = dcg.softmax(scores + dcg.constant(mask), axis=-1)
     ctx = _transpose(dcg.matmul(alpha, v), (0, 2, 1, 3))
     return dcg.reshape(ctx, (batch, length, dim))
+
+
+def _composite_layer(x, params, heads, mask, scale, dropout=None):
+    """The transformer layer as the chain of nodes transformer_layer
+    replaces."""
+    qw, qb, kw, kb, vw, vb, ow, ob, g1, b1, w1, c1, w2, c2, g2, b2 = params
+    ctx = _composite_attention(dcg.linear(x, qw, qb), dcg.linear(x, kw, kb),
+                               dcg.linear(x, vw, vb), heads, mask, scale)
+    attended = dcg.linear(ctx, ow, ob)
+    if dropout is not None:
+        attended = attended * dcg.constant(dropout[0])
+    h = _composite_layer_norm(x + attended, g1, b1)
+    ff = dcg.linear(dcg.relu(dcg.linear(h, w1, c1)), w2, c2)
+    if dropout is not None:
+        ff = ff * dcg.constant(dropout[1])
+    return _composite_layer_norm(h + ff, g2, b2)
+
+
+def _layer_param_shapes(dim, ff_width):
+    """Shapes of transformer_layer's 16 parameters, in its order."""
+    square = [(dim, dim), (dim,)]
+    return (square * 4 + [(dim,), (dim,), (dim, ff_width), (ff_width,),
+                          (ff_width, dim), (dim,), (dim,), (dim,)])
+
+
+def _dropout_masks(rng, shape, rate=0.25):
+    """The two inverted-dropout masks TransformerLayer draws."""
+    return [(rng.random(shape) >= rate) / (1.0 - rate) for _ in range(2)]
 
 
 def _composite_cross_entropy(logits, targets):
@@ -348,23 +409,28 @@ class TestFusedNodesMatchComposites:
             self._compare(dcg.linear, _composite_linear,
                           [x_shape, (5, 3), (3,)])
 
-    def test_layer_norm(self):
-        self._compare(dcg.layer_norm, _composite_layer_norm,
-                      [(3, 5, 8), (8,), (8,)])
-
-    def test_masked_attention(self):
+    @pytest.mark.parametrize("dropout", ["off", "on"])
+    def test_transformer_layer(self, dropout):
         mask = np.triu(np.full((5, 5), -1e30), k=1)
         scale = 1.0 / np.sqrt(3)  # not a power of 2, so its rounding shows
+        drop = (_dropout_masks(np.random.default_rng(3), (3, 5, 6))
+                if dropout == "on" else None)
 
-        def via(attention):
-            # x feeds q, k and v, like a transformer layer's input
-            def op(x, wq, wk, b):
-                return attention(dcg.linear(x, wq, b), dcg.matmul(x, wk),
-                                 x * b, 2, mask, scale)
-            return op
+        def via(layer):
+            return lambda x, *params: layer(x, params, 2, mask, scale, drop)
 
-        self._compare(via(dcg.masked_attention), via(_composite_attention),
-                      [(3, 5, 6), (6, 6), (6, 6), (6,)])
+        shapes = [(3, 5, 6)] + _layer_param_shapes(6, 10)
+        self._compare(via(dcg.transformer_layer), via(_composite_layer), shapes)
+        # without a graph, the same data
+        rng = np.random.default_rng(4)
+        inputs = [dcg.parameter(rng.normal(size=s)) for s in shapes]
+        with_graph = via(dcg.transformer_layer)(*inputs)
+        with dcg.no_grad():
+            outs = [via(layer)(*inputs)
+                    for layer in (dcg.transformer_layer, _composite_layer)]
+        for out in outs:
+            assert not out.requires_grad
+            assert np.array_equal(out.data, with_graph.data)
 
     def test_cross_entropy(self):
         targets = np.array([3, 0, 6, 6, 1, 2, 5])

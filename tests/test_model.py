@@ -1,5 +1,7 @@
 """Full-model assembly: shapes, ranking tie-breaks, eval determinism."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -157,15 +159,25 @@ def _step_gradients(model, loss_fn, batch, weights):
 
 
 def _graph_nodes(root):
-    """Operation nodes (not parameters) backward visits from root."""
-    seen, stack, ops = set(), [root], 0
+    """Counts by operation of the nodes (not parameters) backward visits
+    from root."""
+    seen, stack, ops = set(), [root], Counter()
     while stack:
         node = stack.pop()
         if node.requires_grad and id(node) not in seen:
             seen.add(id(node))
-            ops += node._op != "leaf"
+            if node._op != "leaf":
+                ops[node._op] += 1
             stack.extend(node._parents)
     return ops
+
+
+def test_full_step_holds_one_node_per_transformer_layer(rng):
+    model = make_model(rng, enc_layers=3)
+    _, _, ops = _step_gradients(model, _full_graph_loss, random_batch(rng),
+                                LossWeights(1.0, 0.5, 0.5))
+    assert ops["transformer_layer"] == 3
+    assert not {"layer_norm", "masked_attention"} & ops.keys()
 
 
 class TestPrunedWarmupStep:
@@ -194,7 +206,7 @@ class TestPrunedWarmupStep:
         assert not got["loc_time.layer0.q.w"].any()
         assert not got["decoder.fuse1.w"].any()
         assert got["decoder.time.w"].any()
-        assert got_nodes < ref_nodes / 2
+        assert got_nodes.total() < ref_nodes.total() / 2
 
     def test_full_weight_step_still_needs_every_gradient(self, rng):
         model = make_model(rng)
