@@ -2,17 +2,19 @@
 
 Generates the train-epochs input for a seed (the sizes come from
 perfbench/workloads.py), fits its topics and builds the model as
-`canoe train` does, then runs `canoe train`'s step loop: forward and loss,
-backward, gradient clipping and AdamW. For every step it prints one line:
+`canoe train` does, then runs `training.train` itself, with no log or
+checkpoint file. Timing wrappers on `CanoeModel.loss_batch`, `dcg.backward`
+and `AdamW.step` see each step; for every step it prints one line:
 
     epoch step fwd_ms bwd_ms minflt maxrss_mb nodes
 
 fwd_ms and bwd_ms are the wall times of `CanoeModel.loss_batch` and
-`dcg.backward`; minflt is the process's minor page faults over the whole
-step (`ru_minflt`); maxrss_mb is the process's peak resident set after the
-step (`ru_maxrss`); nodes counts the graph nodes backward visits, parameters
-included, as perfbench's `dcg.graph_nodes` counts them. A last line per
-epoch gives the medians of the two times and the sum of the faults.
+`dcg.backward`; minflt is the process's minor page faults from the start of
+the forward to the end of `AdamW.step` (`ru_minflt`); maxrss_mb is the
+process's peak resident set after the step (`ru_maxrss`); nodes counts the
+graph nodes backward visits, parameters included, as perfbench's
+`dcg.graph_nodes` counts them. A last line per epoch gives the medians of
+the two times and the sum of the faults.
 
 Two source trees compare as the digest script compares them:
 
@@ -32,6 +34,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import math  # noqa: E402
 import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -46,10 +49,9 @@ from workloads import run_config  # noqa: E402
 from canoe import cli, dcg  # noqa: E402
 from canoe.config import RunConfig  # noqa: E402
 from canoe.data import prepare_dataset  # noqa: E402
-from canoe.dcg import AdamW  # noqa: E402
-from canoe.model import CanoeModel, batch_from_samples  # noqa: E402
+from canoe.model import CanoeModel  # noqa: E402
 from canoe.synthetic import generate_synthetic  # noqa: E402
-from canoe.training import _epoch_rngs, phase_weights  # noqa: E402
+from canoe.training import train  # noqa: E402
 
 
 def graph_nodes(root) -> int:
@@ -78,41 +80,45 @@ def main() -> None:
     model = CanoeModel(cfg.model, n_users=dataset.n_users,
                        n_locations=dataset.n_locations,
                        topic_theta=topic_model.theta, seed=cfg.seed)
-    t = cfg.train
-    optimizer = AdamW(model.registry, lr=t.lr, weight_decay=t.weight_decay,
-                      beta1=t.beta1, beta2=t.beta2, eps=t.eps)
-    samples = dataset.split.train
+    steps_per_epoch = math.ceil(len(dataset.split.train) / cfg.train.batch_size)
 
+    epoch, flt0, nodes, fwd, bwd, faults = 0, 0, 0, [], [], 0
+    loss_batch, backward, adamw_step = (CanoeModel.loss_batch, dcg.backward,
+                                        dcg.AdamW.step)
+
+    def timed_loss_batch(self, *a, **kw):
+        nonlocal flt0
+        flt0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        tic = time.perf_counter()
+        out = loss_batch(self, *a, **kw)
+        fwd.append((time.perf_counter() - tic) * 1e3)
+        return out
+
+    def timed_backward(root):
+        nonlocal nodes
+        nodes = graph_nodes(root)
+        tic = time.perf_counter()
+        backward(root)
+        bwd.append((time.perf_counter() - tic) * 1e3)
+
+    def timed_step(self):
+        nonlocal epoch, fwd, bwd, faults
+        adamw_step(self)
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        faults += usage.ru_minflt - flt0
+        print(f"{epoch} {len(fwd) - 1} {fwd[-1]:.2f} {bwd[-1]:.2f} "
+              f"{usage.ru_minflt - flt0} {usage.ru_maxrss / 1024:.1f} {nodes}")
+        if len(fwd) == steps_per_epoch:
+            print(f"epoch {epoch}: {len(fwd)} steps, median fwd_ms "
+                  f"{np.median(fwd):.2f} bwd_ms {np.median(bwd):.2f}, "
+                  f"minflt {faults}")
+            epoch, fwd, bwd, faults = epoch + 1, [], [], 0
+
+    CanoeModel.loss_batch = timed_loss_batch
+    dcg.backward = timed_backward
+    dcg.AdamW.step = timed_step
     print("epoch step fwd_ms bwd_ms minflt maxrss_mb nodes")
-    for epoch in range(t.epochs):
-        weights = phase_weights(epoch, cfg)
-        shuffle_rng, dropout_rng = _epoch_rngs(cfg.seed, epoch)
-        order = shuffle_rng.permutation(len(samples))
-        model.reset_states()
-        fwd, bwd, faults = [], [], 0
-        for step, lo in enumerate(range(0, len(order), t.batch_size)):
-            batch = batch_from_samples(
-                [samples[j] for j in order[lo:lo + t.batch_size]])
-            flt0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            tic = time.perf_counter()
-            loss, _ = model.loss_batch(batch, weights, rng=dropout_rng,
-                                       training=True)
-            fwd.append((time.perf_counter() - tic) * 1e3)
-            nodes = graph_nodes(loss)
-            model.registry.zero_grads()
-            tic = time.perf_counter()
-            dcg.backward(loss)
-            bwd.append((time.perf_counter() - tic) * 1e3)
-            model.registry.clip_grad_norm(t.clip_norm)
-            optimizer.step()
-            del loss
-            usage = resource.getrusage(resource.RUSAGE_SELF)
-            faults += usage.ru_minflt - flt0
-            print(f"{epoch} {step} {fwd[-1]:.2f} {bwd[-1]:.2f} "
-                  f"{usage.ru_minflt - flt0} {usage.ru_maxrss / 1024:.1f} {nodes}")
-        print(f"epoch {epoch}: {len(fwd)} steps, median fwd_ms "
-              f"{np.median(fwd):.2f} bwd_ms {np.median(bwd):.2f}, "
-              f"minflt {faults}")
+    train(model, dataset, cfg)
 
 
 if __name__ == "__main__":

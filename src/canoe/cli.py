@@ -34,7 +34,7 @@ from .mmc import fit_mmc, rank_of_target
 from .model import CanoeModel
 from .synthetic import generate_synthetic
 from .topics import build_cooccurrence, fit_lda
-from .training import (Checkpoint, evaluate_model, load_checkpoint,
+from .training import (Checkpoint, evaluate_ranks, load_checkpoint,
                        model_from_checkpoint, report_from_ranks,
                        sample_entropies, train)
 from . import data as data_mod
@@ -102,7 +102,7 @@ def _resolve_config(args, base: RunConfig | None = None,
         overrides["seed"] = args.seed
     elif require_seed and "seed" not in overrides and config is None:
         raise ConfigError("--seed is required (or provide it in --config)")
-    if getattr(args, "thresholds", None):
+    if getattr(args, "thresholds", None) is not None:
         # checked as the config checks eval.thresholds
         try:
             overrides["eval.thresholds"] = [
@@ -226,8 +226,9 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(args.data, cfg)
     _check_id_space(dataset, ckpt)
     model = model_from_checkpoint(ckpt, use_best=True)
-    report = evaluate_model(model, dataset, dataset.split.test,
-                            thresholds=cfg.eval.thresholds, ks=cfg.eval.ks)
+    test = dataset.split.test
+    report = report_from_ranks(evaluate_ranks(model, test), dataset, test,
+                               thresholds=cfg.eval.thresholds, ks=cfg.eval.ks)
     write_report(report, args.report, title="canoe")
     _echo_config(cfg, args.report)
     _print_summary(report)

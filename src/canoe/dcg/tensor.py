@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Tensor", "NumericFault", "no_grad", "set_debug_checks",
+    "Tensor", "NumericFault", "no_grad",
     "constant", "parameter", "backward",
     "add", "mul", "matmul",
     "relu",
@@ -27,11 +27,12 @@ __all__ = [
 
 
 class NumericFault(RuntimeError):
-    """Raised when a non-finite value is produced by a graph operation."""
+    """Raised when a non-finite value reaches a check: a backward root, the
+    oscillator's input, a training step's loss, or (with CANOE_LOG=debug) a
+    parameter after a training step."""
 
 
 _state = threading.local()
-_DEBUG_CHECKS = False
 
 
 def _enabled() -> bool:
@@ -49,12 +50,6 @@ class no_grad:
     def __exit__(self, *exc):
         _state.grad_enabled = self._prev
         return False
-
-
-def set_debug_checks(flag: bool) -> None:
-    """Toggle per-operation finiteness checks (slow, for debugging)."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(flag)
 
 
 class Tensor:
@@ -124,8 +119,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
     out.data = data
     out.grad = None
     out._op = op
-    if _DEBUG_CHECKS and not np.all(np.isfinite(data)):
-        raise NumericFault(f"non-finite value produced by operator '{op}'")
     if _enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)

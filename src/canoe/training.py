@@ -32,7 +32,7 @@ from .topics import TopicModel
 
 __all__ = [
     "EpochLog", "TrainResult", "phase_weights", "train", "evaluate_ranks",
-    "sample_entropies", "report_from_ranks", "evaluate_model",
+    "sample_entropies", "report_from_ranks",
     "save_checkpoint", "load_checkpoint",
     "model_from_checkpoint", "CHECKPOINT_FORMAT",
 ]
@@ -134,14 +134,6 @@ def report_from_ranks(ranks: np.ndarray, dataset: Dataset,
     entropies = sample_entropies(dataset, samples)
     report.by_threshold = stratified_reports(ranks, entropies, thresholds, ks)
     return report
-
-
-def evaluate_model(model: CanoeModel, dataset: Dataset,
-                   samples: list[WindowSample],
-                   thresholds=DEFAULT_THRESHOLDS, ks=DEFAULT_KS) -> EvalReport:
-    """Overall metrics plus the entropy-stratified breakdown."""
-    return report_from_ranks(evaluate_ranks(model, samples), dataset, samples,
-                             thresholds, ks)
 
 
 def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from canoe import checks
 from canoe.cli import main, steady_heap
 from canoe.config import ConfigError, RunConfig, load_config
 
@@ -243,15 +244,16 @@ class TestTrainEvalCommands:
 
     def test_eval_unparsable_threshold_exits_2(self, workspace, tmp_path,
                                                capsys):
-        rc = main(["eval", "--data", str(workspace / "data.jsonl"),
-                   "--model", str(workspace / "model.ckpt"),
-                   "--report", str(tmp_path / "report"),
-                   "--thresholds", "0.5,abc"])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: --thresholds expects comma-separated numbers: could not "
-            "convert string to float: 'abc'\n")
-        assert list(tmp_path.iterdir()) == []
+        for thresholds, bad in (("0.5,abc", "abc"), ("", "")):
+            rc = main(["eval", "--data", str(workspace / "data.jsonl"),
+                       "--model", str(workspace / "model.ckpt"),
+                       "--report", str(tmp_path / "report"),
+                       "--thresholds", thresholds])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "error: --thresholds expects comma-separated numbers: could "
+                f"not convert string to float: '{bad}'\n")
+            assert list(tmp_path.iterdir()) == []
 
     def test_eval_writes_reports(self, workspace):
         rc = main(["eval", "--data", str(workspace / "data.jsonl"),
@@ -633,9 +635,18 @@ class TestGradcheckCommand:
         assert rc == 2
         assert f"error: {message}" in capsys.readouterr().err
 
-    def test_exit_1_when_tolerance_not_met(self, capsys):
-        rc = main(["gradcheck", "--tolerance", "1e-30"])
+    def test_exit_1_when_tolerance_not_met(self, capsys, monkeypatch):
+        epsilons = []
+
+        def fake_gradcheck(cfg, epsilon):
+            epsilons.append(epsilon)
+            return 2.5e-3
+
+        monkeypatch.setattr(checks, "full_model_gradcheck", fake_gradcheck)
+        rc = main(["gradcheck", "--tolerance", "1e-3", "--epsilon", "3e-6"])
         assert rc == 1
+        assert capsys.readouterr().out == "2.500000e-03\n"
+        assert epsilons == [3e-6]
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
     def test_tolerance_must_be_finite_and_positive(self, capsys, tolerance):

@@ -64,16 +64,6 @@ class TestBackwardContracts:
             with pytest.raises(dcg.NumericFault):
                 dcg.backward(dcg.tensor_sum(_exp(x)))
 
-    def test_debug_checks_name_offending_operator(self):
-        dcg.set_debug_checks(True)
-        try:
-            x = dcg.parameter([1000.0])
-            with np.errstate(over="ignore"):
-                with pytest.raises(dcg.NumericFault, match="exp"):
-                    _exp(x)
-        finally:
-            dcg.set_debug_checks(False)
-
     def test_no_grad_builds_no_graph(self):
         x = dcg.parameter([1.0, 2.0])
         with dcg.no_grad():

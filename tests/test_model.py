@@ -217,11 +217,3 @@ class TestPrunedWarmupStep:
         dcg.backward(loss)
         with pytest.raises(ValueError, match=r"missing gradients .*'unused'"):
             optimizer.step()
-
-
-class TestFullPipelineGradcheck:
-    def test_tiny_model_gradients(self):
-        from canoe.checks import full_model_gradcheck
-
-        err = full_model_gradcheck(epsilon=1e-5)
-        assert err < 1e-4

@@ -12,9 +12,9 @@ from canoe import dcg
 from canoe.config import RunConfig
 from canoe.dcg import AdamW
 from canoe.model import CanoeModel, batch_from_samples
-from canoe.training import (evaluate_model, evaluate_ranks, load_checkpoint,
+from canoe.training import (evaluate_ranks, load_checkpoint,
                             model_from_checkpoint, phase_weights,
-                            save_checkpoint, train)
+                            report_from_ranks, save_checkpoint, train)
 from conftest import build_pipeline
 
 
@@ -256,8 +256,9 @@ class TestEvaluateModel:
     def test_report_includes_thresholds(self):
         cfg = tiny_cfg(epochs=1)
         _, ds, _, model = build_pipeline(cfg)
-        rep = evaluate_model(model, ds, ds.split.test,
-                             thresholds=(0.5, 0.9), ks=(1, 3))
+        test = ds.split.test
+        rep = report_from_ranks(evaluate_ranks(model, test), ds, test,
+                                thresholds=(0.5, 0.9), ks=(1, 3))
         assert set(rep.by_threshold) == {0.5, 0.9}
         assert rep.n_samples == len(ds.split.test)
 
@@ -268,3 +269,28 @@ class TestEvaluateModel:
         with np.errstate(invalid="ignore"):
             with pytest.raises(dcg.NumericFault, match="batch 0"):
                 train(model, ds, cfg)
+
+    @pytest.mark.parametrize("level, message", [
+        (logging.DEBUG,
+         "non-finite parameter 'decoder.loc.w' after epoch 0 batch 0"),
+        (logging.INFO, "non-finite loss at epoch 0 batch 1"),
+    ], ids=["debug", "info"])
+    def test_debug_log_checks_parameters_after_each_step(
+            self, caplog, monkeypatch, level, message):
+        # at the debug level the parameter scan catches the bad step itself;
+        # otherwise only the next step's loss shows it
+        cfg = tiny_cfg(epochs=1, warmup=0)
+        cfg.train.batch_size = 16
+        _, ds, _, model = build_pipeline(cfg)
+        assert len(ds.split.train) > cfg.train.batch_size
+        real_step = AdamW.step
+
+        def poisoned_step(self):
+            real_step(self)
+            self.registry["decoder.loc.w"].data[0, 0] = np.inf
+
+        monkeypatch.setattr(AdamW, "step", poisoned_step)
+        with caplog.at_level(level, logger="canoe.training"):
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(dcg.NumericFault, match=re.escape(message)):
+                    train(model, ds, cfg)
