@@ -8,8 +8,9 @@ config on gradcheck), then repeated --set section.key=value overrides, then
 dedicated flags (--seed, --thresholds). Every file-producing command echoes
 its fully resolved config next to its primary output. Exit codes: 0 success,
 1 check failure or numeric fault, 2 usage, config or data error. CANOE_LOG in
-{error,warn,info,debug} controls verbosity. On glibc, main() first sets the
-allocator thresholds of steady_heap().
+{error,warn,info,debug} controls verbosity (unset or empty: info; any other
+value exits 2). On glibc, main() first sets the allocator thresholds of
+steady_heap().
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .config import ConfigError, RunConfig, load_config
 from .data import (Dataset, prepare_dataset, read_checkins, write_checkins,
                    write_text)
 from .dcg import NumericFault
-from .evaluation import EvalReport, write_report
+from .evaluation import write_report
 from .mmc import fit_mmc, rank_of_target
 from .model import CanoeModel
 from .synthetic import generate_synthetic
@@ -46,9 +47,10 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("CANOE_LOG", "info").strip().lower()
+    level = os.environ.get("CANOE_LOG", "").strip().lower() or "info"
     if level not in _LOG_LEVELS:
-        level = "info"
+        raise ConfigError(f"CANOE_LOG must be one of {', '.join(_LOG_LEVELS)}, "
+                          f"got {os.environ['CANOE_LOG']!r}")
     logging.basicConfig(level=_LOG_LEVELS[level],
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
@@ -212,12 +214,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _print_summary(report: EvalReport) -> None:
-    """The stdout line of eval and mmc: Acc at the smallest k, named as
-    report.json names it, and the MRR."""
+def _write_scores(ranks: np.ndarray, dataset: Dataset, cfg: RunConfig,
+                  report_base: str, title: str) -> int:
+    """The output tail of eval and mmc: the report of the test split's
+    ranks, the config echo, and one stdout line with the Acc at the
+    smallest k, named as report.json names it, and the MRR."""
+    report = report_from_ranks(ranks, dataset, dataset.split.test,
+                               thresholds=cfg.eval.thresholds, ks=cfg.eval.ks)
+    write_report(report, report_base, title=title)
+    _echo_config(cfg, report_base)
     k = min(report.acc)
     print(json.dumps({"n_samples": report.n_samples,
                       f"acc@{k}": report.acc[k], "mrr": report.mrr}))
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -226,13 +235,8 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(args.data, cfg)
     _check_id_space(dataset, ckpt)
     model = model_from_checkpoint(ckpt, use_best=True)
-    test = dataset.split.test
-    report = report_from_ranks(evaluate_ranks(model, test), dataset, test,
-                               thresholds=cfg.eval.thresholds, ks=cfg.eval.ks)
-    write_report(report, args.report, title="canoe")
-    _echo_config(cfg, args.report)
-    _print_summary(report)
-    return 0
+    return _write_scores(evaluate_ranks(model, dataset.split.test), dataset,
+                         cfg, args.report, title="canoe")
 
 
 def cmd_mmc(args) -> int:
@@ -240,17 +244,11 @@ def cmd_mmc(args) -> int:
     dataset = _load_dataset(args.data, cfg)
     region = data_mod.train_location_region(dataset.sequences, dataset.split)
     model = fit_mmc(region, dataset.n_locations)
-    test = dataset.split.test
     ranks = np.array([
         rank_of_target(model, s.user, s.context_locations[-1], s.target_location)
-        for s in test
+        for s in dataset.split.test
     ])
-    report = report_from_ranks(ranks, dataset, test,
-                               thresholds=cfg.eval.thresholds, ks=cfg.eval.ks)
-    write_report(report, args.report, title="1-mmc")
-    _echo_config(cfg, args.report)
-    _print_summary(report)
-    return 0
+    return _write_scores(ranks, dataset, cfg, args.report, title="1-mmc")
 
 
 def cmd_entropy(args) -> int:
@@ -347,11 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
-    steady_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
+        steady_heap()
         return args.func(args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

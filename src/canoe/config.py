@@ -204,6 +204,9 @@ class RunConfig:
             raise ConfigError(f"topics.alpha must be null or > 0, got {self.topics.alpha}")
         if self.topics.beta <= 0.0:
             raise ConfigError(f"topics.beta must be > 0, got {self.topics.beta}")
+        if self.topics.gibbs_iters < 0:
+            raise ConfigError(
+                f"topics.gibbs_iters must be >= 0, got {self.topics.gibbs_iters}")
 
     # runtime-object builders -------------------------------------------------
 

@@ -39,9 +39,8 @@ class EvalReport:
 
 @dataclass
 class StratumReport:
-    """Metrics over the high-entropy subset at one threshold."""
+    """Metrics over the high-entropy subset at one threshold (its key)."""
 
-    threshold: float
     n_subset: int
     n_complement: int
     metrics: EvalReport | None  # None when the subset is empty
@@ -104,9 +103,8 @@ def stratified_reports(ranks: Sequence[int], entropies: Sequence[float],
         mask = ent >= th
         n_sub = int(mask.sum())
         metrics = compute_metrics(ranks[mask], ks) if n_sub else None
-        out[float(th)] = StratumReport(threshold=float(th), n_subset=n_sub,
-                                       n_complement=int(ranks.size - n_sub),
-                                       metrics=metrics)
+        out[float(th)] = StratumReport(
+            n_subset=n_sub, n_complement=int(ranks.size - n_sub), metrics=metrics)
     return out
 
 

@@ -4,6 +4,8 @@ Per-user transition counts over consecutive activity locations, with a
 global transition table and global popularity as cold-start fallbacks.
 Ranking is a total order: per-user count desc, then global count desc,
 then ascending location id; states unseen everywhere rank by popularity.
+Both orders are one score row, ranked by model.target_ranks like CANOE's
+probabilities.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .model import target_ranks
 
 __all__ = ["TransitionModel", "fit_mmc", "rank_locations", "rank_of_target"]
 
@@ -37,56 +41,37 @@ def fit_mmc(train_regions: dict[int, list[int]], n_locations: int) -> Transition
     return model
 
 
-def _count_rows(model: TransitionModel, user: int,
-                current_loc: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Dense (user-row, global-row) count vectors, or None when the state
-    was never observed anywhere (popularity fallback)."""
+def _dense(counts: Counter | None, n_locations: int) -> np.ndarray:
+    row = np.zeros(n_locations, dtype=np.int64)
+    for loc, c in (counts or {}).items():
+        row[loc] = c
+    return row
+
+
+def _scores(model: TransitionModel, user: int, current_loc: int) -> np.ndarray:
+    """One int64 score per location, the best highest. For per-user and
+    global transition counts u and g out of the current state it is
+    u * (max(g) + 1) + g, which orders locations as the pair (u, g) does
+    since 0 <= g <= max(g); for a state never observed anywhere it is the
+    popularity counts."""
     u_row = model.per_user.get((user, current_loc))
     g_row = model.global_counts.get(current_loc)
     if not u_row and not g_row:
-        return None
-    u = np.zeros(model.n_locations, dtype=np.int64)
-    g = np.zeros(model.n_locations, dtype=np.int64)
-    if u_row:
-        for loc, c in u_row.items():
-            u[loc] = c
-    if g_row:
-        for loc, c in g_row.items():
-            g[loc] = c
-    return u, g
-
-
-def _popularity_row(model: TransitionModel) -> np.ndarray:
-    pop = np.zeros(model.n_locations, dtype=np.int64)
-    for loc, c in model.popularity.items():
-        pop[loc] = c
-    return pop
+        return _dense(model.popularity, model.n_locations)
+    u = _dense(u_row, model.n_locations)
+    g = _dense(g_row, model.n_locations)
+    return u * (g.max() + 1) + g
 
 
 def rank_locations(model: TransitionModel, user: int, current_loc: int) -> list[int]:
-    """All candidate locations, best first."""
-    rows = _count_rows(model, user, current_loc)
-    ids = np.arange(model.n_locations)
-    if rows is None:
-        pop = _popularity_row(model)
-        order = np.lexsort((ids, -pop))
-    else:
-        u, g = rows
-        order = np.lexsort((ids, -g, -u))
-    return order.tolist()
+    """All candidate locations, best first: a sort of the scores, the
+    reference rank_of_target is tested against."""
+    scores = _scores(model, user, current_loc)
+    return np.lexsort((np.arange(scores.size), -scores)).tolist()
 
 
 def rank_of_target(model: TransitionModel, user: int, current_loc: int,
                    target: int) -> int:
-    """1-indexed rank of the target under the baseline's total order."""
-    rows = _count_rows(model, user, current_loc)
-    ids = np.arange(model.n_locations)
-    if rows is None:
-        pop = _popularity_row(model)
-        better = (pop > pop[target]) | ((pop == pop[target]) & (ids < target))
-    else:
-        u, g = rows
-        ut, gt = u[target], g[target]
-        better = (u > ut) | ((u == ut) & (g > gt)) \
-            | ((u == ut) & (g == gt) & (ids < target))
-    return int(better.sum()) + 1
+    """1-indexed rank of the target under the rule every scorer ranks by
+    (model.target_ranks)."""
+    return int(target_ranks(_scores(model, user, current_loc), target))

@@ -23,7 +23,8 @@ from .embeddings import EmbeddingTable, SmoothedTimeEmbedding
 from .encoder import LocationTimePair, TimeUserPair
 from .topics import UserLocationHead
 
-__all__ = ["N_SLOTS", "Batch", "CanoeModel", "batch_from_samples"]
+__all__ = ["N_SLOTS", "Batch", "CanoeModel", "batch_from_samples",
+           "target_ranks"]
 
 N_SLOTS = 24  # hour-of-day time slots
 
@@ -139,13 +140,18 @@ class CanoeModel:
         return _softmax(loc_logits.data, -1)
 
     def rank_targets(self, batch: Batch) -> np.ndarray:
-        """1-indexed rank of each target; probability ties break by
-        ascending location id."""
-        probs = self.location_probs(batch)
-        n = probs.shape[0]
-        target_p = probs[np.arange(n), batch.target_locs]
-        ids = np.arange(self.n_locations)
-        better = (probs > target_p[:, None]).sum(axis=1)
-        tied_smaller = ((probs == target_p[:, None])
-                        & (ids[None, :] < batch.target_locs[:, None])).sum(axis=1)
-        return (better + tied_smaller + 1).astype(np.int64)
+        """1-indexed rank of each target by location probability."""
+        return target_ranks(self.location_probs(batch), batch.target_locs)
+
+
+def target_ranks(scores: np.ndarray, targets) -> np.ndarray:
+    """The rank rule of every scorer: the 1-indexed rank of each target
+    location in its row of scores (last axis indexed by location id), higher
+    scores first and equal scores by ascending location id. One row and a
+    scalar target give a 0-d array."""
+    targets = np.asarray(targets)[..., None]
+    target_s = np.take_along_axis(scores, targets, -1)
+    ids = np.arange(scores.shape[-1])
+    better = (scores > target_s).sum(axis=-1)
+    tied_smaller = ((scores == target_s) & (ids < targets)).sum(axis=-1)
+    return (better + tied_smaller + 1).astype(np.int64)

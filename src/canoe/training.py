@@ -142,6 +142,8 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
           topic_model: TopicModel | None = None,
           resume: Checkpoint | None = None) -> TrainResult:
     """Run the epoch loop; returns the logs and the best validation epoch.
+    The CSV log at log_path holds the rows so far: it is written once the
+    checks pass, before the first epoch, and again after each epoch.
 
     With `resume`, continue the run that wrote that checkpoint: the model
     must hold its latest parameters (`model_from_checkpoint(resume,
@@ -172,6 +174,14 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
         best_key, best_epoch = resume.meta["best_key"], resume.meta["best_epoch"]
         best_params = resume.best_params
     debug = log.isEnabledFor(logging.DEBUG)
+
+    def write_log() -> None:
+        if log_path is not None:
+            write_text(log_path, CSV_HEADER + "\n" + "".join(
+                ",".join("" if v is None else repr(v) for v in astuple(entry))
+                + "\n" for entry in logs))
+
+    write_log()  # a log path that cannot be written fails before any epoch
 
     def consider_best(epoch: int, acc1: float | None, mrr: float | None) -> None:
         nonlocal best_key, best_epoch, best_params
@@ -245,11 +255,7 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
             save_checkpoint(checkpoint_path, model, optimizer, cfg,
                             topic_model, epoch, best_params,
                             best_epoch, best_key, logs)
-
-    if log_path is not None:
-        write_text(log_path, CSV_HEADER + "\n" + "".join(
-            ",".join("" if v is None else repr(v) for v in astuple(entry)) + "\n"
-            for entry in logs))
+        write_log()
 
     acc1, mrr = best_key or (None, None)
     return TrainResult(logs, best_epoch, acc1, mrr)

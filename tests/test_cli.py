@@ -115,13 +115,15 @@ class TestGenerate:
         ("train.clip_norm=NaN", "train.clip_norm must be float, got nan"),
         ("eval.thresholds=[0.5,-Infinity]",
          "eval.thresholds must be list[float], got [0.5, -inf]"),
+        ("topics.gibbs_iters=-5", "topics.gibbs_iters must be >= 0, got -5"),
     ], ids=["enc_layers", "enc_dropout", "attention", "enc_heads",
             "decoder_query", "dim_zero", "dim_negative", "enc_ff",
             "sigma_zero", "sigma_negative", "stride", "lr_zero", "lr_negative",
             "beta1_above", "beta1_negative", "beta2_one", "eps", "weight_decay",
             "ks_empty", "ks_zero", "clip_norm_negative", "lr_nan", "sigma_nan",
             "sigma_inf", "k_overflow", "alpha_nan", "beta_nan", "eps_nan",
-            "lambda_loc_nan", "clip_norm_nan", "threshold_neg_inf"])
+            "lambda_loc_nan", "clip_norm_nan", "threshold_neg_inf",
+            "gibbs_iters_negative"])
     def test_invalid_model_value_exits_2_writing_nothing(self, tmp_path, capsys,
                                                          override, message):
         rc = main(["generate", "--seed", "1", "--out", str(tmp_path / "d.jsonl"),
@@ -555,6 +557,28 @@ class TestTrainEvalCommands:
         assert err.startswith("error: ") and "Is a directory" in err
         assert [p.name for p in tmp_path.iterdir()] == ["folder"]
 
+    def test_unwritable_log_exits_2_before_training(self, workspace, tmp_path,
+                                                    capsys, monkeypatch):
+        from canoe.model import CanoeModel
+
+        steps = []
+        real_loss_batch = CanoeModel.loss_batch
+
+        def counted_loss_batch(self, *args, **kwargs):
+            steps.append(1)
+            return real_loss_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(CanoeModel, "loss_batch", counted_loss_batch)
+        (tmp_path / "afile").write_text("")
+        rc = main(["train", "--data", str(workspace / "data.jsonl"), "--seed", "3",
+                   "--model-out", str(tmp_path / "m.ckpt"),
+                   "--log", str(tmp_path / "afile" / "log.csv")] + TRAIN_ARGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "afile" in err
+        assert steps == []
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
     @pytest.mark.parametrize("command, outputs", [
         ("generate", ["d.jsonl", "d.jsonl.config.json"]),
         ("preprocess", ["s.json", "s.json.config.json"]),
@@ -617,6 +641,28 @@ class TestTrainEvalCommands:
         assert summary["users_kept"] == 10
         total = sum(summary["samples"].values())
         assert total > 0
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("value", ["degub", "verbose", "0"])
+    def test_unknown_canoe_log_exits_2_writing_nothing(self, workspace, tmp_path,
+                                                       capsys, monkeypatch, value):
+        monkeypatch.setenv("CANOE_LOG", value)
+        rc = main(["preprocess", "--data", str(workspace / "data.jsonl"),
+                   "--out", str(tmp_path / "s.json")] + SMALL_ARGS)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: CANOE_LOG must be one of error, warn, "
+                                f"info, debug, got '{value}'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["", " Debug ", "WARN"])
+    def test_empty_or_any_case_canoe_log_is_accepted(self, workspace, capsys,
+                                                     monkeypatch, value):
+        monkeypatch.setenv("CANOE_LOG", value)
+        assert main(["preprocess", "--data", str(workspace / "data.jsonl")]
+                    + SMALL_ARGS) == 0
 
 
 class TestGradcheckCommand:

@@ -5,7 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from canoe.mmc import fit_mmc, rank_locations, rank_of_target
+from canoe.mmc import (TransitionModel, _scores, fit_mmc, rank_locations,
+                       rank_of_target)
 
 
 def brute_force_pair_counts(locs):
@@ -83,6 +84,56 @@ class TestRanking:
             for cur in range(8):
                 ranking = rank_locations(model, u, cur)
                 assert sorted(ranking) == list(range(8))
+
+    @staticmethod
+    def assert_scores_order_as_counts(model, users):
+        """Sorting by the score row, ties by id, gives the baseline's order:
+        (-user count, -global count, id), or by popularity for a state never
+        observed. Returns the number of such popularity states."""
+        n_locs = model.n_locations
+        fallbacks = 0
+        for u in users:
+            for cur in range(n_locs):
+                u_row = model.per_user.get((u, cur), Counter())
+                g_row = model.global_counts.get(cur, Counter())
+                if u_row or g_row:
+                    key = lambda i: (-u_row[i], -g_row[i], i)
+                else:
+                    key = lambda i: (-model.popularity[i], i)
+                    fallbacks += 1
+                scores = _scores(model, u, cur)
+                by_score = sorted(range(n_locs), key=lambda i: (-scores[i], i))
+                assert by_score == sorted(range(n_locs), key=key)
+        return fallbacks
+
+    def test_scores_order_as_counts_on_fits(self):
+        rng = np.random.default_rng(8)
+        fallbacks = 0
+        for _ in range(60):
+            n_locs = int(rng.integers(2, 9))
+            # the last location is never visited, so its state falls back
+            model = fit_mmc({u: list(rng.integers(0, n_locs - 1,
+                                                  rng.integers(2, 20)))
+                             for u in range(3)}, n_locations=n_locs)
+            fallbacks += self.assert_scores_order_as_counts(model, range(3))
+        assert fallbacks > 0
+
+    def test_scores_order_as_counts_for_any_counts(self):
+        """A fit's global counts include the user's, so a user count never
+        exceeds its global count there; the order holds without that."""
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            n_locs = int(rng.integers(2, 7))
+
+            def counts():
+                return Counter({i: int(c) for i, c in
+                                enumerate(rng.integers(0, 4, n_locs)) if c})
+
+            model = TransitionModel(n_locations=n_locs, popularity=counts())
+            for cur in range(n_locs):
+                model.per_user[(0, cur)] = counts()
+                model.global_counts[cur] = counts()
+            self.assert_scores_order_as_counts(model, [0])
 
     def test_rank_of_target_consistent_with_rank_locations(self):
         rng = np.random.default_rng(6)

@@ -9,7 +9,7 @@ from canoe import dcg
 from canoe.config import RunConfig
 from canoe.dcg import AdamW
 from canoe.decoder import LossWeights
-from canoe.model import Batch, CanoeModel
+from canoe.model import Batch, CanoeModel, target_ranks
 
 
 def make_model(rng, dim=8, n_users=6, n_locs=9, n_topics=4, **cfg_kw):
@@ -109,6 +109,35 @@ class TestRankTargets:
         batch = random_batch(rng)
         ranks = model.rank_targets(batch)
         assert ranks.shape == (4,)
+
+
+def sorted_rank(row, target):
+    """Oracle: 1 + the target's position when ids are sorted by
+    (-score, id)."""
+    order = sorted(range(len(row)), key=lambda i: (-row[i], i))
+    return order.index(target) + 1
+
+
+class TestTargetRanks:
+    def test_matches_sort_oracle_with_ties(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n_locs = int(rng.integers(1, 12))
+            # few distinct values, so most rows hold ties
+            scores = rng.integers(-2, 3, (int(rng.integers(1, 6)), n_locs))
+            targets = rng.integers(0, n_locs, scores.shape[0])
+            ranks = target_ranks(scores, targets)
+            assert ranks.dtype == np.int64 and ranks.shape == targets.shape
+            assert ranks.tolist() == [sorted_rank(row.tolist(), t)
+                                      for row, t in zip(scores, targets)]
+            for row, t in zip(scores, targets):
+                one = target_ranks(row, int(t))
+                assert one.shape == () and int(one) == sorted_rank(row.tolist(), t)
+
+    def test_float_scores_tie_only_when_equal(self):
+        up, down = np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)
+        scores = np.array([0.25, 0.5, 0.25, up, down])
+        assert [int(target_ranks(scores, t)) for t in range(5)] == [4, 2, 5, 1, 3]
 
 
 class TestStateLifecycle:
