@@ -76,7 +76,7 @@ def main() -> None:
     dataset = prepare_dataset(generate_synthetic(cfg.synthetic_config()),
                               theta=d.theta_seconds, window_len=d.window_len,
                               stride=d.stride, min_records=d.min_records)
-    topic_model = cli._fit_topics(dataset, cfg)
+    topic_model = cli.fit_topics(dataset, cfg)
     model = CanoeModel(cfg.model, n_users=dataset.n_users,
                        n_locations=dataset.n_locations,
                        topic_theta=topic_model.theta, seed=cfg.seed)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import RunConfig
 from .dcg import grad_check
-from .model import Batch, CanoeModel
+from .model import N_SLOTS, Batch, CanoeModel
 
 __all__ = ["tiny_gradcheck_config", "tiny_gradcheck_batch", "full_model_gradcheck"]
 
@@ -42,9 +42,9 @@ def tiny_gradcheck_batch(cfg: RunConfig, rng: np.random.Generator) -> Batch:
     return Batch(
         users=np.arange(n, dtype=np.int64),
         ctx_locs=rng.integers(0, TINY_LOCATIONS, size=(n, ctx)),
-        ctx_slots=rng.integers(0, 24, size=(n, ctx)),
+        ctx_slots=rng.integers(0, N_SLOTS, size=(n, ctx)),
         target_locs=rng.integers(0, TINY_LOCATIONS, size=n),
-        target_slots=rng.integers(0, 24, size=n),
+        target_slots=rng.integers(0, N_SLOTS, size=n),
     )
 
 
@@ -62,7 +62,7 @@ def full_model_gradcheck(cfg: RunConfig | None = None, epsilon: float = 1e-5) ->
 
     def loss_fn(_registry):
         model.reset_states()
-        loss, _ = model.loss_batch(batch, weights, rng=None, training=False)
+        loss, _ = model.loss_batch(batch, weights)
         return loss
 
     return grad_check(loss_fn, model.registry, epsilon)

@@ -139,7 +139,8 @@ def _check_id_space(dataset: Dataset, ckpt: Checkpoint) -> None:
                              f"checkpoint's {field}={want}")
 
 
-def _fit_topics(dataset: Dataset, cfg: RunConfig):
+def fit_topics(dataset: Dataset, cfg: RunConfig):
+    """LDA over each user's training region, as `canoe train` fits it."""
     region = data_mod.train_location_region(dataset.sequences, dataset.split)
     lists = [region.get(u, []) for u in range(dataset.n_users)]
     counts = build_cooccurrence(lists, dataset.n_locations)
@@ -198,7 +199,7 @@ def cmd_train(args) -> int:
         ckpt = None
         cfg = _resolve_config(args, require_seed=True)
         dataset = _load_dataset(args.data, cfg)
-        topic_model = _fit_topics(dataset, cfg)
+        topic_model = fit_topics(dataset, cfg)
         model = CanoeModel(cfg.model, n_users=dataset.n_users,
                            n_locations=dataset.n_locations,
                            topic_theta=topic_model.theta, seed=cfg.seed)

@@ -10,8 +10,10 @@ and the transformed score is
 
     Osc(S) = (E - I) * exp(min(-k*S^2, 50)) + ReLU(S).
 
-The decay factor blends regimes: near S = 0 the chaotic difference E - I
-dominates; for strong affinities the stable ReLU(S) term takes over. The
+The factor exp(-k*S^2) sets the blend. For k > 0 it decays: near S = 0 the
+chaotic difference E - I dominates and for strong affinities the stable
+ReLU(S) term takes over. For k < 0 (the default k = -500) it grows with S
+up to the e^50 clamp, which amplifies E - I most at strong affinities. The
 exponent is clamped from above only (overflow guard for negative k);
 heavily negative exponents underflow to 0 harmlessly. A per-head stabilizer
 exp(-gamma * ||alpha - alpha_prev||_F^2) damps abrupt shifts of the
@@ -178,7 +180,7 @@ def cnoa_attention(qh: Tensor, kh: Tensor, vh: Tensor, scale: float,
 class CnoaAttention:
     """Multi-head attention with oscillator-transformed scores and a
     deviation-penalizing stabilizer, or plain scaled dot-product attention
-    when variant="cross" (the ablation comparator).
+    when osc is None (the cross variant, the ablation comparator).
 
     The projections are stacked [n_heads, d_in, head_dim] tensors and all
     heads run in one pass, heads-first. The previous attention distribution
@@ -190,16 +192,12 @@ class CnoaAttention:
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
                  prefix: str, dim_q: int, dim_kv: int, dim_out: int,
-                 n_heads: int, osc: OscillatorParams,
-                 variant: str = "cnoa"):
+                 n_heads: int, osc: OscillatorParams | None):
         if dim_out % n_heads != 0:
             raise ValueError(f"dim_out {dim_out} not divisible by n_heads {n_heads}")
-        if variant not in ("cnoa", "cross"):
-            raise ValueError(f"unknown attention variant '{variant}'")
         self.n_heads = n_heads
         self.head_dim = dim_out // n_heads
         self.osc = osc
-        self.variant = variant
         self._scale = 1.0 / np.sqrt(self.head_dim)
 
         def stacked(name, dim_in):
@@ -229,10 +227,9 @@ class CnoaAttention:
             raise ValueError(
                 f"key/value sequence lengths differ: {k.shape[-2]} vs {v.shape[-2]}")
         ndim = max(q.ndim, k.ndim, v.ndim)
-        osc = self.osc if self.variant == "cnoa" else None
         out, alpha = cnoa_attention(
             self._heads(q, self.wq, ndim), self._heads(k, self.wk, ndim),
-            self._heads(v, self.wv, ndim), self._scale, osc, self._alpha_prev)
-        if osc is not None and update_state:
+            self._heads(v, self.wv, ndim), self._scale, self.osc, self._alpha_prev)
+        if self.osc is not None and update_state:
             self._alpha_prev = alpha
         return dcg.matmul(out, self.w_out)

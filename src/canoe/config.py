@@ -148,11 +148,14 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def validate(self) -> None:
-        # Round-trip through the constructor-validated runtime objects so
-        # field errors surface with their names.
+        # Round-trip through the constructor-validated synthetic config so
+        # its field errors surface with their names.
         self.synthetic_config()
         m = self.model
-        m.oscillator_params()
+        if m.osc_iters < 1:
+            raise ConfigError(f"model.osc_iters must be >= 1, got {m.osc_iters}")
+        if m.gamma < 0.0:
+            raise ConfigError(f"model.gamma must be >= 0, got {m.gamma}")
         if m.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {m.dim}")
         if m.sigma <= 0.0:
@@ -173,8 +176,14 @@ class RunConfig:
             raise ConfigError(f"unknown attention variant '{m.attention}'")
         if m.decoder_query not in ("user_location", "time_user"):
             raise ConfigError(f"unknown decoder_query '{m.decoder_query}'")
-        self.loss_weights()
         t = self.train
+        lambdas = {key: getattr(t, key) for key in ("lambda_loc", "lambda_time", "lambda_aux")}
+        for key, value in lambdas.items():
+            if value < 0.0:
+                raise ConfigError(f"train.{key} must be >= 0, got {value}")
+        if not any(lambdas.values()):
+            raise ConfigError("train.lambda_loc, train.lambda_time and "
+                              "train.lambda_aux must not all be 0")
         if t.epochs < 1 or t.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         if t.warmup_epochs < 0:

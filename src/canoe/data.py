@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 __all__ = [
-    "CheckIn", "ActivitySequence", "WindowSample", "Split", "Dataset",
+    "N_SLOTS", "CheckIn", "ActivitySequence", "WindowSample", "Split", "Dataset",
     "hour_slot", "extract_activity_sequence", "make_windows", "split_samples",
     "train_location_region", "prepare_dataset",
     "write_checkins", "read_checkins", "build_manifest", "write_text",
@@ -23,6 +23,7 @@ __all__ = [
 
 SECONDS_PER_HOUR = 3600
 SECONDS_PER_DAY = 86400
+N_SLOTS = 24  # hour-of-day time slots
 _LOC, _BY_TIME = itemgetter(1), itemgetter(2)  # CheckIn.loc and CheckIn.t
 
 
@@ -77,7 +78,7 @@ class Dataset:
 
 def hour_slot(t: int) -> int:
     """Hour-of-day slot in a fixed UTC-like convention."""
-    return (t // SECONDS_PER_HOUR) % 24
+    return (t // SECONDS_PER_HOUR) % N_SLOTS
 
 
 def extract_activity_sequence(checkins: list[CheckIn],
@@ -131,16 +132,13 @@ def make_windows(seq: ActivitySequence, window_len: int = 20,
             for end in range(window_len - 1, len(locations), stride)]
 
 
-def split_samples(samples_by_user: dict[int, list[WindowSample]],
-                  ratios: tuple[int, int, int] = (7, 1, 2)) -> Split:
-    """Chronological per-user split; train/val sizes floor, remainder to test."""
-    total = sum(ratios)
+def split_samples(samples_by_user: dict[int, list[WindowSample]]) -> Split:
+    """Chronological 7:1:2 per-user split; train/val sizes floor, remainder to test."""
     split = Split()
     for user in sorted(samples_by_user):
         samples = samples_by_user[user]
         n = len(samples)
-        n_train = n * ratios[0] // total
-        n_val = n * ratios[1] // total
+        n_train, n_val = n * 7 // 10, n // 10
         split.train.extend(samples[:n_train])
         split.val.extend(samples[n_train:n_train + n_val])
         split.test.extend(samples[n_train + n_val:])

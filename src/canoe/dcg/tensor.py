@@ -401,8 +401,6 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     data = table.data[idx].copy()
 
     def bwd(g):
-        if not table.requires_grad:
-            return
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, idx, g)

@@ -38,7 +38,7 @@ class CrossContextDecoder:
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
                  dim: int, n_locations: int, n_slots: int, n_heads: int,
-                 osc: OscillatorParams, variant: str, query_source: str):
+                 osc: OscillatorParams | None, query_source: str):
         if query_source not in ("user_location", "time_user"):
             raise ValueError(f"unknown query source '{query_source}'")
         self.dim = dim
@@ -50,7 +50,7 @@ class CrossContextDecoder:
         self.p_st = Linear(registry, rng, "decoder.p_st", 2 * dim, dim)
         self.attn = CnoaAttention(registry, rng, "decoder.attn", dim_q=dim,
                                   dim_kv=dim, dim_out=dim, n_heads=n_heads,
-                                  osc=osc, variant=variant)
+                                  osc=osc)
         hidden = 4 * dim
         self.fuse1 = Linear(registry, rng, "decoder.fuse1", 6 * dim, hidden)
         self.fuse2 = Linear(registry, rng, "decoder.fuse2", hidden, dim)

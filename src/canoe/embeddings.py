@@ -31,14 +31,13 @@ class SmoothedTimeEmbedding:
     """Learnable slot table behind a fixed cyclic Gaussian smoother."""
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
-                 n_slots: int, dim: int, sigma: float,
-                 name: str = "time_table"):
+                 n_slots: int, dim: int, sigma: float):
         self.n_slots = n_slots
         self.dim = dim
         self.sigma = sigma
         self.weights = smoothing_weights(n_slots, sigma)
         self._weights_t = dcg.constant(self.weights)
-        self.table = registry.weight(name, rng, (n_slots, dim))
+        self.table = registry.weight("time_table", rng, (n_slots, dim))
 
     def smoothed_table(self) -> Tensor:
         """All smoothed slot vectors, shape [n_slots, dim]."""

@@ -42,13 +42,15 @@ def causal_mask(length: int) -> np.ndarray:
 
 class TransformerLayer:
     """Post-LN encoder layer: masked self-attention then position-wise FF,
-    one dcg.transformer_layer node."""
+    one dcg.transformer_layer node. A call given a dropout generator is a
+    training forward and drops at the layer's rate."""
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
-                 prefix: str, dim: int, heads: int, ff_width: int):
+                 prefix: str, dim: int, heads: int, ff_width: int, dropout: float):
         if dim % heads != 0:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
+        self.dropout = dropout
         self._scale = 1.0 / np.sqrt(dim // heads)
         q, k, v, o = (Linear(registry, rng, f"{prefix}.{name}", dim, dim)
                       for name in "qkvo")
@@ -62,13 +64,13 @@ class TransformerLayer:
         self.params = (q.w, q.b, k.w, k.b, v.w, v.b, o.w, o.b, *ln1,
                        ff1.w, ff1.b, ff2.w, ff2.b, *ln2)
 
-    def __call__(self, x: Tensor, mask: np.ndarray, dropout_rate: float,
-                 rng: np.random.Generator | None, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray,
+                 rng: np.random.Generator | None) -> Tensor:
         drop = None
-        if training and dropout_rate > 0.0 and rng is not None:
+        if rng is not None and self.dropout > 0.0:
             # inverted dropout: the attention output's mask, then the
             # feed-forward output's
-            drop = [(rng.random(x.shape) >= dropout_rate) / (1.0 - dropout_rate)
+            drop = [(rng.random(x.shape) >= self.dropout) / (1.0 - self.dropout)
                     for _ in range(2)]
         return dcg.transformer_layer(x, self.params, self.heads, mask,
                                      self._scale, drop)
@@ -79,13 +81,13 @@ class TimeUserPair:
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
                  user_table: EmbeddingTable, time_emb: SmoothedTimeEmbedding,
-                 dim: int, n_heads: int, osc: OscillatorParams, variant: str):
+                 dim: int, n_heads: int, osc: OscillatorParams | None):
         self.user_table = user_table
         self.time_emb = time_emb
         self.dim = dim
         self.attn = CnoaAttention(registry, rng, "time_user.attn",
                                   dim_q=2 * dim, dim_kv=dim, dim_out=dim,
-                                  n_heads=n_heads, osc=osc, variant=variant)
+                                  n_heads=n_heads, osc=osc)
 
     def __call__(self, users: np.ndarray, current_slots: np.ndarray,
                  update_state: bool = True) -> Tensor:
@@ -113,19 +115,17 @@ class LocationTimePair:
         self.loc_table = loc_table
         self.time_emb = time_emb
         self.dim = dim
-        self.dropout = dropout
         self.in_proj = Linear(registry, rng, "loc_time.in_proj", 2 * dim, dim)
         self.layers = [
             TransformerLayer(registry, rng, f"loc_time.layer{i}", dim, heads,
-                             ff_width)
+                             ff_width, dropout)
             for i in range(n_layers)
         ]
         self._pe_cache: dict[int, np.ndarray] = {}
         self._mask_cache: dict[int, np.ndarray] = {}
 
     def __call__(self, ctx_locs: np.ndarray, ctx_slots: np.ndarray,
-                 rng: np.random.Generator | None = None,
-                 training: bool = False) -> Tensor:
+                 rng: np.random.Generator | None = None) -> Tensor:
         ctx_locs = np.asarray(ctx_locs)
         if ctx_locs.ndim != 2 or ctx_locs.shape[1] == 0:
             raise ValueError("context must be a non-empty [batch, length] array")
@@ -140,6 +140,6 @@ class LocationTimePair:
         h = x_proj * np.sqrt(self.dim) + dcg.constant(self._pe_cache[length])
         mask = self._mask_cache[length]
         for layer in self.layers:
-            h = layer(h, mask, self.dropout, rng, training)
+            h = layer(h, mask, rng)
         return dcg.concat([h, x_proj], axis=-1)
 

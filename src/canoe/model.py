@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dcg
 from .config import ModelSection
-from .data import WindowSample
+from .data import N_SLOTS, WindowSample
 from .decoder import CrossContextDecoder, LossWeights
 from .dcg import ParamRegistry, Tensor
 from .dcg.tensor import _softmax
@@ -25,8 +25,6 @@ from .topics import UserLocationHead
 
 __all__ = ["N_SLOTS", "Batch", "CanoeModel", "batch_from_samples",
            "target_ranks"]
-
-N_SLOTS = 24  # hour-of-day time slots
 
 
 @dataclass
@@ -64,7 +62,7 @@ class CanoeModel:
         self.registry = ParamRegistry()
         rng = np.random.default_rng([seed, 202])
         d = cfg.dim
-        osc = cfg.oscillator_params()
+        osc = cfg.oscillator_params() if cfg.attention == "cnoa" else None  # None: cross
 
         self.time_emb = SmoothedTimeEmbedding(
             self.registry, rng, n_slots=N_SLOTS, dim=d, sigma=cfg.sigma)
@@ -75,14 +73,13 @@ class CanoeModel:
         self.ul_head = UserLocationHead(self.registry, rng,
                                         topic_theta.shape[1], d)
         self.time_user = TimeUserPair(self.registry, rng, self.user_table,
-                                      self.time_emb, d, cfg.attn_heads, osc,
-                                      cfg.attention)
+                                      self.time_emb, d, cfg.attn_heads, osc)
         self.loc_time = LocationTimePair(
             self.registry, rng, self.loc_table, self.time_emb, d,
             cfg.enc_layers, cfg.enc_heads, cfg.enc_dropout, cfg.ff_width())
         self.decoder = CrossContextDecoder(
             self.registry, rng, d, n_locations, N_SLOTS, cfg.attn_heads,
-            osc, variant=cfg.attention, query_source=cfg.decoder_query)
+            osc, query_source=cfg.decoder_query)
 
     def reset_states(self) -> None:
         self.time_user.attn.reset_state()
@@ -90,29 +87,29 @@ class CanoeModel:
 
     def forward_batch(self, batch: Batch,
                       rng: np.random.Generator | None = None,
-                      training: bool = False,
                       location_grad: bool = True) -> tuple[Tensor, Tensor, Tensor]:
-        """Returns (location logits, time logits, auxiliary logits). With
-        location_grad False only the time logits carry a graph: the location
-        path (user-location head, location-time transformer, decoder fusion,
-        location and auxiliary heads) runs without one."""
+        """Returns (location logits, time logits, auxiliary logits). Given
+        the dropout generator rng, it is a training forward: it drops and
+        updates both attention states. With location_grad False only the
+        time logits carry a graph: the location path (user-location head,
+        location-time transformer, decoder fusion, location and auxiliary
+        heads) runs without one."""
+        update_state = rng is not None
         # The decoding step's "current hour" is the most recent known slot.
         o_ut = self.time_user(batch.users, batch.ctx_slots[:, -1],
-                              update_state=training)
+                              update_state=update_state)
         with contextlib.nullcontext() if location_grad else dcg.no_grad():
             o_us = self.ul_head(dcg.constant(self.topic_theta[batch.users]))
-            o_st = self.loc_time(batch.ctx_locs, batch.ctx_slots, rng=rng,
-                                 training=training)
+            o_st = self.loc_time(batch.ctx_locs, batch.ctx_slots, rng=rng)
             e_u = self.user_table.lookup(batch.users)
             y_hat, fused_in = self.decoder(o_us, o_ut, o_st, e_u,
-                                           update_state=training)
+                                           update_state=update_state)
             loc_logits = self.decoder.location_logits(y_hat)
             aux_logits = self.decoder.aux_logits(fused_in)
         return loc_logits, self.decoder.time_logits(o_ut), aux_logits
 
     def loss_batch(self, batch: Batch, weights: LossWeights,
-                   rng: np.random.Generator | None = None,
-                   training: bool = False) -> tuple[Tensor, dict[str, float]]:
+                   rng: np.random.Generator | None = None) -> tuple[Tensor, dict[str, float]]:
         """Weighted three-term objective plus unweighted component values.
 
         With zero location and auxiliary weights (the warmup phase) the
@@ -122,7 +119,7 @@ class CanoeModel:
         which is what the full graph gives it."""
         time_only = weights.loc == 0.0 and weights.aux == 0.0
         loc_logits, time_logits, aux_logits = self.forward_batch(
-            batch, rng=rng, training=training, location_grad=not time_only)
+            batch, rng=rng, location_grad=not time_only)
         loss_loc = dcg.cross_entropy(loc_logits, batch.target_locs)
         loss_time = dcg.cross_entropy(time_logits, batch.target_slots)
         loss_aux = dcg.cross_entropy(aux_logits, batch.target_locs)
@@ -136,7 +133,7 @@ class CanoeModel:
 
     def location_probs(self, batch: Batch) -> np.ndarray:
         with dcg.no_grad():
-            loc_logits, _, _ = self.forward_batch(batch, training=False)
+            loc_logits, _, _ = self.forward_batch(batch)
         return _softmax(loc_logits.data, -1)
 
     def rank_targets(self, batch: Batch) -> np.ndarray:

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SECONDS_PER_DAY, SECONDS_PER_HOUR, CheckIn
+from .data import N_SLOTS, SECONDS_PER_DAY, SECONDS_PER_HOUR, CheckIn
 
 __all__ = ["SyntheticConfig", "generate_synthetic"]
+
+_MIN_GAP = 2  # least circular spacing of a user's daily slots
 
 
 @dataclass
@@ -48,15 +50,14 @@ class SyntheticConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-def _spaced_slots(rng: np.random.Generator, count: int, n_slots: int = 24,
-                  min_gap: int = 2) -> np.ndarray:
-    """count sorted slots with circular pairwise spacing >= min_gap."""
-    extra = n_slots - min_gap * count
-    gaps = np.full(count, min_gap, dtype=np.int64)
+def _spaced_slots(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count sorted slots with circular pairwise spacing >= _MIN_GAP."""
+    extra = N_SLOTS - _MIN_GAP * count
+    gaps = np.full(count, _MIN_GAP, dtype=np.int64)
     if extra > 0:
         gaps += np.bincount(rng.integers(0, count, size=extra), minlength=count)
-    start = int(rng.integers(0, n_slots))
-    positions = (start + np.concatenate(([0], np.cumsum(gaps[:-1])))) % n_slots
+    start = int(rng.integers(0, N_SLOTS))
+    positions = (start + np.concatenate(([0], np.cumsum(gaps[:-1])))) % N_SLOTS
     return np.sort(positions)
 
 

@@ -102,9 +102,9 @@ class UserLocationHead:
     """Two-layer ReLU MLP mapping a topic distribution to a d-vector."""
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
-                 n_topics: int, dim: int, prefix: str = "ul_head"):
-        self.l1 = Linear(registry, rng, f"{prefix}.l1", n_topics, dim)
-        self.l2 = Linear(registry, rng, f"{prefix}.l2", dim, dim)
+                 n_topics: int, dim: int):
+        self.l1 = Linear(registry, rng, "ul_head.l1", n_topics, dim)
+        self.l2 = Linear(registry, rng, "ul_head.l2", dim, dim)
 
     def __call__(self, c_u: Tensor) -> Tensor:
         """c_u: [batch, n_topics] constant input -> [batch, dim]."""

@@ -92,13 +92,13 @@ def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, np.random.G
             np.random.default_rng([seed, 2000, epoch]))
 
 
-def evaluate_ranks(model: CanoeModel, samples: list[WindowSample],
-                   batch_size: int = EVAL_BATCH) -> np.ndarray:
-    """Target ranks over samples in order; states reset and frozen."""
+def evaluate_ranks(model: CanoeModel, samples: list[WindowSample]) -> np.ndarray:
+    """Target ranks over samples in order, EVAL_BATCH at a time; states
+    reset and frozen."""
     model.reset_states()
     ranks = []
-    for i in range(0, len(samples), batch_size):
-        ranks.append(model.rank_targets(batch_from_samples(samples[i:i + batch_size])))
+    for i in range(0, len(samples), EVAL_BATCH):
+        ranks.append(model.rank_targets(batch_from_samples(samples[i:i + EVAL_BATCH])))
     return np.concatenate(ranks) if ranks else np.empty(0, dtype=np.int64)
 
 
@@ -209,8 +209,7 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
         for bi, lo in enumerate(range(0, len(order), t.batch_size)):
             batch = batch_from_samples(
                 [train_samples[j] for j in order[lo:lo + t.batch_size]])
-            loss, parts = model.loss_batch(batch, weights, rng=dropout_rng,
-                                           training=True)
+            loss, parts = model.loss_batch(batch, weights, rng=dropout_rng)
             if not np.isfinite(parts["total"]):
                 raise NumericFault(
                     f"non-finite loss at epoch {epoch} batch {bi}")
@@ -360,10 +359,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; ValueError for a file that is not one, truncated,
     corrupt or without its meta record."""
     try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz archive")
-        with data:
+        with open(path, "rb") as fh:  # np.load(path) leaks its handle on a bad zip
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             if not isinstance(meta, dict):
                 raise ValueError("meta is not a JSON object")

@@ -16,12 +16,11 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from canoe.cli import steady_heap  # noqa: E402
+from canoe.cli import fit_topics, steady_heap  # noqa: E402
 from canoe.config import RunConfig  # noqa: E402
-from canoe.data import prepare_dataset, train_location_region  # noqa: E402
+from canoe.data import prepare_dataset  # noqa: E402
 from canoe.model import CanoeModel  # noqa: E402
 from canoe.synthetic import generate_synthetic  # noqa: E402
-from canoe.topics import build_cooccurrence, fit_lda  # noqa: E402
 
 steady_heap()
 
@@ -33,12 +32,7 @@ def build_pipeline(cfg: RunConfig):
                          window_len=cfg.data.window_len,
                          stride=cfg.data.stride,
                          min_records=cfg.data.min_records)
-    region = train_location_region(ds.sequences, ds.split)
-    counts = build_cooccurrence([region.get(u, []) for u in range(ds.n_users)],
-                                ds.n_locations)
-    topic_model = fit_lda(counts, cfg.topics.n_topics, alpha=cfg.topics.alpha,
-                          beta=cfg.topics.beta, iters=cfg.topics.gibbs_iters,
-                          seed=cfg.seed)
+    topic_model = fit_topics(ds, cfg)
     model = CanoeModel(cfg.model_config(), ds.n_users, ds.n_locations,
                        topic_model.theta, seed=cfg.seed)
     return checkins, ds, topic_model, model

@@ -116,6 +116,12 @@ class TestGenerate:
         ("eval.thresholds=[0.5,-Infinity]",
          "eval.thresholds must be list[float], got [0.5, -inf]"),
         ("topics.gibbs_iters=-5", "topics.gibbs_iters must be >= 0, got -5"),
+        # keys that the oscillator and the loss weights know by other names
+        ("model.osc_iters=0", "model.osc_iters must be >= 1, got 0"),
+        ("model.gamma=-1", "model.gamma must be >= 0, got -1"),
+        ("train.lambda_loc=-1", "train.lambda_loc must be >= 0, got -1"),
+        ("train.lambda_time=-0.5", "train.lambda_time must be >= 0, got -0.5"),
+        ("train.lambda_aux=-2", "train.lambda_aux must be >= 0, got -2"),
     ], ids=["enc_layers", "enc_dropout", "attention", "enc_heads",
             "decoder_query", "dim_zero", "dim_negative", "enc_ff",
             "sigma_zero", "sigma_negative", "stride", "lr_zero", "lr_negative",
@@ -123,7 +129,9 @@ class TestGenerate:
             "ks_empty", "ks_zero", "clip_norm_negative", "lr_nan", "sigma_nan",
             "sigma_inf", "k_overflow", "alpha_nan", "beta_nan", "eps_nan",
             "lambda_loc_nan", "clip_norm_nan", "threshold_neg_inf",
-            "gibbs_iters_negative"])
+            "gibbs_iters_negative", "osc_iters_zero", "gamma_negative",
+            "lambda_loc_negative", "lambda_time_negative",
+            "lambda_aux_negative"])
     def test_invalid_model_value_exits_2_writing_nothing(self, tmp_path, capsys,
                                                          override, message):
         rc = main(["generate", "--seed", "1", "--out", str(tmp_path / "d.jsonl"),
@@ -131,6 +139,15 @@ class TestGenerate:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_all_zero_loss_weights_exit_2_naming_the_keys(self, tmp_path, capsys):
+        rc = main(["generate", "--seed", "1", "--out", str(tmp_path / "d.jsonl"),
+                   "--set", "train.lambda_loc=0", "--set", "train.lambda_time=0",
+                   "--set", "train.lambda_aux=0"])
+        assert rc == 2
+        assert ("error: train.lambda_loc, train.lambda_time and train.lambda_aux "
+                "must not all be 0" in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["attn_heads", "enc_heads"])

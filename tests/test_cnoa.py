@@ -176,11 +176,10 @@ class TestOscTransform:
 
 
 class TestCnoaAttention:
-    def _build(self, rng, osc, dim_q=6, dim_kv=4, dim_out=4, n_heads=2,
-               variant="cnoa"):
+    def _build(self, rng, osc, dim_q=6, dim_kv=4, dim_out=4, n_heads=2):
         reg = ParamRegistry()
         attn = CnoaAttention(reg, rng, "attn", dim_q, dim_kv, dim_out,
-                             n_heads, osc, variant=variant)
+                             n_heads, osc)
         return reg, attn
 
     def test_equal_scores_give_uniform_alpha(self, rng):
@@ -254,7 +253,7 @@ class TestCnoaAttention:
     def test_cross_variant_matches_brute_force(self, rng):
         for trial in range(20):
             trng = np.random.default_rng(2000 + trial)
-            reg, attn = self._build(trng, OscillatorParams(), variant="cross")
+            reg, attn = self._build(trng, None)
             q_raw = trng.normal(size=(1, 2, 6))
             kv_raw = trng.normal(size=(3, 4))
             out = attn(dcg.constant(q_raw), dcg.constant(kv_raw),
@@ -266,7 +265,7 @@ class TestCnoaAttention:
             np.testing.assert_allclose(out.data[0], oracle, atol=1e-12)
 
     def test_cross_single_key_gets_full_weight(self, rng):
-        reg, attn = self._build(rng, OscillatorParams(), variant="cross")
+        reg, attn = self._build(rng, None)
         q = dcg.constant(rng.normal(size=(2, 1, 6)))
         kv_raw = rng.normal(size=(1, 4))
         out = attn(q, dcg.constant(kv_raw), dcg.constant(kv_raw))
@@ -276,7 +275,7 @@ class TestCnoaAttention:
                                    np.broadcast_to(oracle, (2, 4)), rtol=1e-12)
 
     def test_identical_value_rows_give_that_row(self, rng):
-        reg, attn = self._build(rng, OscillatorParams(), variant="cross")
+        reg, attn = self._build(rng, None)
         q = dcg.constant(rng.normal(size=(1, 1, 6)))
         k_raw = rng.normal(size=(6, 4))
         v_row = rng.normal(size=(1, 4))
@@ -411,9 +410,10 @@ class TestCnoaAttention:
         assert grad_check(loss_fn, reg, 1e-5) < 1e-6
         assert attn._alpha_prev is stored
 
-    @pytest.mark.parametrize("variant", ["cnoa", "cross"])
-    def test_one_graph_node_per_call(self, rng, variant):
-        reg, attn = self._build(rng, OscillatorParams(), variant=variant)
+    @pytest.mark.parametrize("osc", [OscillatorParams(), None],
+                             ids=["cnoa", "cross"])
+    def test_one_graph_node_per_call(self, rng, osc):
+        reg, attn = self._build(rng, osc)
         q = dcg.constant(rng.normal(size=(2, 1, 6)))
         kv = dcg.constant(rng.normal(size=(5, 4)))
         out = attn(q, kv, kv)

@@ -11,12 +11,12 @@ from canoe.decoder import CrossContextDecoder, LossWeights
 from canoe.dcg import ParamRegistry, grad_check
 
 
-def make_decoder(rng, dim=8, n_locs=10, n_slots=24, variant="cnoa",
+def make_decoder(rng, dim=8, n_locs=10, n_slots=24,
                  query_source="user_location", osc=None):
     reg = ParamRegistry()
     dec = CrossContextDecoder(reg, rng, dim, n_locs, n_slots, 2,
                               osc or OscillatorParams(),
-                              variant=variant, query_source=query_source)
+                              query_source=query_source)
     return reg, dec
 
 

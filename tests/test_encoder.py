@@ -15,26 +15,25 @@ from canoe.encoder import (LocationTimePair, TimeUserPair, causal_mask,
 from canoe.topics import UserLocationHead
 
 
-def build_encoder(rng, dim=8, n_users=5, n_locs=10, layers=2, variant="cnoa",
-                  osc=None, dropout=0.0):
+def build_encoder(rng, dim=8, n_users=5, n_locs=10, layers=2, osc=None,
+                  dropout=0.0):
     reg = ParamRegistry()
     time_emb = SmoothedTimeEmbedding(reg, rng, n_slots=24, dim=dim, sigma=1.0)
     user_table = EmbeddingTable(reg, rng, n_users, dim, "user_table")
     loc_table = EmbeddingTable(reg, rng, n_locs, dim, "loc_table")
     ul_head = UserLocationHead(reg, rng, n_topics=4, dim=dim)
     osc = osc or OscillatorParams()
-    tu = TimeUserPair(reg, rng, user_table, time_emb, dim, 2, osc, variant)
+    tu = TimeUserPair(reg, rng, user_table, time_emb, dim, 2, osc)
     lt = LocationTimePair(reg, rng, loc_table, time_emb, dim, layers, 2,
                           dropout, 4 * dim)
     return reg, SimpleNamespace(ul_head=ul_head, time_user=tu, loc_time=lt)
 
 
-def encode(enc, users, locs, slots, theta, rng=None, training=False,
-           update_state=True):
+def encode(enc, users, locs, slots, theta, rng=None, update_state=True):
     """(O_us, O_ut, O_st) of the three branches, called as CanoeModel does."""
     return (enc.ul_head(dcg.constant(theta)),
             enc.time_user(users, slots[:, -1], update_state=update_state),
-            enc.loc_time(locs, slots, rng=rng, training=training))
+            enc.loc_time(locs, slots, rng=rng))
 
 
 class TestPositionalEncoding:
@@ -69,12 +68,13 @@ class TestTransformerLayerOracle:
         """With attention output and FF weights zeroed, residual + post-LN
         collapses to LN(LN(x)); hand-step that on a 2-token example."""
         reg = ParamRegistry()
-        layer = TransformerLayer(reg, rng, "l0", dim=4, heads=2, ff_width=8)
+        layer = TransformerLayer(reg, rng, "l0", dim=4, heads=2, ff_width=8,
+                                 dropout=0.0)
         for name in ("l0.o.w", "l0.o.b", "l0.ff1.w", "l0.ff1.b", "l0.ff2.w",
                      "l0.ff2.b"):
             reg[name].data[...] = 0.0
         x_raw = rng.normal(size=(1, 2, 4))
-        out = layer(dcg.constant(x_raw), causal_mask(2), 0.0, None, False).data
+        out = layer(dcg.constant(x_raw), causal_mask(2), None).data
 
         def ln(v, eps=1e-5):
             mu = v.mean(-1, keepdims=True)
@@ -137,7 +137,7 @@ class TestTimeUserPair:
         # Zeroed query projections -> all scores equal -> uniform attention;
         # with gamma=0 the head output is the mean value row.
         osc = OscillatorParams(gamma=0.0)
-        reg, enc = build_encoder(rng, variant="cnoa", osc=osc)
+        reg, enc = build_encoder(rng, osc=osc)
         enc.time_user.attn.wq.data[...] = 0.0
         out = enc.time_user(np.array([0, 1]), np.array([3, 7]))
         table = enc.time_user.time_emb.smoothed_table().data
@@ -174,25 +174,36 @@ class TestEncodeBatch:
         slots = rng.integers(0, 24, (2, 4))
         theta = rng.random((2, 4))
         enc.time_user.attn.reset_state()
-        _, a_ut, a_st = encode(enc, users, locs, slots, theta, training=False,
+        _, a_ut, a_st = encode(enc, users, locs, slots, theta,
                                update_state=False)
-        _, b_ut, b_st = encode(enc, users, locs, slots, theta, training=False,
+        _, b_ut, b_st = encode(enc, users, locs, slots, theta,
                                update_state=False)
         assert a_ut.data.tobytes() == b_ut.data.tobytes()
         assert a_st.data.tobytes() == b_st.data.tobytes()
 
     def test_dropout_active_only_in_training(self, rng):
+        # a forward trains (and drops) exactly when it is given the
+        # dropout generator
         reg, enc = build_encoder(rng, dropout=0.5)
         users = np.array([0])
         locs = rng.integers(0, 10, (1, 4))
         slots = rng.integers(0, 24, (1, 4))
         theta = rng.random((1, 4))
         d_rng = np.random.default_rng(0)
-        *_, tr_st = encode(enc, users, locs, slots, theta, rng=d_rng,
-                           training=True)
-        *_, ev_st = encode(enc, users, locs, slots, theta, training=False,
-                           update_state=False)
+        *_, tr_st = encode(enc, users, locs, slots, theta, rng=d_rng)
+        *_, ev_st = encode(enc, users, locs, slots, theta, update_state=False)
         assert not np.array_equal(tr_st.data, ev_st.data)
+
+    def test_zero_dropout_draws_nothing_from_the_generator(self, rng):
+        reg, enc = build_encoder(rng, dropout=0.0)
+        locs = rng.integers(0, 10, (2, 4))
+        slots = rng.integers(0, 24, (2, 4))
+        d_rng = np.random.default_rng(0)
+        state = d_rng.bit_generator.state
+        tr_st = enc.loc_time(locs, slots, rng=d_rng)
+        assert d_rng.bit_generator.state == state
+        ev_st = enc.loc_time(locs, slots)
+        assert tr_st.data.tobytes() == ev_st.data.tobytes()
 
     def test_all_outputs_finite(self, rng):
         reg, enc = build_encoder(rng)

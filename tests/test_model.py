@@ -111,6 +111,22 @@ class TestRankTargets:
         assert ranks.shape == (4,)
 
 
+class TestAttentionSites:
+    """model.attention is one decision: both sites hold the config's
+    oscillator, or neither holds one."""
+
+    def test_cross_builds_both_sites_without_an_oscillator(self, rng):
+        model = make_model(rng, attention="cross")
+        assert model.time_user.attn.osc is None
+        assert model.decoder.attn.osc is None
+
+    def test_cnoa_builds_both_sites_with_the_config_oscillator(self, rng):
+        cfg = RunConfig.from_dict({"model": {"dim": 8, "k": 3.0, "gamma": 0.5}})
+        model = CanoeModel(cfg.model, 6, 9, np.full((6, 4), 0.25), seed=5)
+        assert model.time_user.attn.osc == cfg.model.oscillator_params()
+        assert model.decoder.attn.osc == cfg.model.oscillator_params()
+
+
 def sorted_rank(row, target):
     """Oracle: 1 + the target's position when ids are sorted by
     (-score, id)."""
@@ -142,15 +158,17 @@ class TestTargetRanks:
 
 class TestStateLifecycle:
     def test_training_updates_state_eval_does_not(self, rng):
+        # a forward given the dropout generator is a training forward
         model = make_model(rng)
         batch = random_batch(rng)
         model.reset_states()
-        model.forward_batch(batch, training=True)
+        model.forward_batch(batch, rng=np.random.default_rng(0))
         assert model.time_user.attn._alpha_prev is not None
         assert model.decoder.attn._alpha_prev is not None
         model.reset_states()
-        model.forward_batch(batch, training=False)
+        model.forward_batch(batch)
         assert model.time_user.attn._alpha_prev is None
+        assert model.decoder.attn._alpha_prev is None
 
     def test_loss_parts_finite_and_weighted(self, rng):
         from canoe.decoder import LossWeights
@@ -165,7 +183,7 @@ class TestStateLifecycle:
 def _full_graph_loss(model, batch, weights, rng):
     """The three-term loss over the whole graph, built here from
     forward_batch as loss_batch built it before it pruned anything."""
-    loc, time, aux = model.forward_batch(batch, rng=rng, training=True)
+    loc, time, aux = model.forward_batch(batch, rng=rng)
     parts = {"loc": dcg.cross_entropy(loc, batch.target_locs),
              "time": dcg.cross_entropy(time, batch.target_slots),
              "aux": dcg.cross_entropy(aux, batch.target_locs)}
@@ -222,7 +240,7 @@ class TestPrunedWarmupStep:
         weights = LossWeights(loc=0.0, time=0.5, aux=0.0)
 
         def pruned(m, b, w, r):
-            return m.loss_batch(b, w, rng=r, training=True)
+            return m.loss_batch(b, w, rng=r)
 
         ref, ref_parts, ref_nodes = _step_gradients(
             model, _full_graph_loss, batch, weights)

@@ -59,7 +59,7 @@ class TestWarmupGradients:
         _, ds, _, model = build_pipeline(cfg)
         batch = batch_from_samples(ds.split.train[:16])
         weights = phase_weights(0, cfg)  # warmup: (0, time, 0)
-        loss, _ = model.loss_batch(batch, weights, training=False)
+        loss, _ = model.loss_batch(batch, weights)
         model.registry.zero_grads()
         dcg.backward(loss)
         loc_grad = model.registry["decoder.loc.w"].grad
