@@ -149,25 +149,31 @@ class RunConfig:
 
     def validate(self) -> None:
         # Round-trip through the constructor-validated synthetic config so
-        # its field errors surface with their names.
-        self.synthetic_config()
+        # its field errors surface with their data.* names.
+        try:
+            self.synthetic_config()
+        except ValueError as exc:
+            raise ConfigError(f"data.{exc}") from exc
         m = self.model
         if m.osc_iters < 1:
             raise ConfigError(f"model.osc_iters must be >= 1, got {m.osc_iters}")
         if m.gamma < 0.0:
             raise ConfigError(f"model.gamma must be >= 0, got {m.gamma}")
         if m.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {m.dim}")
+            raise ConfigError(f"model.dim must be >= 1, got {m.dim}")
         if m.sigma <= 0.0:
             raise ConfigError(f"model.sigma must be > 0, got {m.sigma}")
         if m.enc_ff is not None and m.enc_ff < 1:
-            raise ConfigError(f"enc_ff must be null or >= 1, got {m.enc_ff}")
+            raise ConfigError(f"model.enc_ff must be null or >= 1, got {m.enc_ff}")
         if m.enc_layers < 1:
-            raise ConfigError(f"enc_layers must be >= 1, got {m.enc_layers}")
+            raise ConfigError(f"model.enc_layers must be >= 1, got {m.enc_layers}")
         if not 0.0 <= m.enc_dropout < 1.0:
-            raise ConfigError(f"enc_dropout must lie in [0, 1), got {m.enc_dropout}")
-        if m.attn_heads < 1 or m.enc_heads < 1:
-            raise ConfigError("attn_heads and enc_heads must be >= 1")
+            raise ConfigError(
+                f"model.enc_dropout must lie in [0, 1), got {m.enc_dropout}")
+        for key in ("attn_heads", "enc_heads"):
+            value = getattr(m, key)
+            if value < 1:
+                raise ConfigError(f"model.{key} must be >= 1, got {value}")
         if m.dim % m.attn_heads != 0:
             raise ConfigError(f"dim {m.dim} not divisible by attn_heads {m.attn_heads}")
         if m.dim % m.enc_heads != 0:
@@ -184,10 +190,12 @@ class RunConfig:
         if not any(lambdas.values()):
             raise ConfigError("train.lambda_loc, train.lambda_time and "
                               "train.lambda_aux must not all be 0")
-        if t.epochs < 1 or t.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        for key in ("epochs", "batch_size"):
+            value = getattr(t, key)
+            if value < 1:
+                raise ConfigError(f"train.{key} must be >= 1, got {value}")
         if t.warmup_epochs < 0:
-            raise ConfigError("warmup_epochs must be >= 0")
+            raise ConfigError(f"train.warmup_epochs must be >= 0, got {t.warmup_epochs}")
         if t.lr <= 0.0:
             raise ConfigError(f"train.lr must be > 0, got {t.lr}")
         for key in ("beta1", "beta2"):
@@ -201,14 +209,16 @@ class RunConfig:
         if t.clip_norm < 0.0:
             raise ConfigError(f"train.clip_norm must be >= 0, got {t.clip_norm}")
         if self.data.window_len < 2:
-            raise ConfigError("window_len must be >= 2")
+            raise ConfigError(
+                f"data.window_len must be >= 2, got {self.data.window_len}")
         if self.data.stride < 1:
             raise ConfigError(f"data.stride must be >= 1, got {self.data.stride}")
         if not self.eval.ks or min(self.eval.ks) < 1:
             raise ConfigError(
                 f"eval.ks must be a non-empty list of k >= 1, got {self.eval.ks}")
         if self.topics.n_topics < 2:
-            raise ConfigError("n_topics must be >= 2")
+            raise ConfigError(
+                f"topics.n_topics must be >= 2, got {self.topics.n_topics}")
         if self.topics.alpha is not None and self.topics.alpha <= 0.0:
             raise ConfigError(f"topics.alpha must be null or > 0, got {self.topics.alpha}")
         if self.topics.beta <= 0.0:

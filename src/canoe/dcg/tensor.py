@@ -3,8 +3,8 @@
 Small eager autograd: every operation returns a new Tensor holding its
 value and, when gradients are enabled, a closure that scatters the output
 gradient back to its parents. Graphs are built per forward pass and torn
-down with it; tensors are confined to one thread for the duration of a
-forward/backward pass.
+down by the backward pass that walks them; tensors are confined to one
+thread for the duration of a forward/backward pass.
 """
 
 from __future__ import annotations
@@ -171,6 +171,13 @@ def backward(root: Tensor) -> None:
 
     The root must be scalar (a single element). Grads accumulate, so callers
     zero parameter grads between independent passes.
+
+    A graph is walked once. Each node drops its backward closure and its
+    parents as soon as its backward has run, so the arrays a node saved for
+    backward, and every interior node the caller does not hold, are freed
+    during the walk. A held node keeps its .data and .grad, but a second
+    backward through it, or through a new graph built on it, raises
+    ValueError.
     """
     if root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -190,15 +197,21 @@ def backward(root: Tensor) -> None:
         if id(node) in visited:
             continue
         visited.add(id(node))
+        if node._backward is None and node._op != "leaf":
+            raise ValueError(
+                f"graph through operator '{node._op}' was already walked by backward")
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        node._backward = None
+        node._parents = ()
 
 
 def zero_fill(root: Tensor, params: Iterable[Tensor]) -> Tensor:
@@ -401,9 +414,17 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     data = table.data[idx].copy()
 
     def bwd(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        if table.grad is not None:
+            np.add.at(table.grad, idx, g)
+            return
+        # into zeros, column by column: bincount adds in index order, as
+        # np.add.at does, and is several times faster
+        rows, flat = table.data.shape[0], idx.ravel()
+        cols = g.reshape(flat.size, int(np.prod(table.data.shape[1:])))
+        grad = np.empty((rows, cols.shape[1]))
+        for j in range(cols.shape[1]):
+            grad[:, j] = np.bincount(flat, weights=cols[:, j], minlength=rows)
+        table.grad = grad.reshape(table.data.shape)
 
     return _make(data, (table,), bwd, "gather_rows")
 
@@ -545,7 +566,7 @@ def _attention_grad(g: np.ndarray, q: np.ndarray, k: np.ndarray,
 
 def transformer_layer(x: Tensor, params: Sequence[Tensor], heads: int,
                       mask: np.ndarray, scale: float,
-                      dropout: Sequence[np.ndarray] | None = None) -> Tensor:
+                      dropout: tuple | None = None) -> Tensor:
     """One post-LN encoder layer over x [B, L, dim], as one node:
 
         h = LN1(x + o(attention(q(x), k(x), v(x))) * drop1)
@@ -554,8 +575,9 @@ def transformer_layer(x: Tensor, params: Sequence[Tensor], heads: int,
     params are the 16 tensors q.w, q.b, k.w, k.b, v.w, v.b, o.w, o.b,
     ln1.gamma, ln1.beta, ff1.w, ff1.b, ff2.w, ff2.b, ln2.gamma, ln2.beta;
     each projection is _linear, attention is _attention over `heads` heads
-    with mask and scale, LN is _layer_norm. dropout is None or the two
-    [B, L, dim] masks drop1 and drop2.
+    with mask and scale, LN is _layer_norm. dropout is None or (rate,
+    keep1, keep2): the rate and two bool [B, L, dim] keep-masks, and dropI
+    is keepI * (1 / (1 - rate)), formed where it multiplies.
 
     The forward pass reuses its temporaries in place and keeps only what
     backward reads, and nothing without a graph. Backward accumulates into
@@ -572,7 +594,9 @@ def transformer_layer(x: Tensor, params: Sequence[Tensor], heads: int,
         del q, k, v, alpha
     r1 = _linear(ctx, ow.data, ob.data)
     if dropout is not None:
-        r1 *= dropout[0]
+        rate, keep1, keep2 = dropout
+        inv_keep = 1.0 / (1.0 - rate)
+        r1 *= keep1 * inv_keep
     r1 += x.data
     h, centered1, den1 = _layer_norm(r1, g1.data, b1.data)
     if not keep:
@@ -583,7 +607,7 @@ def transformer_layer(x: Tensor, params: Sequence[Tensor], heads: int,
     if not keep:
         del f
     if dropout is not None:
-        r2 *= dropout[1]
+        r2 *= keep2 * inv_keep
     r2 += h
     data, centered2, den2 = _layer_norm(r2, g2.data, b2.data)
 
@@ -591,7 +615,7 @@ def transformer_layer(x: Tensor, params: Sequence[Tensor], heads: int,
         _accum_ub(b2, g)
         g_r2, g_g2 = _layer_norm_grad(g, g2.data, centered2, den2)
         _accum_owned(g2, g_g2)
-        g_f2 = g_r2 if dropout is None else g_r2 * dropout[1]
+        g_f2 = g_r2 if dropout is None else g_r2 * (keep2 * inv_keep)
         _accum_ub(c2, g_f2)
         g_f, g_w2 = _linear_grad(g_f2, f, w2.data)
         _accum_owned(w2, g_w2)
@@ -605,7 +629,7 @@ def transformer_layer(x: Tensor, params: Sequence[Tensor], heads: int,
         _accum_owned(g1, g_g1)
         # g_o may be g_r1 itself, which x's gradient may take over: nothing
         # adds into it before o's backward has read it
-        g_o = g_r1 if dropout is None else g_r1 * dropout[0]
+        g_o = g_r1 if dropout is None else g_r1 * (keep1 * inv_keep)
         _accum_owned(x, g_r1)
         _accum_ub(ob, g_o)
         g_ctx, g_ow = _linear_grad(g_o, ctx, ow.data)

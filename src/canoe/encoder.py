@@ -68,10 +68,10 @@ class TransformerLayer:
                  rng: np.random.Generator | None) -> Tensor:
         drop = None
         if rng is not None and self.dropout > 0.0:
-            # inverted dropout: the attention output's mask, then the
+            # inverted dropout: the attention output's keep-mask, then the
             # feed-forward output's
-            drop = [(rng.random(x.shape) >= self.dropout) / (1.0 - self.dropout)
-                    for _ in range(2)]
+            drop = (self.dropout, *(rng.random(x.shape) >= self.dropout
+                                    for _ in range(2)))
         return dcg.transformer_layer(x, self.params, self.heads, mask,
                                      self._scale, drop)
 

@@ -47,7 +47,7 @@ class SyntheticConfig:
         for name in ("num_users", "num_locations", "days",
                      "returner_anchor_count", "dwell_seconds"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _spaced_slots(rng: np.random.Generator, count: int) -> np.ndarray:

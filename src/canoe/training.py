@@ -217,7 +217,6 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
             dcg.backward(loss)
             model.registry.clip_grad_norm(t.clip_norm)
             optimizer.step()
-            del loss  # free this step's graph before the next forward
             if debug:
                 for name, p in model.registry.items():
                     if not np.all(np.isfinite(p.data)):

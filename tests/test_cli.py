@@ -155,8 +155,31 @@ class TestGenerate:
         rc = main(["generate", "--seed", "1", "--out", str(tmp_path / "d.jsonl"),
                    "--set", f"model.{key}=0"])
         assert rc == 2
-        assert ("error: attn_heads and enc_heads must be >= 1"
+        assert (f"error: model.{key} must be >= 1, got 0"
                 in capsys.readouterr().err)
+
+    # A refusal names the key as --set spells it, and the value it got.
+    @pytest.mark.parametrize("override, message", _FULL_KEY_REFUSALS := [
+        ("train.epochs=0", "train.epochs must be >= 1, got 0"),
+        ("train.batch_size=0", "train.batch_size must be >= 1, got 0"),
+        ("train.warmup_epochs=-1", "train.warmup_epochs must be >= 0, got -1"),
+        ("data.num_users=0", "data.num_users must be >= 1, got 0"),
+        ("data.days=0", "data.days must be >= 1, got 0"),
+        ("data.window_len=1", "data.window_len must be >= 2, got 1"),
+        ("model.enc_layers=0", "model.enc_layers must be >= 1, got 0"),
+        ("model.dim=0", "model.dim must be >= 1, got 0"),
+        ("model.enc_ff=0", "model.enc_ff must be null or >= 1, got 0"),
+        ("model.enc_dropout=1.0", "model.enc_dropout must lie in [0, 1), got 1.0"),
+        ("model.attn_heads=0", "model.attn_heads must be >= 1, got 0"),
+        ("model.enc_heads=-2", "model.enc_heads must be >= 1, got -2"),
+        ("topics.n_topics=1", "topics.n_topics must be >= 2, got 1"),
+    ], ids=[override.split("=")[0] for override, _ in _FULL_KEY_REFUSALS])
+    def test_refusal_names_the_full_key(self, tmp_path, capsys, override, message):
+        rc = main(["generate", "--seed", "1", "--out", str(tmp_path / "d.jsonl"),
+                   "--set", override])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_required(self, tmp_path, capsys):
         rc = main(["generate", "--out", str(tmp_path / "x.jsonl")])

@@ -1,5 +1,6 @@
 """Autodiff core: operator gradients, backward contracts, AdamW, grad_check."""
 
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,6 +86,44 @@ class TestBackwardContracts:
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
         assert y.grad.shape == (2, 3) and not y.grad.any()
         np.testing.assert_array_equal(z.grad, [4.0])
+
+
+class TestSingleWalk:
+    """backward walks a graph once and frees it as it goes."""
+
+    def test_second_backward_raises(self):
+        x = dcg.parameter([1.0, 2.0])
+        root = dcg.tensor_sum(x * 3.0)
+        dcg.backward(root)
+        with pytest.raises(ValueError, match="'sum' was already walked"):
+            dcg.backward(root)
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_walked_interior_in_new_graph_raises(self):
+        x = dcg.parameter([1.0, 2.0])
+        h = x * 3.0
+        dcg.backward(dcg.tensor_sum(h))
+        assert h.grad is not None and h.data is not None
+        with pytest.raises(ValueError, match="'mul' was already walked"):
+            dcg.backward(dcg.tensor_sum(h * h))
+
+    def test_interior_nodes_freed_during_the_walk(self):
+        rng = np.random.default_rng(6)
+        mask = np.triu(np.full((3, 3), -1e30), k=1)
+        params = [dcg.parameter(rng.normal(size=s))
+                  for s in _layer_param_shapes(4, 6)]
+        x = dcg.parameter(rng.normal(size=(2, 3, 4)))
+        drop = _dropout_masks(rng, (2, 3, 4))
+        first = dcg.transformer_layer(x, params, 2, mask, 0.6, drop)
+        root = dcg.tensor_sum(
+            dcg.transformer_layer(first, params, 2, mask, 0.6, drop))
+        first_ref = weakref.ref(first)
+        del first  # now only the graph holds it
+        assert first_ref() is not None
+        dcg.backward(root)
+        assert first_ref() is None
+        assert root._parents == () and root._backward is None
+        assert x.grad is not None and all(p.grad is not None for p in params)
 
 
 class TestOperatorsAgainstFiniteDifferences:
@@ -182,6 +221,27 @@ class TestOperatorsAgainstFiniteDifferences:
         dcg.backward(out)
         np.testing.assert_array_equal(table.grad,
                                       [[0, 0], [2, 2], [0, 0]])
+
+    @pytest.mark.parametrize("table_shape", [(7, 3), (7,)])
+    def test_gather_gradient_matches_add_at_bitwise(self, table_shape):
+        # The first lookup's backward fills an empty gradient (bincount),
+        # the second adds onto it (np.add.at); repeated indices and rows
+        # never picked on both.
+        rng = np.random.default_rng(8)
+        table = dcg.parameter(rng.normal(size=table_shape))
+        picks = [rng.integers(0, 5, size=(6, 9)), rng.integers(2, 5, size=40)]
+        weights = [rng.normal(size=idx.shape + table_shape[1:]) for idx in picks]
+        terms = [dcg.tensor_sum(dcg.gather_rows(table, idx) * w)
+                 for idx, w in zip(picks, weights)]
+        dcg.backward(terms[0] + terms[1])
+        want = np.zeros(table_shape)
+        for idx, w in zip(picks, weights):
+            np.add.at(want, idx, w)
+        assert np.array_equal(table.grad, want)
+        assert table.grad.flags.c_contiguous
+        empty = dcg.parameter(np.ones((4, 2)))
+        dcg.backward(dcg.tensor_sum(dcg.gather_rows(empty, np.zeros((0,), int))))
+        assert np.array_equal(empty.grad, np.zeros((4, 2)))
 
 
 def _layer_norm_node(x, gamma, beta):
@@ -334,8 +394,16 @@ def _layer_param_shapes(dim, ff_width):
 
 
 def _dropout_masks(rng, shape, rate=0.25):
-    """The two inverted-dropout masks TransformerLayer draws."""
-    return [(rng.random(shape) >= rate) / (1.0 - rate) for _ in range(2)]
+    """The dropout TransformerLayer hands transformer_layer: the rate and
+    two bool keep-masks."""
+    return (rate, *(rng.random(shape) >= rate for _ in range(2)))
+
+
+def _float_masks(drop):
+    """The two inverted-dropout float masks drop stands for, as
+    _composite_layer multiplies them."""
+    rate, *keeps = drop
+    return [keep / (1.0 - rate) for keep in keeps]
 
 
 def _composite_cross_entropy(logits, targets):
@@ -403,21 +471,23 @@ class TestFusedNodesMatchComposites:
     def test_transformer_layer(self, dropout):
         mask = np.triu(np.full((5, 5), -1e30), k=1)
         scale = 1.0 / np.sqrt(3)  # not a power of 2, so its rounding shows
+        # the fused node takes bool keep-masks, the chain the float masks
+        # they stand for
         drop = (_dropout_masks(np.random.default_rng(3), (3, 5, 6))
                 if dropout == "on" else None)
-
-        def via(layer):
-            return lambda x, *params: layer(x, params, 2, mask, scale, drop)
+        fused = lambda x, *params: dcg.transformer_layer(  # noqa: E731
+            x, params, 2, mask, scale, drop)
+        chain = lambda x, *params: _composite_layer(  # noqa: E731
+            x, params, 2, mask, scale, drop and _float_masks(drop))
 
         shapes = [(3, 5, 6)] + _layer_param_shapes(6, 10)
-        self._compare(via(dcg.transformer_layer), via(_composite_layer), shapes)
+        self._compare(fused, chain, shapes)
         # without a graph, the same data
         rng = np.random.default_rng(4)
         inputs = [dcg.parameter(rng.normal(size=s)) for s in shapes]
-        with_graph = via(dcg.transformer_layer)(*inputs)
+        with_graph = fused(*inputs)
         with dcg.no_grad():
-            outs = [via(layer)(*inputs)
-                    for layer in (dcg.transformer_layer, _composite_layer)]
+            outs = [layer(*inputs) for layer in (fused, chain)]
         for out in outs:
             assert not out.requires_grad
             assert np.array_equal(out.data, with_graph.data)
@@ -502,23 +572,26 @@ class TestGradientOwnership:
         qh = dcg.constant(rng.normal(size=(2, 1, 3, 4)))
         vh = dcg.constant(rng.normal(size=(2, 1, 5, 4)))
         x = dcg.parameter(rng.normal(size=(2, 1, 5, 4)))
-        h = x * 2.0
         c = rng.normal(size=(1, 3, 8))
-        d = np.full(h.shape, 0.25)
+        d = np.full(x.shape, 0.25)
 
-        def attended():
+        def attended(h):
             out, _ = cnoa_attention(qh, h, vh, 0.5, None, None)
             return dcg.tensor_sum(out * c)
 
-        dcg.backward(attended())
+        # a graph is walked once, so each one builds its own h = x * 2.0
+        h = x * 2.0
+        dcg.backward(attended(h))
         # cnoa_attention hands kh a transposed view of its key gradient
         assert not h.grad.flags.c_contiguous
         g_node = h.grad.copy()
         # h first takes that view, then h * d adds onto it, and the other
         # way round
-        for out in (attended() + dcg.tensor_sum(h * d),
-                    dcg.tensor_sum(h * d) + attended()):
-            x.grad = h.grad = None
+        for side_first in (False, True):
+            h = x * 2.0
+            terms = [attended(h), dcg.tensor_sum(h * d)]
+            out = terms[1] + terms[0] if side_first else terms[0] + terms[1]
+            x.grad = None
             dcg.backward(out)
             np.testing.assert_array_equal(h.grad, g_node + d)
             np.testing.assert_array_equal(x.grad, 2.0 * (g_node + d))

@@ -1,5 +1,6 @@
 """Full-model assembly: shapes, ranking tie-breaks, eval determinism."""
 
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from canoe.config import RunConfig
 from canoe.dcg import AdamW
 from canoe.decoder import LossWeights
 from canoe.model import Batch, CanoeModel, target_ranks
+from tests_common import graph_nodes
 
 
 def make_model(rng, dim=8, n_users=6, n_locs=9, n_topics=4, **cfg_kw):
@@ -198,25 +200,18 @@ def _step_gradients(model, loss_fn, batch, weights):
     training step from a reset state and a fixed dropout stream."""
     model.reset_states()
     loss, parts = loss_fn(model, batch, weights, np.random.default_rng(7))
+    nodes = _graph_nodes(loss)  # backward frees the graph as it walks it
     model.registry.zero_grads()
     dcg.backward(loss)
     grads = {name: p.grad for name, p in model.registry.items()}
     model.registry.zero_grads()
-    return grads, parts, _graph_nodes(loss)
+    return grads, parts, nodes
 
 
 def _graph_nodes(root):
     """Counts by operation of the nodes (not parameters) backward visits
     from root."""
-    seen, stack, ops = set(), [root], Counter()
-    while stack:
-        node = stack.pop()
-        if node.requires_grad and id(node) not in seen:
-            seen.add(id(node))
-            if node._op != "leaf":
-                ops[node._op] += 1
-            stack.extend(node._parents)
-    return ops
+    return Counter(node._op for node in graph_nodes(root))
 
 
 def test_full_step_holds_one_node_per_transformer_layer(rng):
@@ -225,6 +220,19 @@ def test_full_step_holds_one_node_per_transformer_layer(rng):
                                 LossWeights(1.0, 0.5, 0.5))
     assert ops["transformer_layer"] == 3
     assert not {"layer_norm", "masked_attention"} & ops.keys()
+
+
+def test_backward_frees_each_layer_node_of_a_training_step(rng):
+    model = make_model(rng, enc_layers=3)
+    loss, _ = model.loss_batch(random_batch(rng), LossWeights(1.0, 0.5, 0.5),
+                               rng=np.random.default_rng(7))
+    layers = [weakref.ref(node) for node in graph_nodes(loss)
+              if node._op == "transformer_layer"]
+    assert len(layers) == 3 and all(ref() is not None for ref in layers)
+    model.registry.zero_grads()
+    dcg.backward(loss)
+    assert all(ref() is None for ref in layers)
+    assert model.registry["loc_time.layer0.q.w"].grad.any()
 
 
 class TestPrunedWarmupStep:

@@ -16,6 +16,7 @@ from canoe.training import (evaluate_ranks, load_checkpoint,
                             model_from_checkpoint, phase_weights,
                             report_from_ranks, save_checkpoint, train)
 from conftest import build_pipeline
+from tests_common import graph_nodes
 
 
 def tiny_cfg(seed=11, epochs=2, warmup=1, **model_kw):
@@ -121,9 +122,14 @@ class TestTrainLoop:
 
         def recording(self, batch, weights, **kwargs):
             if refs:
-                alive_at_next_call.append(refs[-1]() is not None)
+                alive_at_next_call.append(
+                    any(ref() is not None for ref in refs[-1]))
             loss, parts = loss_batch(self, batch, weights, **kwargs)
-            refs.append(weakref.ref(loss))
+            # the graph's nodes under the root: the root itself is a scalar
+            # that train() still names until the next step's assignment
+            refs.append([weakref.ref(node) for node in graph_nodes(loss)
+                         if node is not loss])
+            assert refs[-1]
             phases.append(weights.loc)
             return loss, parts
 

@@ -14,3 +14,15 @@ def two_cluster_counts() -> np.ndarray:
         counts[u, 2] = rng.integers(20, 40)
         counts[u, 3] = rng.integers(20, 40)
     return counts
+
+
+def graph_nodes(root):
+    """The operation nodes (not parameters) backward visits from root."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node.requires_grad and id(node) not in seen:
+            seen.add(id(node))
+            if node._op != "leaf":
+                yield node
+            stack.extend(node._parents)
