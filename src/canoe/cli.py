@@ -9,8 +9,8 @@ dedicated flags (--seed, --thresholds). Every file-producing command echoes
 its fully resolved config next to its primary output. Exit codes: 0 success,
 1 check failure or numeric fault, 2 usage, config or data error. CANOE_LOG in
 {error,warn,info,debug} controls verbosity (unset or empty: info; any other
-value exits 2). On glibc, main() first sets the allocator thresholds of
-steady_heap().
+value exits 2). On glibc, main() first sets the allocator thresholds and
+the arena limit of steady_heap().
 """
 
 from __future__ import annotations
@@ -56,17 +56,20 @@ def _setup_logging() -> None:
 
 
 # mallopt parameters (glibc malloc.h) and the values steady_heap sets
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD = 32 << 20  # the largest value every 64-bit glibc accepts
 _TRIM_THRESHOLD = 1 << 30
+_ARENA_MAX = 1
 
 
 def steady_heap() -> None:
     """Stop glibc from handing back heap pages that the next training step
     faults in again: raise the mmap threshold, then, only if glibc took
     that, the trim threshold (set alone, the trim threshold freezes the mmap
-    threshold at 128 KiB). Does nothing where mallopt is missing; never
-    raises."""
+    threshold at 128 KiB). Then, whatever glibc replied, keep every thread
+    in one malloc arena, so the ranking workers reuse the main heap's free
+    pages instead of keeping an arena of their own. Does nothing where
+    mallopt is missing; never raises."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -76,9 +79,12 @@ def steady_heap() -> None:
     mallopt.restype = ctypes.c_int
     mmap_set = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
     trim_set = mmap_set and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
-    log.debug("heap: mallopt mmap threshold %d %s, trim threshold %d %s",
+    arena_set = mallopt(_M_ARENA_MAX, _ARENA_MAX) == 1
+    log.debug("heap: mallopt mmap threshold %d %s, trim threshold %d %s, "
+              "arena max %d %s",
               _MMAP_THRESHOLD, "set" if mmap_set else "refused",
-              _TRIM_THRESHOLD, "set" if trim_set else "not set")
+              _TRIM_THRESHOLD, "set" if trim_set else "not set",
+              _ARENA_MAX, "set" if arena_set else "refused")
 
 
 def _parse_overrides(pairs: list[str] | None) -> dict:

@@ -174,10 +174,9 @@ class RunConfig:
             value = getattr(m, key)
             if value < 1:
                 raise ConfigError(f"model.{key} must be >= 1, got {value}")
-        if m.dim % m.attn_heads != 0:
-            raise ConfigError(f"dim {m.dim} not divisible by attn_heads {m.attn_heads}")
-        if m.dim % m.enc_heads != 0:
-            raise ConfigError(f"dim {m.dim} not divisible by encoder heads {m.enc_heads}")
+            if m.dim % value != 0:
+                raise ConfigError(
+                    f"model.dim {m.dim} not divisible by model.{key} {value}")
         if m.attention not in ("cnoa", "cross"):
             raise ConfigError(f"unknown attention variant '{m.attention}'")
         if m.decoder_query not in ("user_location", "time_user"):

@@ -93,9 +93,8 @@ def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, np.random.G
 
 
 def evaluate_ranks(model: CanoeModel, samples: list[WindowSample]) -> np.ndarray:
-    """Target ranks over samples in order, EVAL_BATCH at a time; states
-    reset and frozen."""
-    model.reset_states()
+    """Target ranks over samples in order, EVAL_BATCH at a time, each
+    batch from reset, frozen attention states (CanoeModel.location_probs)."""
     ranks = []
     for i in range(0, len(samples), EVAL_BATCH):
         ranks.append(model.rank_targets(batch_from_samples(samples[i:i + EVAL_BATCH])))

@@ -1,5 +1,7 @@
 """Tri-pair encoder: causal masking, transformer layer oracle, shapes."""
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -213,3 +215,38 @@ class TestEncodeBatch:
         theta = rng.random((3, 4))
         for t in encode(enc, users, locs, slots, theta):
             assert np.all(np.isfinite(t.data))
+
+
+class TestLengthCache:
+    def test_threads_meeting_a_new_length_at_once(self, rng):
+        """Forwards on several threads that each meet new context lengths
+        together all get the length's positional encoding and mask."""
+        _, enc = build_encoder(rng, dim=4, layers=1)
+        lengths = range(2, 102)
+        errors = []
+
+        def run():
+            try:
+                with dcg.no_grad():
+                    for n in lengths:
+                        ids = np.zeros((1, n), dtype=np.int64)
+                        enc.loc_time(ids, ids)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for n in lengths:
+            pe, mask = enc.loc_time._length_cache[n]
+            assert pe.tobytes() == positional_encoding(n, 4).tobytes()
+            assert mask.tobytes() == causal_mask(n).tobytes()

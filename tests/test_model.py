@@ -1,5 +1,6 @@
 """Full-model assembly: shapes, ranking tie-breaks, eval determinism."""
 
+import threading
 import weakref
 from collections import Counter
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from canoe import dcg
+from canoe import model as model_mod
 from canoe.config import RunConfig
 from canoe.dcg import AdamW
+from canoe.dcg.tensor import _softmax
 from canoe.decoder import LossWeights
 from canoe.model import Batch, CanoeModel, target_ranks
 from tests_common import graph_nodes
@@ -111,6 +114,121 @@ class TestRankTargets:
         batch = random_batch(rng)
         ranks = model.rank_targets(batch)
         assert ranks.shape == (4,)
+
+
+SPLIT_VARIANTS = {"cnoa": {}, "cross": {"attention": "cross"},
+                  "time_user": {"decoder_query": "time_user"}}
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the usable CPU count the ranking split sees; each test gets a
+    pool of its own, shut down afterwards."""
+    monkeypatch.setattr(model_mod, "_rank_pool", None)
+    yield lambda n: monkeypatch.setattr(model_mod, "_usable_cpus", lambda: n)
+    if model_mod._rank_pool is not None:
+        model_mod._rank_pool.shutdown()
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """Each forward_batch call that returns: (thread name, rows, whether
+    its location logits hold a graph)."""
+    seen = []
+    forward = CanoeModel.forward_batch
+
+    def spy(self, batch, *args, **kwargs):
+        out = forward(self, batch, *args, **kwargs)
+        seen.append((threading.current_thread().name, len(batch.users),
+                     out[0].requires_grad or bool(out[0]._parents)))
+        return out
+
+    monkeypatch.setattr(CanoeModel, "forward_batch", spy)
+    return seen
+
+
+def _one_block_probs(model, batch):
+    """location_probs as one forward over the whole batch from reset states."""
+    model.reset_states()
+    with dcg.no_grad():
+        loc, _, _ = model.forward_batch(batch)
+    return _softmax(loc.data, -1)
+
+
+def _split_model(rng, variant):
+    return make_model(rng, dim=16, n_users=12, n_locs=40,
+                      **SPLIT_VARIANTS[variant])
+
+
+class TestRankingSplit:
+    """location_probs splits a batch into row blocks, one per usable CPU
+    and none under 64 rows, the first on the calling thread; the result is
+    bitwise that of one block."""
+
+    @pytest.mark.parametrize("n_rows, sizes", [
+        (1, [1]), (127, [127]), (128, [64, 64]), (129, [64, 65]),
+        (513, [128, 128, 128, 129]),
+    ])
+    @pytest.mark.parametrize("variant", sorted(SPLIT_VARIANTS))
+    def test_split_matches_one_block_bitwise(self, rng, cpus, blocks,
+                                             variant, n_rows, sizes):
+        cpus(4)
+        model = _split_model(rng, variant)
+        batch = random_batch(rng, n=n_rows, n_users=12, n_locs=40)
+        expected = _one_block_probs(model, batch)
+        del blocks[:]
+        probs = model.location_probs(batch)
+        # the first block runs on this thread, the others on workers
+        here = threading.current_thread().name
+        assert [rows for name, rows, _ in blocks if name == here] == sizes[:1]
+        assert sorted(rows for name, rows, _ in blocks
+                      if name.startswith("canoe-rank")) == sizes[1:]
+        assert probs.tobytes() == expected.tobytes()
+        assert (model.rank_targets(batch).tobytes()
+                == target_ranks(expected, batch.target_locs).tobytes())
+
+    @pytest.mark.parametrize("variant", sorted(SPLIT_VARIANTS))
+    def test_stored_training_state_is_reset(self, rng, cpus, variant):
+        # a training forward stores states shaped like the first block; a
+        # block that used them would rank differently (cnoa)
+        cpus(4)
+        model = _split_model(rng, variant)
+        batch = random_batch(rng, n=513, n_users=12, n_locs=40)
+        expected = _one_block_probs(model, batch)
+        train_batch = random_batch(rng, n=128, n_users=12, n_locs=40)
+        model.loss_batch(train_batch, LossWeights(), rng=np.random.default_rng(3))
+        assert (model.time_user.attn._alpha_prev is None) == (variant == "cross")
+        assert model.location_probs(batch).tobytes() == expected.tobytes()
+
+    def test_one_usable_cpu_starts_no_worker(self, rng, cpus, blocks):
+        cpus(1)
+        model = _split_model(rng, "cnoa")
+        model.location_probs(random_batch(rng, n=513, n_users=12, n_locs=40))
+        assert blocks == [(threading.current_thread().name, 513, False)]
+        assert model_mod._rank_pool is None
+
+    def test_worker_index_error_matches_one_block(self, rng, cpus, blocks):
+        cpus(4)
+        model = _split_model(rng, "cnoa")
+        batch = random_batch(rng, n=513, n_users=12, n_locs=40)
+        batch.ctx_locs[500, 2] = 40  # a row of the last block
+        with pytest.raises(IndexError) as one_block:
+            _one_block_probs(model, batch)
+        del blocks[:]
+        with pytest.raises(IndexError) as split:
+            model.location_probs(batch)
+        assert str(split.value) == str(one_block.value)
+        # the other blocks ran to the end, the first on this thread
+        here = threading.current_thread().name
+        assert [rows for name, rows, _ in blocks if name == here] == [128]
+        assert sorted(rows for _, rows, _ in blocks) == [128, 128, 128]
+
+    def test_worker_blocks_build_no_graph(self, rng, cpus, blocks):
+        cpus(2)
+        model = _split_model(rng, "cnoa")
+        model.location_probs(random_batch(rng, n=512, n_users=12, n_locs=40))
+        assert [(rows, graph) for _, rows, graph in blocks] == [(256, False)] * 2
+        assert any(name.startswith("canoe-rank") for name, _, _ in blocks)
 
 
 class TestAttentionSites:
