@@ -14,7 +14,9 @@ the forward to the end of `AdamW.step` (`ru_minflt`); maxrss_mb is the
 process's peak resident set after the step (`ru_maxrss`); nodes counts the
 graph nodes backward visits, parameters included, as perfbench's
 `dcg.graph_nodes` counts them. A last line per epoch gives the medians of
-the two times and the sum of the faults.
+the two times and the sum of the faults. The header line also gives the
+usable CPU count, which row blocks split by (`canoe.dcg.blocks`), and the
+BLAS thread pins, so two profiles show whether the split could run.
 
 Two source trees compare as the digest script compares them:
 
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 import os
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_PINS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_PINS:
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
@@ -117,7 +120,9 @@ def main() -> None:
     CanoeModel.loss_batch = timed_loss_batch
     dcg.backward = timed_backward
     dcg.AdamW.step = timed_step
-    print("epoch step fwd_ms bwd_ms minflt maxrss_mb nodes")
+    pins = " ".join(f"{var}={os.environ.get(var, '')}" for var in BLAS_PINS)
+    print(f"epoch step fwd_ms bwd_ms minflt maxrss_mb nodes "
+          f"(usable_cpus {len(os.sched_getaffinity(0))}, {pins})")
     train(model, dataset, cfg)
 
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from .config import RunConfig
 from .dcg import grad_check
-from .model import N_SLOTS, Batch, CanoeModel
+from .data import N_SLOTS
+from .model import Batch, CanoeModel
 
 __all__ = ["tiny_gradcheck_config", "tiny_gradcheck_batch", "full_model_gradcheck"]
 

@@ -7,7 +7,8 @@ defaults; the checkpoint's config on eval and train --resume; the tiny
 config on gradcheck), then repeated --set section.key=value overrides, then
 dedicated flags (--seed, --thresholds). Every file-producing command echoes
 its fully resolved config next to its primary output. Exit codes: 0 success,
-1 check failure or numeric fault, 2 usage, config or data error. CANOE_LOG in
+1 check failure or numeric fault, 2 usage, config or data error, or a size
+too large to allocate (a MemoryError, named with its stage). CANOE_LOG in
 {error,warn,info,debug} controls verbosity (unset or empty: info; any other
 value exits 2). On glibc, main() first sets the allocator thresholds and
 the arena limit of steady_heap().
@@ -22,6 +23,7 @@ import logging
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stage(exc: BaseException) -> str:
+    """The innermost canoe function exc passed through, as module.function."""
+    stage = "cli.main"
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("canoe."):
+            stage = f"{module.removeprefix('canoe.')}.{frame.f_code.co_name}"
+    return stage
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -363,6 +375,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericFault as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a size that came from the input
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory in {_stage(exc)}{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Small eager autograd: every operation returns a new Tensor holding its
 value and, when gradients are enabled, a closure that scatters the output
 gradient back to its parents. Graphs are built per forward pass and torn
 down by the backward pass that walks them; tensors are confined to one
-thread for the duration of a forward/backward pass.
+thread for the duration of a forward/backward pass, though a node may hand
+row blocks of its arrays to worker threads (blocks.py) and wait for them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .blocks import run_row_blocks
 
 __all__ = [
     "Tensor", "NumericFault", "no_grad",
@@ -435,23 +438,33 @@ def gather_rows(table: Tensor, idx) -> Tensor:
 # order, and accumulates into shared inputs in the order backward visited
 # the chain, so gradients are bitwise the same.
 
-def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
     """x @ w + b over the last axis of x: one gemm, the bias added into its
-    output."""
+    output, which is out when given (contiguous, of the output's shape)."""
     k, n = w.shape
-    data = (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (n,))
+    data = np.matmul(x.reshape(-1, k), w,
+                     out=None if out is None else out.reshape(-1, n))
+    data = data.reshape(x.shape[:-1] + (n,))
     data += b
     return data
 
 
-def _linear_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray,
-                 need_x: bool = True) -> tuple:
-    """(x gradient, or None without need_x; w gradient) of _linear for output
-    gradient g. The b gradient is _unbroadcast(g, b.shape)."""
+def _linear_x_grad(g: np.ndarray, w: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """x gradient of _linear for output gradient g, g @ w.T over the last
+    axis: a fresh array, or out (contiguous, of x's shape)."""
     k, n = w.shape
-    g2 = g.reshape(-1, n)
-    g_x = (g2 @ w.T).reshape(x.shape) if need_x else None
-    return g_x, x.reshape(-1, k).T @ g2
+    g_x = np.matmul(g.reshape(-1, n), w.T,
+                    out=None if out is None else out.reshape(-1, k))
+    return g_x.reshape(g.shape[:-1] + (k,))
+
+
+def _linear_w_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w gradient of _linear for output gradient g: one gemm over every row.
+    The b gradient is _unbroadcast(g, b.shape)."""
+    k, n = w.shape
+    return x.reshape(-1, k).T @ g.reshape(-1, n)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -460,9 +473,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         _accum_ub(b, g)
-        g_x, g_w = _linear_grad(g, x.data, w.data, x.requires_grad)
-        _accum_owned(x, g_x)
-        _accum_owned(w, g_w)
+        if x.requires_grad:
+            _accum_owned(x, _linear_x_grad(g, w.data))
+        _accum_owned(w, _linear_w_grad(g, x.data, w.data))
 
     return _make(data, (x, w, b), bwd, "linear")
 
@@ -470,13 +483,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 _LN_EPS = 1e-5
 
 
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> tuple:
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                out: np.ndarray | None = None,
+                den: np.ndarray | None = None) -> tuple:
     """(out, centered, den) of out = (x - mean) / den * gamma + beta over
     the last axis, den = sqrt(var + eps). x is overwritten: centered is x
-    minus its mean, in place."""
+    minus its mean, in place. out and den are written into when given."""
     x -= x.mean(axis=-1, keepdims=True)
-    out = x * x
-    den = np.sqrt(out.mean(axis=-1, keepdims=True) + _LN_EPS)
+    out = np.multiply(x, x, out=out)
+    den = np.sqrt(out.mean(axis=-1, keepdims=True) + _LN_EPS, out=den)
     np.divide(x, den, out=out)
     out *= gamma
     out += beta
@@ -484,16 +499,18 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> tuple:
 
 
 def _layer_norm_grad(g: np.ndarray, gamma: np.ndarray, centered: np.ndarray,
-                     den: np.ndarray) -> tuple:
-    """(x gradient, gamma gradient) of _layer_norm for output gradient g, as
-    fresh arrays. The beta gradient is _unbroadcast(g, beta.shape)."""
+                     den: np.ndarray, terms: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """x gradient of _layer_norm for output gradient g: a fresh array, or
+    out. The gamma gradient's terms centered / den * g are written into
+    terms; the gamma gradient is _unbroadcast(terms, gamma.shape), the beta
+    gradient _unbroadcast(g, beta.shape). Every row is its own."""
     count = centered.shape[-1]
-    t = centered / den  # normed
-    t *= g
-    g_gamma = _unbroadcast(t, gamma.shape)
-    g_x = g * gamma  # the gradient of normed, then of centered
+    np.divide(centered, den, out=terms)  # normed
+    terms *= g
+    g_x = np.multiply(g, gamma, out=out)  # the gradient of normed, then of centered
     # normed = centered / den, with den = sqrt(mean(centered^2) + eps)
-    np.negative(g_x, out=t)
+    t = np.negative(g_x)
     t *= centered
     t /= den * den
     g_var = _unbroadcast(t, den.shape) * 0.5 / den
@@ -508,7 +525,7 @@ def _layer_norm_grad(g: np.ndarray, gamma: np.ndarray, centered: np.ndarray,
     g_mean = _unbroadcast(t, den.shape)
     np.divide(np.broadcast_to(g_mean, t.shape), count, out=t)
     g_x += t
-    return g_x, g_gamma
+    return g_x
 
 
 def _split_heads(t: np.ndarray, heads: int) -> np.ndarray:
@@ -517,16 +534,23 @@ def _split_heads(t: np.ndarray, heads: int) -> np.ndarray:
     return np.transpose(t.reshape(batch, length, heads, -1), (0, 2, 1, 3))
 
 
-def _merge_heads(t: np.ndarray) -> np.ndarray:
-    """[B, H, L, dim/H] -> [B, L, dim], a fresh array."""
+def _merge_heads(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """[B, H, L, dim/H] -> [B, L, dim], a fresh array, or copied into out
+    (contiguous)."""
     batch, heads, length, width = t.shape
-    return np.transpose(t, (0, 2, 1, 3)).reshape(batch, length, heads * width)
+    merged = np.transpose(t, (0, 2, 1, 3))
+    if out is None:
+        return merged.reshape(batch, length, heads * width)
+    out.reshape(batch, length, heads, width)[...] = merged
+    return out
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
-               mask: np.ndarray, scale: float) -> tuple:
+               mask: np.ndarray, scale: float, ctx: np.ndarray | None = None,
+               alpha: np.ndarray | None = None) -> tuple:
     """(context [B, L, dim], weights [B, H, L, L]) of multi-head
-    softmax(q k^T * scale + mask) v for [B, L, dim] inputs.
+    softmax(q k^T * scale + mask) v for [B, L, dim] inputs, written into
+    ctx and alpha when given.
 
     mask is additive and broadcasts against [B, H, L, L]: 0 for an open
     key, and for a blocked key a negative value large enough (such as
@@ -536,7 +560,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     is slow.
     """
     qh, kh = _split_heads(q, heads), _split_heads(k, heads)
-    scores = np.matmul(qh, np.transpose(kh, (0, 1, 3, 2)))
+    scores = np.matmul(qh, np.transpose(kh, (0, 1, 3, 2)), out=alpha)
     scores *= scale
     scores += mask
     blocked = mask < 0
@@ -545,22 +569,25 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     alpha = np.exp(scores, out=scores)
     np.copyto(alpha, 0.0, where=blocked)
     alpha /= alpha.sum(axis=-1, keepdims=True)
-    return _merge_heads(np.matmul(alpha, _split_heads(v, heads))), alpha
+    return _merge_heads(np.matmul(alpha, _split_heads(v, heads)), ctx), alpha
 
 
 def _attention_grad(g: np.ndarray, q: np.ndarray, k: np.ndarray,
                     v: np.ndarray, alpha: np.ndarray, heads: int,
-                    scale: float) -> tuple:
+                    scale: float, out: tuple | None = None) -> tuple:
     """(q, k, v gradients) of _attention for context gradient g. The k
-    gradient is a strided [B, L, dim] view of a fresh array."""
+    gradient is a strided [B, L, dim] view of a [B, H, dim/H, L] array.
+    They are fresh, or written into out: contiguous arrays shaped [B, L,
+    dim], [B, H, dim/H, L] and [B, L, dim]."""
+    g_q, g_k, g_v = out or (None, None, None)
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
     g_ctx = _split_heads(g, heads)
     g_alpha = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
-    g_v = _merge_heads(np.matmul(np.swapaxes(alpha, -1, -2), g_ctx))
+    g_v = _merge_heads(np.matmul(np.swapaxes(alpha, -1, -2), g_ctx), g_v)
     g_scores = _softmax_grad(g_alpha, alpha, -1)
     g_scores *= scale
-    g_q = _merge_heads(np.matmul(g_scores, kh))
-    g_k = np.matmul(np.swapaxes(qh, -1, -2), g_scores)
+    g_q = _merge_heads(np.matmul(g_scores, kh), g_q)
+    g_k = np.matmul(np.swapaxes(qh, -1, -2), g_scores, out=g_k)
     return g_q, np.transpose(g_k, (0, 3, 1, 2)).reshape(k.shape), g_v
 
 
@@ -576,70 +603,145 @@ def transformer_layer(x: Tensor, params: Sequence[Tensor], heads: int,
     ln1.gamma, ln1.beta, ff1.w, ff1.b, ff2.w, ff2.b, ln2.gamma, ln2.beta;
     each projection is _linear, attention is _attention over `heads` heads
     with mask and scale, LN is _layer_norm. dropout is None or (rate,
-    keep1, keep2): the rate and two bool [B, L, dim] keep-masks, and dropI
-    is keepI * (1 / (1 - rate)), formed where it multiplies.
+    keep1, keep2): the rate and two bool [B, L, dim] keep-masks, drawn by
+    the caller for the whole batch; dropI is keepI * (1 / (1 - rate)), and
+    a product with it is formed as (t * keepI) * (1 / (1 - rate)), the
+    same bits as keepI is 0 or 1.
 
-    The forward pass reuses its temporaries in place and keeps only what
-    backward reads, and nothing without a graph. Backward accumulates into
-    x the residual term first, then the q, k and v terms, the order in
-    which backward visits the layer written as a chain of nodes.
+    Row blocks (blocks.run_row_blocks): the B rows are cut into contiguous
+    blocks, one per usable CPU and none under MIN_BLOCK_ROWS rows, run the
+    first on the calling thread and the others on worker threads. The
+    forward is one pass of blocks, whose outputs are concatenated. With a
+    graph, each block also writes its rows of [B, ...] arrays of everything
+    backward reads; without one, it keeps its own temporaries. Backward is
+    two passes: LN2 to LN1, then o, attention and the x gradient. A pass
+    does the row-wise work: layer-norm x gradients and gamma terms
+    centered / den * g, the input gemms g @ w.T, the relu mask, the
+    attention gradient, and the residual, q, k and v terms added into x in
+    that order, the order in which backward visits the layer written as a
+    chain of nodes. After each pass the reductions over rows of what it
+    filled run once, on the calling thread and on the [B, ...] arrays: each
+    weight gemm x.T @ g and each bias and gamma sum; each array is freed
+    once reduced. The k gradient keeps _attention_grad's [B, H, dim/H, L]
+    layout, in whose memory order k.b's sum reads it. No float operation
+    depends on the blocking, so the output and every gradient are bitwise
+    the one-block node's.
     """
     qw, qb, kw, kb, vw, vb, ow, ob, g1, b1, w1, c1, w2, c2, g2, b2 = params
     parents = (x, *params)
     keep = _enabled() and any(p.requires_grad for p in parents)
-    q, k, v = (_linear(x.data, w.data, b.data)
-               for w, b in ((qw, qb), (kw, kb), (vw, vb)))
-    ctx, alpha = _attention(q, k, v, heads, mask, scale)
-    if not keep:
-        del q, k, v, alpha
-    r1 = _linear(ctx, ow.data, ob.data)
+    batch, length, dim = x.shape
     if dropout is not None:
         rate, keep1, keep2 = dropout
         inv_keep = 1.0 / (1.0 - rate)
-        r1 *= keep1 * inv_keep
-    r1 += x.data
-    h, centered1, den1 = _layer_norm(r1, g1.data, b1.data)
-    if not keep:
-        del ctx, r1, centered1
-    f = _linear(h, w1.data, c1.data)
-    np.maximum(f, 0.0, out=f)
-    r2 = _linear(f, w2.data, c2.data)
-    if not keep:
+    full = {}  # what backward reads, [B, ...] arrays the blocks fill
+    if keep:
+        full = {name: np.empty((batch,) + shape) for name, shape in (
+            ("q", (length, dim)), ("k", (length, dim)), ("v", (length, dim)),
+            ("alpha", (heads, length, length)), ("ctx", (length, dim)),
+            ("centered1", (length, dim)), ("den1", (length, 1)),
+            ("h", (length, dim)), ("f", (length, w1.shape[1])),
+            ("centered2", (length, dim)), ("den2", (length, 1)))}
+
+    def forward_rows(lo, hi):
+        part = {name: a[lo:hi] for name, a in full.items()}.get  # None: fresh
+        x_rows = x.data[lo:hi]
+        q, k, v = (_linear(x_rows, w.data, b.data, part(name))
+                   for name, w, b in (("q", qw, qb), ("k", kw, kb), ("v", vw, vb)))
+        ctx, alpha = _attention(q, k, v, heads, mask, scale, part("ctx"),
+                                part("alpha"))
+        del q, k, v, alpha
+        r1 = _linear(ctx, ow.data, ob.data, part("centered1"))
+        del ctx
+        if dropout is not None:
+            r1 *= keep1[lo:hi]
+            r1 *= inv_keep
+        r1 += x_rows
+        h = _layer_norm(r1, g1.data, b1.data, part("h"), part("den1"))[0]
+        del r1
+        f = _linear(h, w1.data, c1.data, part("f"))
+        np.maximum(f, 0.0, out=f)
+        r2 = _linear(f, w2.data, c2.data, part("centered2"))
         del f
-    if dropout is not None:
-        r2 *= keep2 * inv_keep
-    r2 += h
-    data, centered2, den2 = _layer_norm(r2, g2.data, b2.data)
+        if dropout is not None:
+            r2 *= keep2[lo:hi]
+            r2 *= inv_keep
+        r2 += h
+        return _layer_norm(r2, g2.data, b2.data, den=part("den2"))[0]
+
+    outs = run_row_blocks(batch, forward_rows)
+    data = outs[0] if len(outs) == 1 else np.concatenate(outs)
 
     def bwd(g):
+        q, k, v, alpha, ctx, centered1, den1, h, f, centered2, den2 = (
+            full[name] for name in ("q", "k", "v", "alpha", "ctx", "centered1",
+                                    "den1", "h", "f", "centered2", "den2"))
+        # The [B, ...] gradients the reductions read. Without dropout g_f2
+        # is the gradient of r2 itself, and g_o that of r1.
+        terms2, g_f2, g_h, terms1, g_r1 = (np.empty(x.shape) for _ in range(5))
+        g_f = np.empty(f.shape)
+        g_o = g_r1 if dropout is None else np.empty(x.shape)
+
+        def ff_rows(lo, hi):  # LN2, ff2, relu, ff1 and LN1
+            rows = slice(lo, hi)
+            g_r2 = _layer_norm_grad(g[rows], g2.data, centered2[rows],
+                                    den2[rows], terms2[rows],
+                                    None if dropout else g_f2[rows])
+            if dropout is not None:
+                np.multiply(g_r2, keep2[rows], out=g_f2[rows])
+                g_f2[rows] *= inv_keep
+            g_f_rows = _linear_x_grad(g_f2[rows], w2.data, g_f[rows])
+            g_f_rows *= f[rows] > 0.0  # relu's output is positive where its input was
+            # the gradient of h: the residual's term, then ff1's
+            g_h_rows = np.add(g_r2, _linear_x_grad(g_f_rows, w1.data, g_h[rows]),
+                              out=g_h[rows])
+            _layer_norm_grad(g_h_rows, g1.data, centered1[rows], den1[rows],
+                             terms1[rows], g_r1[rows])
+            if dropout is not None:
+                np.multiply(g_r1[rows], keep1[rows], out=g_o[rows])
+                g_o[rows] *= inv_keep
+
+        run_row_blocks(batch, ff_rows)
+        # the reductions over rows, each array freed once reduced
         _accum_ub(b2, g)
-        g_r2, g_g2 = _layer_norm_grad(g, g2.data, centered2, den2)
-        _accum_owned(g2, g_g2)
-        g_f2 = g_r2 if dropout is None else g_r2 * (keep2 * inv_keep)
+        _accum_owned(g2, _unbroadcast(terms2, g2.data.shape))
         _accum_ub(c2, g_f2)
-        g_f, g_w2 = _linear_grad(g_f2, f, w2.data)
-        _accum_owned(w2, g_w2)
-        g_f *= f > 0.0  # relu's output is positive where its input was
+        _accum_owned(w2, _linear_w_grad(g_f2, f, w2.data))
         _accum_ub(c1, g_f)
-        g_h, g_w1 = _linear_grad(g_f, h, w1.data)
-        _accum_owned(w1, g_w1)
-        g_r2 += g_h  # now the gradient of h: the residual's term, then ff1's
-        _accum_ub(b1, g_r2)
-        g_r1, g_g1 = _layer_norm_grad(g_r2, g1.data, centered1, den1)
-        _accum_owned(g1, g_g1)
-        # g_o may be g_r1 itself, which x's gradient may take over: nothing
-        # adds into it before o's backward has read it
-        g_o = g_r1 if dropout is None else g_r1 * (keep1 * inv_keep)
-        _accum_owned(x, g_r1)
+        _accum_owned(w1, _linear_w_grad(g_f, h, w1.data))
+        _accum_ub(b1, g_h)
+        _accum_owned(g1, _unbroadcast(terms1, g1.data.shape))
+        del terms2, g_f2, g_f, g_h, terms1
+        # x's gradient takes g_r1 over, or adds it in below; g_o may be
+        # g_r1 itself, which each block reads before it adds into x
+        need_x = x.requires_grad
+        add_r1 = need_x and x.grad is not None
+        if need_x and not add_r1:
+            x.grad = g_r1
         _accum_ub(ob, g_o)
-        g_ctx, g_ow = _linear_grad(g_o, ctx, ow.data)
-        _accum_owned(ow, g_ow)
-        g_qkv = _attention_grad(g_ctx, q, k, v, alpha, heads, scale)
-        for (w, b), g_p in zip(((qw, qb), (kw, kb), (vw, vb)), g_qkv):
+        _accum_owned(ow, _linear_w_grad(g_o, ctx, ow.data))
+        g_q, g_v = np.empty(x.shape), np.empty(x.shape)
+        g_kh = np.empty((batch, heads, dim // heads, length))  # k's layout
+
+        def attention_rows(lo, hi):  # o, attention, and q, k, v into x
+            rows = slice(lo, hi)
+            g_qkv = _attention_grad(_linear_x_grad(g_o[rows], ow.data),
+                                    q[rows], k[rows], v[rows], alpha[rows],
+                                    heads, scale, (g_q[rows], g_kh[rows], g_v[rows]))
+            if not need_x:
+                return
+            acc = x.grad[rows]
+            if add_r1:
+                acc += g_r1[rows]
+            for g_p, w in zip(g_qkv, (qw, kw, vw)):
+                acc += _linear_x_grad(g_p, w.data)
+
+        run_row_blocks(batch, attention_rows)
+        del g_o, g_r1
+        g_k = np.transpose(g_kh, (0, 3, 1, 2)).reshape(x.shape)
+        for (w, b), g_p in zip(((qw, qb), (kw, kb), (vw, vb)), (g_q, g_k, g_v)):
             _accum_ub(b, g_p)
-            g_x, g_w = _linear_grad(g_p, x.data, w.data, x.requires_grad)
-            _accum_owned(w, g_w)
-            _accum_owned(x, g_x)
+            _accum_owned(w, _linear_w_grad(g_p, x.data, w.data))
 
     return _make(data, parents, bwd, "transformer_layer")
 

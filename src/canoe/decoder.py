@@ -15,6 +15,7 @@ import numpy as np
 
 from . import dcg
 from .cnoa import CnoaAttention, OscillatorParams
+from .data import N_SLOTS
 from .dcg import Linear, ParamRegistry, Tensor
 
 __all__ = ["LossWeights", "CrossContextDecoder"]
@@ -37,7 +38,7 @@ class CrossContextDecoder:
     """Fuses the three pair outputs into the prediction representation."""
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
-                 dim: int, n_locations: int, n_slots: int, n_heads: int,
+                 dim: int, n_locations: int, n_heads: int,
                  osc: OscillatorParams | None, query_source: str):
         if query_source not in ("user_location", "time_user"):
             raise ValueError(f"unknown query source '{query_source}'")
@@ -55,7 +56,7 @@ class CrossContextDecoder:
         self.fuse1 = Linear(registry, rng, "decoder.fuse1", 6 * dim, hidden)
         self.fuse2 = Linear(registry, rng, "decoder.fuse2", hidden, dim)
         self.loc = Linear(registry, rng, "decoder.loc", dim, n_locations)
-        self.time = Linear(registry, rng, "decoder.time", dim, n_slots)
+        self.time = Linear(registry, rng, "decoder.time", dim, N_SLOTS)
         self.aux = Linear(registry, rng, "decoder.aux", 6 * dim, n_locations)
 
     def __call__(self, o_us: Tensor, o_ut: Tensor, o_st: Tensor, e_u: Tensor,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dcg
+from .data import N_SLOTS
 from .dcg import ParamRegistry, Tensor
 
 __all__ = ["smoothing_weights", "SmoothedTimeEmbedding", "EmbeddingTable"]
@@ -28,26 +29,26 @@ def smoothing_weights(n_slots: int, sigma: float) -> np.ndarray:
 
 
 class SmoothedTimeEmbedding:
-    """Learnable slot table behind a fixed cyclic Gaussian smoother."""
+    """Learnable table of the data.N_SLOTS slots behind a fixed cyclic
+    Gaussian smoother."""
 
     def __init__(self, registry: ParamRegistry, rng: np.random.Generator,
-                 n_slots: int, dim: int, sigma: float):
-        self.n_slots = n_slots
+                 dim: int, sigma: float):
         self.dim = dim
         self.sigma = sigma
-        self.weights = smoothing_weights(n_slots, sigma)
+        self.weights = smoothing_weights(N_SLOTS, sigma)
         self._weights_t = dcg.constant(self.weights)
-        self.table = registry.weight("time_table", rng, (n_slots, dim))
+        self.table = registry.weight("time_table", rng, (N_SLOTS, dim))
 
     def smoothed_table(self) -> Tensor:
-        """All smoothed slot vectors, shape [n_slots, dim]."""
+        """All smoothed slot vectors, shape [N_SLOTS, dim]."""
         return dcg.matmul(self._weights_t, self.table)
 
     def lookup(self, slots) -> Tensor:
         """Smoothed vectors for integer slot indices; output [..., dim]."""
         slots = np.asarray(slots)
-        if slots.size and (slots.min() < 0 or slots.max() >= self.n_slots):
-            raise ValueError(f"slot index out of range [0, {self.n_slots})")
+        if slots.size and (slots.min() < 0 or slots.max() >= N_SLOTS):
+            raise ValueError(f"slot index out of range [0, {N_SLOTS})")
         return dcg.gather_rows(self.smoothed_table(), slots)
 
 

@@ -9,55 +9,22 @@ matrix is a frozen input fitted upstream, never gradient-trained.
 from __future__ import annotations
 
 import contextlib
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dcg
 from .config import ModelSection
-from .data import N_SLOTS, WindowSample
+from .data import WindowSample
 from .decoder import CrossContextDecoder, LossWeights
 from .dcg import ParamRegistry, Tensor
+from .dcg.blocks import run_row_blocks
 from .dcg.tensor import _softmax
 from .embeddings import EmbeddingTable, SmoothedTimeEmbedding
 from .encoder import LocationTimePair, TimeUserPair
 from .topics import UserLocationHead
 
-__all__ = ["N_SLOTS", "Batch", "CanoeModel", "batch_from_samples",
-           "target_ranks"]
-
-# Ranking splits a batch into blocks of at least this many rows: on a 2-CPU
-# x86_64 machine a 64-row batch of the default model took 3.3 ms as one
-# block and 3.6 ms as two.
-MIN_BLOCK_ROWS = 64
-_rank_pool: ThreadPoolExecutor | None = None  # created at the first split
-_rank_pool_lock = threading.Lock()
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _row_cuts(n_rows: int) -> list[int]:
-    """Bounds of contiguous row blocks: one block per usable CPU, none
-    under MIN_BLOCK_ROWS rows (one block when the batch is smaller)."""
-    n_blocks = max(1, min(_usable_cpus(), n_rows // MIN_BLOCK_ROWS))
-    return [i * n_rows // n_blocks for i in range(n_blocks + 1)]
-
-
-def _pool() -> ThreadPoolExecutor:
-    global _rank_pool
-    with _rank_pool_lock:
-        if _rank_pool is None:
-            _rank_pool = ThreadPoolExecutor(max(_usable_cpus() - 1, 1),
-                                            thread_name_prefix="canoe-rank")
-        return _rank_pool
+__all__ = ["Batch", "CanoeModel", "batch_from_samples", "target_ranks"]
 
 
 @dataclass
@@ -98,7 +65,7 @@ class CanoeModel:
         osc = cfg.oscillator_params() if cfg.attention == "cnoa" else None  # None: cross
 
         self.time_emb = SmoothedTimeEmbedding(
-            self.registry, rng, n_slots=N_SLOTS, dim=d, sigma=cfg.sigma)
+            self.registry, rng, dim=d, sigma=cfg.sigma)
         self.user_table = EmbeddingTable(self.registry, rng, n_users, d,
                                          "user_table")
         self.loc_table = EmbeddingTable(self.registry, rng, n_locations, d,
@@ -111,7 +78,7 @@ class CanoeModel:
             self.registry, rng, self.loc_table, self.time_emb, d,
             cfg.enc_layers, cfg.enc_heads, cfg.enc_dropout, cfg.ff_width())
         self.decoder = CrossContextDecoder(
-            self.registry, rng, d, n_locations, N_SLOTS, cfg.attn_heads,
+            self.registry, rng, d, n_locations, cfg.attn_heads,
             osc, query_source=cfg.decoder_query)
 
     def reset_states(self) -> None:
@@ -167,25 +134,17 @@ class CanoeModel:
     def location_probs(self, batch: Batch) -> np.ndarray:
         """Location probabilities of an evaluation forward: both attention
         states reset to the uniform sentinel and frozen. The rows are split
-        into contiguous blocks (_row_cuts); the first runs on this thread
-        and the others on worker threads. Every operation of the forward is
-        row-independent, so the result is bitwise that of one block."""
+        into row blocks (dcg.blocks.run_row_blocks), each a forward of its
+        own. Every operation of the forward is row-independent, so the
+        result is bitwise that of one block."""
         self.reset_states()
-        cuts = _row_cuts(len(batch.users))
-        blocks = [Batch(**{name: rows[lo:hi] for name, rows in vars(batch).items()})
-                  for lo, hi in zip(cuts, cuts[1:])]
-        futures = [_pool().submit(self._location_logits, b) for b in blocks[1:]]
-        try:
-            logits = [self._location_logits(blocks[0])]
-        finally:
-            wait(futures)  # no worker outlives the call, even on an error
-        logits += [f.result() for f in futures]
-        return _softmax(np.concatenate(logits), -1)
 
-    def _location_logits(self, batch: Batch) -> np.ndarray:
-        with dcg.no_grad():  # grad mode is per thread
-            loc_logits, _, _ = self.forward_batch(batch)
-        return loc_logits.data
+        def block(lo, hi):
+            rows = Batch(**{name: a[lo:hi] for name, a in vars(batch).items()})
+            with dcg.no_grad():  # grad mode is per thread
+                return self.forward_batch(rows)[0].data
+
+        return _softmax(np.concatenate(run_row_blocks(len(batch.users), block)), -1)
 
     def rank_targets(self, batch: Batch) -> np.ndarray:
         """1-indexed rank of each target by location probability."""

@@ -8,6 +8,7 @@ replays exactly the run that was never interrupted.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import time
@@ -357,14 +358,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; ValueError for a file that is not one, truncated,
     corrupt or without its meta record."""
     try:
-        with open(path, "rb") as fh:  # np.load(path) leaks its handle on a bad zip
-            data = np.load(fh)
-            if not isinstance(data, np.lib.npyio.NpzFile):
-                raise ValueError("not an .npz archive")
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            if not isinstance(meta, dict):
-                raise ValueError("meta is not a JSON object")
-            arrays = {key: data[key] for key in data.files}
+        with zipfile.ZipFile(path) as archive:
+            # each member read whole, so that its CRC is checked before its
+            # .npy header is parsed (np.load parses the header first)
+            arrays = {name.removesuffix(".npy"):
+                      np.lib.format.read_array(io.BytesIO(archive.read(name)))
+                      for name in archive.namelist()}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("meta is not a JSON object")
     except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
         raise ValueError(f"{path} is not a canoe checkpoint: {exc}") from exc
     if meta.get("format") != CHECKPOINT_FORMAT:

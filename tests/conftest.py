@@ -19,6 +19,7 @@ import pytest  # noqa: E402
 from canoe.cli import fit_topics, steady_heap  # noqa: E402
 from canoe.config import RunConfig  # noqa: E402
 from canoe.data import prepare_dataset  # noqa: E402
+from canoe.dcg import blocks  # noqa: E402
 from canoe.model import CanoeModel  # noqa: E402
 from canoe.synthetic import generate_synthetic  # noqa: E402
 
@@ -58,3 +59,13 @@ def small_pipeline(small_run_config):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the usable CPU count row blocks see (dcg.blocks); each test gets
+    a pool of its own, shut down afterwards."""
+    monkeypatch.setattr(blocks, "_pool", None)
+    yield lambda n: monkeypatch.setattr(blocks, "_usable_cpus", lambda: n)
+    if blocks._pool is not None:
+        blocks._pool.shutdown(wait=False)

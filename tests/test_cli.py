@@ -3,13 +3,15 @@
 import ctypes
 import hashlib
 import json
+import struct
 import types
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from canoe import checks
+from canoe import checks, cli
 from canoe.cli import main, steady_heap
 from canoe.config import ConfigError, RunConfig, load_config
 
@@ -550,6 +552,47 @@ class TestTrainEvalCommands:
             key, _, requirement = BAD_META[damage]
             assert err.endswith(f": its meta {key} must be {requirement}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
+
+    # Bits of the deflate stream of a member: the stream still inflates,
+    # to a damaged .npy header ("{'descr'" reads "w'descr'" at 83/0, the
+    # header length is 4 at 80/3), and numpy parses the header before the
+    # member's CRC is checked.
+    @pytest.mark.parametrize("offset, bit", [(80, 3), (83, 0)])
+    def test_flipped_npy_header_bit_exits_2(self, workspace, tmp_path, capsys,
+                                            offset, bit):
+        good = workspace / "model.ckpt"
+        raw = bytearray(good.read_bytes())
+        with zipfile.ZipFile(good) as zf:
+            at = zf.getinfo("param/decoder.fuse1.w.npy").header_offset
+        name_len, extra_len = struct.unpack("<HH", raw[at + 26:at + 30])
+        raw[at + 30 + name_len + extra_len + offset] ^= 1 << bit
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw)
+        assert main(["eval", "--data", str(workspace / "data.jsonl"),
+                     "--model", str(bad),
+                     "--report", str(tmp_path / "report")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad} is not a canoe checkpoint: Bad CRC-32 for file "
+            f"'param/decoder.fuse1.w.npy'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
+
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 576. GiB for an array with shape "
+        "(2147483648, 36) and data type float64", ""])
+    def test_memory_error_exits_2_naming_the_stage(self, workspace, tmp_path,
+                                                   capsys, monkeypatch, message):
+        def fit_lda(*args, **kwargs):  # as numpy fails, without allocating
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "fit_lda", fit_lda)
+        assert main(["train", "--data", str(workspace / "data.jsonl"),
+                     "--seed", "3", "--model-out", str(tmp_path / "m.ckpt")]
+                    + TRAIN_ARGS) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: out of memory in cli.fit_topics"
+                                + (f": {message}" if message else "") + "\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("damage, message", [
         ("first_moments", "optimizer state names differ from the model's: "

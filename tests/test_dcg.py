@@ -1,5 +1,7 @@
 """Autodiff core: operator gradients, backward contracts, AdamW, grad_check."""
 
+import threading
+import time
 import weakref
 from types import SimpleNamespace
 
@@ -9,7 +11,8 @@ import pytest
 from canoe import dcg
 from canoe.cnoa import (CnoaAttention, OscillatorParams, cnoa_attention,
                         osc_transform)
-from canoe.dcg import AdamW, Linear, ParamRegistry, grad_check
+from canoe.dcg import AdamW, Linear, ParamRegistry, blocks, grad_check
+from canoe.dcg import tensor as tensor_mod
 from canoe.dcg.tensor import (_accum, _accum_owned, _accum_ub, _attention,
                               _attention_grad, _axis_tuple, _layer_norm,
                               _layer_norm_grad, _make, _unbroadcast)
@@ -249,9 +252,9 @@ def _layer_norm_node(x, gamma, beta):
     out, centered, den = _layer_norm(x.data.copy(), gamma.data, beta.data)
 
     def bwd(g):
-        g_x, g_gamma = _layer_norm_grad(g, gamma.data, centered, den)
-        _accum_owned(x, g_x)
-        _accum_owned(gamma, g_gamma)
+        terms = np.empty_like(centered)
+        _accum_owned(x, _layer_norm_grad(g, gamma.data, centered, den, terms))
+        _accum_owned(gamma, _unbroadcast(terms, gamma.data.shape))
         _accum(beta, _unbroadcast(g, beta.data.shape))
     return _make(out, (x, gamma, beta), bwd, "layer_norm")
 
@@ -789,3 +792,129 @@ def test_forward_deterministic_bitwise():
         return dcg.tensor_sum(dcg.softmax(dcg.matmul(x, x)) * _exp(x * 0.1))
 
     assert forward().item() == forward().item()
+
+
+@pytest.fixture
+def layer_blocks(monkeypatch):
+    """Each row block transformer_layer runs: (pass, thread name, rows),
+    seen at its attention forward and its attention backward."""
+    seen = []
+
+    def spy(name, kernel):
+        def call(q, *args, **kwargs):
+            # q, or the context gradient: [rows, L, dim] either way
+            seen.append((name, threading.current_thread().name, len(q)))
+            return kernel(q, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(tensor_mod, "_attention", spy("fwd", tensor_mod._attention))
+    monkeypatch.setattr(tensor_mod, "_attention_grad",
+                        spy("bwd", tensor_mod._attention_grad))
+    return seen
+
+
+def _layer_inputs(n_rows, seed=0):
+    """(x, params, mask, scale) of a small transformer_layer, as arrays."""
+    rng = np.random.default_rng(seed)
+    shapes = [(n_rows, 5, 6)] + _layer_param_shapes(6, 10)
+    x, *params = (rng.normal(size=s) for s in shapes)
+    return x, params, np.triu(np.full((5, 5), -1e30), k=1), 1.0 / np.sqrt(3)
+
+
+class TestRowBlockNode:
+    """transformer_layer runs its rows in blocks (dcg.blocks), one per usable
+    CPU and none under 64 rows, the first on the calling thread; output and
+    every gradient are bitwise the one-block node's."""
+
+    def _run(self, n_rows, dropout, x_grad, side_first):
+        x_data, param_data, mask, scale = _layer_inputs(n_rows)
+        drop = (_dropout_masks(np.random.default_rng(3), x_data.shape)
+                if dropout == "on" else None)
+        x = dcg.Tensor(x_data.copy(), requires_grad=x_grad)
+        params = [dcg.parameter(p.copy()) for p in param_data]
+        out = dcg.transformer_layer(x, params, 2, mask, scale, drop)
+        rng = np.random.default_rng(4)
+        # a second consumer of x, whose term backward adds before or after
+        # the node's
+        terms = [dcg.tensor_sum(out * rng.normal(size=x_data.shape)),
+                 dcg.tensor_sum(x * x * rng.normal(size=x_data.shape))]
+        if side_first:
+            terms.reverse()
+        dcg.backward(terms[0] + terms[1])
+        return [out.data, x.grad] + [p.grad for p in params]
+
+    @pytest.mark.parametrize("n_rows, sizes", [
+        (1, [1]), (127, [127]), (128, [64, 64]), (129, [64, 65]),
+        (513, [128, 128, 128, 129]),
+    ])
+    @pytest.mark.parametrize("dropout", ["off", "on"])
+    @pytest.mark.parametrize("x_grad, side_first", [
+        (False, False), (True, False), (True, True)])
+    def test_split_matches_one_block_bitwise(self, cpus, layer_blocks, n_rows,
+                                             sizes, dropout, x_grad, side_first):
+        cpus(1)
+        one_block = self._run(n_rows, dropout, x_grad, side_first)
+        assert {rows for _, _, rows in layer_blocks} == {n_rows}
+        del layer_blocks[:]
+        cpus(4)
+        split = self._run(n_rows, dropout, x_grad, side_first)
+        here = threading.current_thread().name
+        for name in ("fwd", "bwd"):
+            runs = [(thread, rows) for n, thread, rows in layer_blocks if n == name]
+            # the first block on this thread, the others on workers
+            assert [rows for thread, rows in runs if thread == here] == sizes[:1]
+            assert sorted(rows for thread, rows in runs
+                          if thread.startswith("canoe-rows")) == sizes[1:]
+        assert (split[1] is None) == (not x_grad)
+        for got, want in zip(split, one_block):
+            if want is None:
+                assert got is None
+                continue
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_usable_cpu_starts_no_pool(self, cpus, layer_blocks):
+        cpus(1)
+        self._run(513, "on", True, False)
+        here = threading.current_thread().name
+        assert layer_blocks == [("fwd", here, 513), ("bwd", here, 513)]
+        assert blocks._pool is None
+
+    def test_node_inside_a_row_block_runs_as_one_block(self, cpus, layer_blocks):
+        cpus(2)  # one worker thread: a worker that split again would wait forever
+        x_data, param_data, mask, scale = _layer_inputs(512)
+        params = [dcg.constant(p) for p in param_data]
+
+        def node(lo, hi):
+            return dcg.transformer_layer(dcg.constant(x_data[lo:hi]), params,
+                                         2, mask, scale).data
+
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(blocks.run_row_blocks(512, node)),
+            daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "a node inside a row block did not return"
+        assert sorted((thread.startswith("canoe-rows"), rows)
+                      for _, thread, rows in layer_blocks) == [(False, 256), (True, 256)]
+        del layer_blocks[:]
+        whole = node(0, 512)  # outside any block: split in two
+        assert sorted(rows for _, _, rows in layer_blocks) == [256, 256]
+        assert np.concatenate(results[0]).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("failing", [0, 128])
+    def test_error_is_raised_after_every_block_finished(self, cpus, failing):
+        cpus(4)
+        finished = []
+
+        def block(lo, hi):
+            if lo == failing:
+                raise RuntimeError(f"rows {lo}:{hi}")
+            if lo > 128:
+                time.sleep(0.2)  # workers still busy when the error is known
+            finished.append(lo)
+
+        with pytest.raises(RuntimeError, match=f"rows {failing}:{failing + 128}"):
+            blocks.run_row_blocks(512, block)
+        assert sorted(finished) == sorted({0, 128, 256, 384} - {failing})

@@ -61,7 +61,7 @@ class TestSmoothingWeights:
 class TestSmoothedTimeEmbedding:
     def _build(self, rng, sigma=1.0, dim=4):
         reg = ParamRegistry()
-        emb = SmoothedTimeEmbedding(reg, rng, n_slots=24, dim=dim, sigma=sigma)
+        emb = SmoothedTimeEmbedding(reg, rng, dim=dim, sigma=sigma)
         return reg, emb
 
     def test_lookup_matches_manual_combination(self, rng):

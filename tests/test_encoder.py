@@ -20,7 +20,7 @@ from canoe.topics import UserLocationHead
 def build_encoder(rng, dim=8, n_users=5, n_locs=10, layers=2, osc=None,
                   dropout=0.0):
     reg = ParamRegistry()
-    time_emb = SmoothedTimeEmbedding(reg, rng, n_slots=24, dim=dim, sigma=1.0)
+    time_emb = SmoothedTimeEmbedding(reg, rng, dim=dim, sigma=1.0)
     user_table = EmbeddingTable(reg, rng, n_users, dim, "user_table")
     loc_table = EmbeddingTable(reg, rng, n_locs, dim, "loc_table")
     ul_head = UserLocationHead(reg, rng, n_topics=4, dim=dim)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from canoe import dcg
-from canoe import model as model_mod
+from canoe.dcg import blocks as blocks_mod
 from canoe.config import RunConfig
 from canoe.dcg import AdamW
 from canoe.dcg.tensor import _softmax
@@ -121,16 +121,6 @@ SPLIT_VARIANTS = {"cnoa": {}, "cross": {"attention": "cross"},
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """Sets the usable CPU count the ranking split sees; each test gets a
-    pool of its own, shut down afterwards."""
-    monkeypatch.setattr(model_mod, "_rank_pool", None)
-    yield lambda n: monkeypatch.setattr(model_mod, "_usable_cpus", lambda: n)
-    if model_mod._rank_pool is not None:
-        model_mod._rank_pool.shutdown()
-
-
-@pytest.fixture
 def blocks(monkeypatch):
     """Each forward_batch call that returns: (thread name, rows, whether
     its location logits hold a graph)."""
@@ -182,7 +172,7 @@ class TestRankingSplit:
         here = threading.current_thread().name
         assert [rows for name, rows, _ in blocks if name == here] == sizes[:1]
         assert sorted(rows for name, rows, _ in blocks
-                      if name.startswith("canoe-rank")) == sizes[1:]
+                      if name.startswith("canoe-rows")) == sizes[1:]
         assert probs.tobytes() == expected.tobytes()
         assert (model.rank_targets(batch).tobytes()
                 == target_ranks(expected, batch.target_locs).tobytes())
@@ -205,7 +195,7 @@ class TestRankingSplit:
         model = _split_model(rng, "cnoa")
         model.location_probs(random_batch(rng, n=513, n_users=12, n_locs=40))
         assert blocks == [(threading.current_thread().name, 513, False)]
-        assert model_mod._rank_pool is None
+        assert blocks_mod._pool is None
 
     def test_worker_index_error_matches_one_block(self, rng, cpus, blocks):
         cpus(4)
@@ -228,7 +218,7 @@ class TestRankingSplit:
         model = _split_model(rng, "cnoa")
         model.location_probs(random_batch(rng, n=512, n_users=12, n_locs=40))
         assert [(rows, graph) for _, rows, graph in blocks] == [(256, False)] * 2
-        assert any(name.startswith("canoe-rank") for name, _, _ in blocks)
+        assert any(name.startswith("canoe-rows") for name, _, _ in blocks)
 
 
 class TestAttentionSites:
