@@ -1,13 +1,20 @@
 """Print a sha256 digest of every artifact of a small seeded canoe run.
 
 Runs generate, then train (8 epochs, one warmup epoch, dim 16) and eval
-for the cnoa and cross attention variants and for decoder_query=time_user,
-then the Markov baseline (`canoe mmc`), the prefix-entropy CSV (`canoe
-entropy`) and the preprocessing summary (`canoe preprocess --out`), all
-through canoe.cli.main in a temporary directory. The last three run twice:
-on the training data, and on a noisier file (data.p_explore=0.2) windowed
+for the cnoa and cross attention variants, for decoder_query=time_user,
+and for cnoa in batches of 168 rows (the 336 training windows in two
+batches, each large enough for a transformer-layer node to split its rows
+across two CPUs; the other variants train in batches of 64), then the
+Markov baseline (`canoe mmc`), the prefix-entropy CSV (`canoe entropy`)
+and the preprocessing summary (`canoe preprocess --out`), all through
+canoe.cli.main in a temporary directory. The last three run three times:
+on the training data; on a noisier file (data.p_explore=0.2) windowed
 with data.stride=3, so that strided windows and non-trivial entropies are
-covered. Prints one "name sha256" line per artifact: each check-in file
+covered; and on the noisy file relaid (keys reordered, spaces after the
+separators, CRLF endings, blank lines, no final newline), which only the
+line-by-line reader reads. The relaid file's lines must equal the noisy
+file's, or the script exits 1.
+Prints one "name sha256" line per artifact: each check-in file
 and the JSON line `canoe generate` printed for it, the loss CSV, the
 report .json/.txt/.csv and every checkpoint array (meta included) of each
 variant, the mmc report .json/.txt/.csv, the entropy CSV and the
@@ -37,6 +44,7 @@ os.environ.setdefault("CANOE_LOG", "warn")
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import io  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -62,6 +70,7 @@ VARIANTS = {
     "cnoa": ["--set", "model.attention=cnoa"],
     "cross": ["--set", "model.attention=cross"],
     "time_user": ["--set", "model.decoder_query=time_user"],
+    "rows168": ["--set", "train.batch_size=168"],
 }
 
 
@@ -104,11 +113,29 @@ def digest_lines(work: Path) -> list[str]:
     printed = _run(["generate", "--seed", "4", "--out", str(noisy)] + NOISY_ARGS)
     lines.append(f"noisy.jsonl {_sha(noisy.read_bytes())}")
     lines.append(f"noisy.jsonl/stdout {_sha(printed.encode())}")
-    lines += _data_layer_lines(work, noisy, "noisy/", NOISY_ARGS)
+    noisy_lines = _data_layer_lines(work, noisy, "noisy/", NOISY_ARGS)
+    relaid = work / "relaid.jsonl"
+    relaid.write_bytes(_relaid(noisy.read_text(encoding="utf-8")).encode())
+    relaid_lines = _data_layer_lines(work, relaid, "relaid/", NOISY_ARGS)
+    if [line.split()[1] for line in relaid_lines] != \
+            [line.split()[1] for line in noisy_lines]:
+        raise SystemExit("the relaid noisy file does not read as the noisy file")
+    lines += noisy_lines + relaid_lines
     lines += [f"{echo.relative_to(work)} {_sha(echo.read_bytes())}"
               for echo in sorted(work.rglob("*.config.json"))]
     lines.append(f"gradcheck {_run(['gradcheck']).strip()}")
     return lines
+
+
+def _relaid(text: str) -> str:
+    """The records of a check-in file in another layout: keys reordered,
+    spaces after the separators, CRLF endings, a blank line before every
+    tenth record and no final newline."""
+    rows = [json.loads(line) for line in text.splitlines()]
+    return "\r\n".join(
+        ("\r\n" if i % 10 == 0 else "")
+        + json.dumps({"t": r["t"], "loc": r["loc"], "user": r["user"]})
+        for i, r in enumerate(rows))
 
 
 def _data_layer_lines(work: Path, data: Path, prefix: str,

@@ -253,10 +253,11 @@ def cmd_mmc(args) -> int:
     dataset = _load_dataset(args.data, cfg)
     region = data_mod.train_location_region(dataset.sequences, dataset.split)
     model = fit_mmc(region, dataset.n_locations)
+    test = dataset.split.test
     ranks = np.array([
-        rank_of_target(model, s.user, s.context_locations[-1], s.target_location)
-        for s in dataset.split.test
-    ])
+        rank_of_target(model, user, current, target) for user, current, target
+        in zip(test.users.tolist(), test.locations[test.end - 1].tolist(),
+               test.locations[test.end].tolist())])
     return _write_scores(ranks, dataset, cfg, args.report, title="1-mmc")
 
 
@@ -266,7 +267,8 @@ def cmd_entropy(args) -> int:
     test = dataset.split.test
     values = sample_entropies(dataset, test)
     write_text(args.report, "user,seq_pos,prefix_entropy\n" + "".join(
-        f"{s.user},{s.seq_pos},{h!r}\n" for s, h in zip(test, values.tolist())))
+        f"{user},{pos},{h!r}\n" for user, pos, h
+        in zip(test.users.tolist(), test.seq_pos.tolist(), values.tolist())))
     _echo_config(cfg, args.report)
     summary = {
         "n_samples": len(test),

@@ -1,30 +1,33 @@
-"""Trajectory data model: check-ins, dwell-filtered activity sequences,
-sliding windows and chronological per-user splits, plus JSONL dataset I/O
-and write_text, through which every text output is written.
+"""Trajectory data model as int64 arrays: check-ins, dwell-filtered activity
+sequences, sliding windows and chronological per-user splits, plus JSONL
+dataset I/O and write_text, through which every text output is written.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from json.decoder import JSONDecoder
 from json.scanner import make_scanner
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
-    "N_SLOTS", "CheckIn", "ActivitySequence", "WindowSample", "Split", "Dataset",
-    "hour_slot", "extract_activity_sequence", "make_windows", "split_samples",
-    "train_location_region", "prepare_dataset",
+    "N_SLOTS", "CheckIn", "ActivitySequence", "WindowSample", "Windows",
+    "Split", "Dataset", "hour_slot", "train_location_region", "prepare_dataset",
     "write_checkins", "read_checkins", "build_manifest", "write_text",
 ]
 
 SECONDS_PER_HOUR = 3600
 SECONDS_PER_DAY = 86400
 N_SLOTS = 24  # hour-of-day time slots
-_LOC, _BY_TIME = itemgetter(1), itemgetter(2)  # CheckIn.loc and CheckIn.t
+# |value| bound of every check-in field, so that the int64 differences of
+# two timestamps cannot wrap
+VALUE_BOUND = 2 ** 62
 
 
 class CheckIn(NamedTuple):
@@ -38,15 +41,15 @@ class ActivitySequence:
     """Dwell-filtered location visits of one user, chronological."""
 
     user: int
-    locations: list[int]
-    slots: list[int]
+    locations: np.ndarray  # int64
+    slots: np.ndarray      # int64
 
     def __len__(self) -> int:
         return len(self.locations)
 
 
 class WindowSample(NamedTuple):
-    """One supervised instance cut from an activity sequence.
+    """One supervised instance cut from an activity sequence (a Windows row).
 
     seq_pos is the target's index within the user's full activity sequence;
     it identifies the trajectory prefix for entropy stratification and the
@@ -61,88 +64,60 @@ class WindowSample(NamedTuple):
     seq_pos: int
 
 
+@dataclass(eq=False)
+class Windows:
+    """Windows as columns: window i's target is record end[i] of the
+    concatenated activity arrays `locations`/`slots`, and its context the
+    context_len records before it. Slicing or indexing with an index array
+    gives the selected windows; iterating yields WindowSample rows."""
+
+    users: np.ndarray      # [N] int64
+    seq_pos: np.ndarray    # [N] int64
+    end: np.ndarray        # [N] int64, offsets into locations/slots
+    locations: np.ndarray  # every kept user's activity locations, concatenated
+    slots: np.ndarray
+    context_len: int
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __getitem__(self, rows) -> Windows:
+        return Windows(self.users[rows], self.seq_pos[rows], self.end[rows],
+                       self.locations, self.slots, self.context_len)
+
+    def __iter__(self):
+        ctx_locs, ctx_slots, target_locs, target_slots = self.gather()
+        return map(WindowSample._make, zip(
+            self.users.tolist(), map(tuple, ctx_locs.tolist()),
+            map(tuple, ctx_slots.tolist()), target_locs.tolist(),
+            target_slots.tolist(), self.seq_pos.tolist()))
+
+    def gather(self) -> tuple[np.ndarray, ...]:
+        """The [N, context_len] context locations and slots, then the [N]
+        target locations and slots."""
+        rows = self.end[:, None] + np.arange(-self.context_len, 0)
+        return (self.locations[rows], self.slots[rows],
+                self.locations[self.end], self.slots[self.end])
+
+
 @dataclass
 class Split:
-    train: list[WindowSample] = field(default_factory=list)
-    val: list[WindowSample] = field(default_factory=list)
-    test: list[WindowSample] = field(default_factory=list)
+    train: Windows
+    val: Windows
+    test: Windows
 
 
 @dataclass
 class Dataset:
-    sequences: dict[int, ActivitySequence]
+    sequences: dict[int, ActivitySequence]  # views of the split's arrays
     split: Split
     n_users: int        # id-space size (max user id + 1 over the raw file)
     n_locations: int    # id-space size (max location id + 1)
 
 
-def hour_slot(t: int) -> int:
-    """Hour-of-day slot in a fixed UTC-like convention."""
+def hour_slot(t):
+    """Hour-of-day slot in a fixed UTC-like convention, also of arrays."""
     return (t // SECONDS_PER_HOUR) % N_SLOTS
-
-
-def extract_activity_sequence(checkins: list[CheckIn],
-                              theta: int = 3600) -> ActivitySequence:
-    """Collapse consecutive same-location runs; keep runs dwelling >= theta.
-
-    A kept run is represented by its location and the hour slot of its first
-    timestamp. Input must be one user's check-ins sorted by time.
-    """
-    if not checkins:
-        raise ValueError("cannot extract an activity sequence from no check-ins")
-    user, run_loc, run_start = checkins[0]
-    run_end = prev_t = run_start
-    locations: list[int] = []
-    slots: list[int] = []
-
-    def close_run():
-        if run_end - run_start >= theta:
-            locations.append(run_loc)
-            slots.append(hour_slot(run_start))
-
-    # the first check-in extends its own run by nothing
-    for c_user, loc, t in checkins:
-        if c_user != user:
-            raise ValueError("check-ins from multiple users passed to extraction")
-        if t < prev_t:
-            raise ValueError("check-ins must be sorted by timestamp")
-        prev_t = t
-        if loc == run_loc:
-            run_end = t
-        else:
-            close_run()
-            run_loc, run_start, run_end = loc, t, t
-    close_run()
-    return ActivitySequence(user=user, locations=locations, slots=slots)
-
-
-def make_windows(seq: ActivitySequence, window_len: int = 20,
-                 stride: int = 1) -> list[WindowSample]:
-    """Fixed-length windows: first window_len-1 records are context, the
-    last is the target. Sequences shorter than window_len yield nothing."""
-    if window_len < 2:
-        raise ValueError(f"window_len must be >= 2, got {window_len}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    # slices of tuples are the context tuples themselves, with no list copy
-    locations, slots, user = tuple(seq.locations), tuple(seq.slots), seq.user
-    return [WindowSample(user, locations[end + 1 - window_len:end],
-                         slots[end + 1 - window_len:end],
-                         locations[end], slots[end], end)
-            for end in range(window_len - 1, len(locations), stride)]
-
-
-def split_samples(samples_by_user: dict[int, list[WindowSample]]) -> Split:
-    """Chronological 7:1:2 per-user split; train/val sizes floor, remainder to test."""
-    split = Split()
-    for user in sorted(samples_by_user):
-        samples = samples_by_user[user]
-        n = len(samples)
-        n_train, n_val = n * 7 // 10, n // 10
-        split.train.extend(samples[:n_train])
-        split.val.extend(samples[n_train:n_train + n_val])
-        split.test.extend(samples[n_train + n_val:])
-    return split
 
 
 def train_location_region(sequences: dict[int, ActivitySequence],
@@ -153,43 +128,56 @@ def train_location_region(sequences: dict[int, ActivitySequence],
     known at the end of training; validation/test targets never leak in.
     Users without training samples map to empty lists.
     """
-    last_pos: dict[int, int] = {}
-    for s in split.train:
-        last_pos[s.user] = max(last_pos.get(s.user, -1), s.seq_pos)
-    region = {}
-    for user, seq in sequences.items():
-        bound = last_pos.get(user, -1)
-        region[user] = list(seq.locations[:bound + 1])
-    return region
+    users, pos = split.train.users, split.train.seq_pos
+    order = np.lexsort((pos, users))  # a user's last entry is its largest
+    last_pos = dict(zip(users[order].tolist(), pos[order].tolist()))
+    return {user: seq.locations[:last_pos.get(user, -1) + 1].tolist()
+            for user, seq in sequences.items()}
 
 
-def prepare_dataset(checkins: list[CheckIn], theta: int = 3600,
-                    window_len: int = 20, stride: int = 1,
-                    min_records: int = 100) -> Dataset:
-    """Full preprocessing: extraction, record-count filter, windows, split."""
-    if not checkins:
+def prepare_dataset(checkins, theta: int = 3600, window_len: int = 20,
+                    stride: int = 1, min_records: int = 100) -> Dataset:
+    """Preprocessing of an [N, 3] (user, loc, t) array or a list of CheckIn:
+    each user's check-ins sorted stably by time; consecutive same-location
+    runs collapsed, and those dwelling >= theta kept as their location and
+    the hour slot of their first time; users with fewer than min_records
+    kept runs dropped; a window ending at every stride-th record from the
+    window_len-th; a chronological 7:1:2 per-user split, train and val
+    sizes floored."""
+    records = np.asarray(checkins, dtype=np.int64).reshape(-1, 3)
+    if not len(records):
         raise ValueError("empty check-in list")
-    by_user: dict[int, list[CheckIn]] = {}
-    for c in checkins:
-        recs = by_user.get(c.user)
-        if recs is None:
-            by_user[c.user] = [c]
-        else:
-            recs.append(c)
-    sequences: dict[int, ActivitySequence] = {}
-    samples_by_user: dict[int, list[WindowSample]] = {}
-    for user in sorted(by_user):
-        recs = sorted(by_user[user], key=_BY_TIME)
-        seq = extract_activity_sequence(recs, theta=theta)
-        if len(seq) < min_records:
-            continue
-        sequences[user] = seq
-        samples_by_user[user] = make_windows(seq, window_len=window_len,
-                                             stride=stride)
-    split = split_samples(samples_by_user)
+    user, loc, t = records[np.lexsort((records[:, 2], records[:, 0]))].T
+    new_user = np.append(True, user[1:] != user[:-1])
+    starts = np.flatnonzero(new_user | np.append(True, loc[1:] != loc[:-1]))
+    ends = np.append(starts[1:], len(user)) - 1
+    keep = starts[t[ends] - t[starts] >= theta]
+    # per distinct user, in id order: its kept runs, then the users kept
+    user_ids = user[new_user]
+    lengths = np.bincount(np.cumsum(new_user)[keep] - 1, minlength=len(user_ids))
+    kept = lengths >= min_records
+    in_kept = np.repeat(kept, lengths)  # per kept run: is its user kept
+    locations, slots = loc[keep][in_kept], hour_slot(t[keep][in_kept])
+    user_ids, lengths = user_ids[kept], lengths[kept]
+    offsets = np.cumsum(lengths) - lengths
+    sequences = {u: ActivitySequence(u, locations[o:o + n], slots[o:o + n])
+                 for u, o, n in zip(user_ids.tolist(), offsets.tolist(),
+                                    lengths.tolist())}
+    # window j of a user targets its record window_len - 1 + j * stride;
+    # its first counts * 7 // 10 windows train, the next counts // 10 validate
+    counts = np.maximum(lengths - window_len + stride, 0) // stride
+    owner = np.repeat(np.arange(len(counts)), counts)
+    j = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    seq_pos = window_len - 1 + j * stride
+    n_train, n_val = (counts * 7 // 10)[owner], (counts // 10)[owner]
+    part = (j >= n_train).astype(np.int8) + (j >= n_train + n_val)
+    w_users, w_end = user_ids[owner], offsets[owner] + seq_pos
+    split = Split(*(Windows(w_users[part == p], seq_pos[part == p],
+                            w_end[part == p], locations, slots, window_len - 1)
+                    for p in range(3)))
     return Dataset(sequences=sequences, split=split,
-                   n_users=max(0, max(by_user)) + 1,
-                   n_locations=max(0, max(map(_LOC, checkins))) + 1)
+                   n_users=max(0, int(user.max())) + 1,
+                   n_locations=max(0, int(loc.max())) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +220,20 @@ def write_checkins(path: str | Path, checkins: list[CheckIn]) -> dict:
     return build_manifest(ordered)
 
 
-def _parse_record(path: str | Path, line_no: int, line: str) -> CheckIn:
-    """One stripped line as a CheckIn, checked in the order a reader meets
-    the faults: JSON syntax, the key set, each value's type in file order,
-    then the user and loc signs."""
+# A file of write_checkins' lines only. A value of at most 18 digits is
+# under VALUE_BOUND, so this form needs no bound check; the possessive
+# repeat never backtracks. _NUMBERS_ONLY is the bytes.translate table and
+# deletions that leave such a file's numbers, separated by spaces.
+_INT = rb"(?:0|[1-9][0-9]{0,17})"
+_WRITTEN_FORM = re.compile(
+    rb'(?:\{"user":%s,"loc":%s,"t":-?%s\}\n)*+' % (_INT, _INT, _INT))
+_NUMBERS_ONLY = bytes.maketrans(b",\n", b"  "), b'{}"userloct:'
+
+
+def _parse_record(path: str | Path, line_no: int, line: str) -> tuple[int, int, int]:
+    """One stripped line as (user, loc, t), checked in the order a reader
+    meets the faults: JSON syntax, the key set, each value's type in file
+    order, the user and loc signs, then each value's bound."""
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -252,19 +250,28 @@ def _parse_record(path: str | Path, line_no: int, line: str) -> CheckIn:
         if row[key] < 0:
             raise ValueError(
                 f"{path}:{line_no}: {key} must be non-negative, got {row[key]}")
-    return CheckIn(row["user"], row["loc"], row["t"])
+    for key in ("user", "loc", "t"):
+        if abs(row[key]) >= VALUE_BOUND:
+            raise ValueError(f"{path}:{line_no}: {key} must be within ±2**62")
+    return row["user"], row["loc"], row["t"]
 
 
-def read_checkins(path: str | Path) -> list[CheckIn]:
-    """Read a JSONL check-in file in file order, skipping blank lines.
+def read_checkins(path: str | Path) -> np.ndarray:
+    """Read a JSONL check-in file as an [N, 3] int64 array of (user, loc, t)
+    rows in file order, skipping blank lines.
 
-    Each line is parsed on its own. A well-formed record takes the fast
-    path, json's C scanner and one combined check; any other line goes
-    through _parse_record, whose ValueError names <path>:<line> and the
-    first fault.
+    A file of write_checkins' lines only is checked by one regular
+    expression and its numbers parsed in one numpy call. Any other file is
+    read line by line: a well-formed record takes json's C scanner and one
+    combined check, any other line _parse_record, whose ValueError names
+    <path>:<line> and the first fault.
     """
+    raw = Path(path).read_bytes()
+    if _WRITTEN_FORM.fullmatch(raw):
+        return np.fromstring(raw.translate(*_NUMBERS_ONLY), dtype=np.int64,
+                             sep=" ").reshape(-1, 3)
     scan = make_scanner(JSONDecoder())
-    out = []
+    out: list[int] = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -277,8 +284,9 @@ def read_checkins(path: str | Path) -> list[CheckIn]:
             if end == len(line) and type(row) is dict and len(row) == 3:
                 user, loc, t = row.get("user"), row.get("loc"), row.get("t")
                 if (type(user) is int and type(loc) is int and type(t) is int
-                        and user >= 0 and loc >= 0):
-                    out.append(CheckIn(user, loc, t))
+                        and 0 <= user < VALUE_BOUND and 0 <= loc < VALUE_BOUND
+                        and -VALUE_BOUND < t < VALUE_BOUND):
+                    out += user, loc, t
                     continue
-            out.append(_parse_record(path, line_no, line))
-    return out
+            out += _parse_record(path, line_no, line)
+    return np.array(out, dtype=np.int64).reshape(-1, 3)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dcg
 from .config import ModelSection
-from .data import WindowSample
+from .data import Windows
 from .decoder import CrossContextDecoder, LossWeights
 from .dcg import ParamRegistry, Tensor
 from .dcg.blocks import run_row_blocks
@@ -36,14 +36,8 @@ class Batch:
     target_slots: np.ndarray   # [B]
 
 
-def batch_from_samples(samples: list[WindowSample]) -> Batch:
-    return Batch(
-        users=np.array([s.user for s in samples], dtype=np.int64),
-        ctx_locs=np.array([s.context_locations for s in samples], dtype=np.int64),
-        ctx_slots=np.array([s.context_slots for s in samples], dtype=np.int64),
-        target_locs=np.array([s.target_location for s in samples], dtype=np.int64),
-        target_slots=np.array([s.target_slot for s in samples], dtype=np.int64),
-    )
+def batch_from_samples(samples: Windows) -> Batch:
+    return Batch(samples.users, *samples.gather())
 
 
 class CanoeModel:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dcg
 from .config import RunConfig, _fits
-from .data import Dataset, WindowSample, write_text
+from .data import Dataset, Windows, write_text
 from .dcg import AdamW, NumericFault
 from .decoder import LossWeights
 from .evaluation import (DEFAULT_KS, DEFAULT_THRESHOLDS, EvalReport,
@@ -93,7 +93,7 @@ def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, np.random.G
             np.random.default_rng([seed, 2000, epoch]))
 
 
-def evaluate_ranks(model: CanoeModel, samples: list[WindowSample]) -> np.ndarray:
+def evaluate_ranks(model: CanoeModel, samples: Windows) -> np.ndarray:
     """Target ranks over samples in order, EVAL_BATCH at a time, each
     batch from reset, frozen attention states (CanoeModel.location_probs)."""
     ranks = []
@@ -102,19 +102,20 @@ def evaluate_ranks(model: CanoeModel, samples: list[WindowSample]) -> np.ndarray
     return np.concatenate(ranks) if ranks else np.empty(0, dtype=np.int64)
 
 
-def sample_entropies(dataset: Dataset, samples: list[WindowSample]) -> np.ndarray:
+def sample_entropies(dataset: Dataset, samples: Windows) -> np.ndarray:
     """prefix_entropy of each sample's prefix, locations[:seq_pos] of its
     user's sequence, with one pass over each user's locations."""
     out = np.empty(len(samples))
     by_user: dict[int, list[int]] = {}
-    for i, s in enumerate(samples):
-        by_user.setdefault(s.user, []).append(i)
+    for i, user in enumerate(samples.users.tolist()):
+        by_user.setdefault(user, []).append(i)
+    seq_pos = samples.seq_pos.tolist()
     for user, rows in by_user.items():
-        locations = dataset.sequences[user].locations
+        locations = dataset.sequences[user].locations.tolist()
         counts: dict[int, int] = {}  # first-seen order, as Counter keeps it
         n = 0
-        for i in sorted(rows, key=lambda i: samples[i].seq_pos):
-            pos = samples[i].seq_pos
+        for i in sorted(rows, key=seq_pos.__getitem__):
+            pos = seq_pos[i]
             if not 0 < pos <= len(locations):  # a slice clamps or wraps
                 out[i] = prefix_entropy(locations[:pos])
                 continue
@@ -126,7 +127,7 @@ def sample_entropies(dataset: Dataset, samples: list[WindowSample]) -> np.ndarra
 
 
 def report_from_ranks(ranks: np.ndarray, dataset: Dataset,
-                      samples: list[WindowSample],
+                      samples: Windows,
                       thresholds=DEFAULT_THRESHOLDS, ks=DEFAULT_KS) -> EvalReport:
     """Overall metrics of the ranks of samples plus the breakdown by the
     prefix entropy of each sample."""
@@ -207,8 +208,7 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
         sums = {"total": 0.0, "loc": 0.0, "time": 0.0, "aux": 0.0}
         n_batches = 0
         for bi, lo in enumerate(range(0, len(order), t.batch_size)):
-            batch = batch_from_samples(
-                [train_samples[j] for j in order[lo:lo + t.batch_size]])
+            batch = batch_from_samples(train_samples[order[lo:lo + t.batch_size]])
             loss, parts = model.loss_batch(batch, weights, rng=dropout_rng)
             if not np.isfinite(parts["total"]):
                 raise NumericFault(

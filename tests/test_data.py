@@ -6,14 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from canoe.data import (ActivitySequence, CheckIn, WindowSample,
-                        build_manifest, extract_activity_sequence, hour_slot,
-                        make_windows, prepare_dataset,
-                        read_checkins, split_samples, train_location_region,
-                        write_checkins)
+from canoe.cli import main
+from canoe.data import (ActivitySequence, CheckIn, Split, WindowSample,
+                        build_manifest, hour_slot, prepare_dataset,
+                        read_checkins, train_location_region, write_checkins)
 from canoe.evaluation import prefix_entropy
 from canoe.synthetic import SyntheticConfig, generate_synthetic
 from canoe.training import sample_entropies
+from tests_common import (as_windows, extract_activity_sequence, make_windows,
+                          oracle_dataset, split_samples)
 
 H = 3600
 
@@ -133,18 +134,19 @@ class TestSplit:
 
 class TestTrainRegion:
     def test_region_covers_train_targets_only(self):
-        seq = ActivitySequence(0, list(range(30)), [0] * 30)
+        seq = ActivitySequence(0, np.arange(30), np.zeros(30, dtype=np.int64))
         samples = make_windows(seq, window_len=10)
         split = split_samples({0: samples})
-        region = train_location_region({0: seq}, split)
+        region = train_location_region(
+            {0: seq}, Split(*map(as_windows, (split.train, split.val, split.test))))
         last_train_target = max(s.seq_pos for s in split.train)
         assert region[0] == list(range(last_train_target + 1))
         for s in split.val + split.test:
             assert s.seq_pos > last_train_target
 
     def test_user_without_train_samples_empty(self):
-        seq = ActivitySequence(1, [1, 2, 3], [0, 1, 2])
-        region = train_location_region({1: seq}, split_samples({}))
+        seq = ActivitySequence(1, np.array([1, 2, 3]), np.array([0, 1, 2]))
+        region = train_location_region({1: seq}, Split(*[as_windows([])] * 3))
         assert region[1] == []
 
 
@@ -155,9 +157,9 @@ class TestDatasetIO:
                   rng.integers(0, 10 ** 6, 50))]
         path = tmp_path / "data.jsonl"
         manifest = write_checkins(path, cs)
-        back = read_checkins(path)
-        assert sorted(back, key=lambda c: (c.user, c.t)) == \
-            sorted(cs, key=lambda c: (c.user, c.t))
+        back = read_checkins(path).tolist()
+        assert sorted(back, key=lambda c: (c[0], c[2])) == \
+            sorted(map(list, cs), key=lambda c: (c[0], c[2]))
         assert manifest == build_manifest(cs)
         # the counts are returned, not written beside the data
         assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
@@ -200,9 +202,9 @@ class TestDatasetIO:
         # CRLF endings, whitespace-only lines, padding, no final newline
         messy.write_bytes(("  \r\n" + "\r\n\t \r\n".join(lines[:3]) + "\r\n"
                            + " " + lines[3] + " \n\n" + lines[4]).encode())
-        want = [CheckIn(u, l, t) for u, l, t in rows]
-        assert read_checkins(clean) == want
-        assert read_checkins(messy) == want
+        want = [list(row) for row in rows]
+        assert read_checkins(clean).tolist() == want
+        assert read_checkins(messy).tolist() == want
 
     @pytest.mark.parametrize("line, message", [
         ('{"user": 1, "t": 2.5, "loc": "x"}', "t must be an integer, got 2.5"),
@@ -218,11 +220,121 @@ class TestDatasetIO:
             read_checkins(path)
         assert str(info.value) == f"{path}:3: {message}"
 
+    def test_layouts_read_to_one_array(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(21)
+        rows = np.stack([rng.integers(0, 9, 300), rng.integers(0, 10 ** 17, 300),
+                         rng.integers(-10 ** 17, 10 ** 17, 300)], axis=1).tolist()
+        written = ['{"user":%d,"loc":%d,"t":%d}' % tuple(r) for r in rows]
+        layouts = {
+            "written": "".join(line + "\n" for line in written),
+            "spaced": "".join('{"t": %d, "user": %d, "loc": %d}\n' % (t, u, l)
+                              for u, l, t in rows),
+            "crlf": "\r\n\r\n".join(written) + "\r\n \r\n",
+            "unterminated": "\n".join(written),
+        }
+        for name, text in layouts.items():
+            (tmp_path / name).write_bytes(text.encode())
+        want = read_checkins(tmp_path / "written")
+        assert want.dtype == np.int64 and want.tolist() == rows
+        # only write_checkins' form skips the per-line reader
+        monkeypatch.setattr("canoe.data.make_scanner", None)
+        assert read_checkins(tmp_path / "written").tolist() == rows
+        monkeypatch.undo()
+        for name in ("spaced", "crlf", "unterminated"):
+            np.testing.assert_array_equal(read_checkins(tmp_path / name), want)
+
+    def test_bad_record_deep_in_a_written_file_is_named(self, tmp_path):
+        lines = ['{"user":%d,"loc":%d,"t":%d}\n' % (i // 100, i % 7, i * 60)
+                 for i in range(1500)]
+        lines[999] = '{"user":9,"loc":-2,"t":59940}\n'
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as info:
+            read_checkins(path)
+        assert str(info.value) == f"{path}:1000: loc must be non-negative, got -2"
+
+    @pytest.mark.parametrize("key, value", [
+        ("t", 10 ** 30), ("t", 2 ** 62), ("t", -2 ** 62), ("user", 2 ** 62),
+        ("loc", 2 ** 63 + 5),
+    ])
+    def test_values_beyond_the_bound_rejected(self, tmp_path, capsys, key, value):
+        row = {"user": 1, "loc": 2, "t": 3, key: value}
+        path = tmp_path / "big.jsonl"  # in write_checkins' form but for the size
+        path.write_text('{"user":0,"loc":0,"t":0}\n'
+                        + json.dumps(row, separators=(",", ":")) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_checkins(path)
+        assert str(info.value) == f"{path}:2: {key} must be within ±2**62"
+        assert main(["preprocess", "--data", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    def test_values_inside_the_bound_read_exactly(self, tmp_path):
+        rows = [[2 ** 62 - 1, 2 ** 62 - 1, -(2 ** 62 - 1)],
+                [0, 10 ** 18, 2 ** 62 - 1]]  # 19 digits: the per-line reader
+        path = tmp_path / "edge.jsonl"
+        path.write_text("".join('{"user":%d,"loc":%d,"t":%d}\n' % tuple(r)
+                                for r in rows))
+        assert read_checkins(path).tolist() == rows
+
     def test_manifest_counts(self):
         cs = [CheckIn(0, 0, 0), CheckIn(0, 1, 86400 * 3), CheckIn(2, 0, 100)]
         m = build_manifest(cs)
         assert m == {"users": 2, "checkins": 3, "locations": 2,
                      "duration_days": 4}
+
+
+class TestPrepareMatchesOracle:
+    """prepare_dataset against the record-by-record oracle of tests_common."""
+
+    @staticmethod
+    def _stream(rng):
+        """Check-ins of interleaved users in shuffled file order: runs of 1-3
+        check-ins at one location, steps of 0 s (equal times), under and
+        over an hour; user 9 has one check-in, so no run that dwells."""
+        rows = [CheckIn(9, 0, int(rng.integers(-H, H)))]
+        for user in rng.permutation(8)[:rng.integers(1, 9)].tolist():
+            t = int(rng.integers(-10 * H, 10 * H))
+            for _ in range(int(rng.integers(0, 90))):
+                loc = int(rng.integers(0, 5))
+                for _ in range(int(rng.integers(1, 4))):
+                    rows.append(CheckIn(user, loc, t))
+                    t += int(rng.choice([0, 600, 1800, 3600, 7200]))
+        return [rows[i] for i in rng.permutation(len(rows))]
+
+    @pytest.mark.parametrize("window_len", [2, 20])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("min_records", [0, 1])
+    @pytest.mark.parametrize("theta", [0, 3600])
+    def test_random_streams(self, theta, min_records, stride, window_len):
+        rng = np.random.default_rng([theta, min_records, stride, window_len])
+        for _ in range(25):
+            checkins = self._stream(rng)
+            kw = dict(theta=theta, window_len=window_len, stride=stride,
+                      min_records=min_records)
+            got, want = prepare_dataset(checkins, **kw), oracle_dataset(checkins, **kw)
+            assert (got.n_users, got.n_locations) == (want.n_users, want.n_locations)
+            assert list(got.sequences) == list(want.sequences)
+            for user, seq in got.sequences.items():
+                assert seq.user == user
+                assert seq.locations.tolist() == want.sequences[user].locations
+                assert seq.slots.tolist() == want.sequences[user].slots
+            for part in ("train", "val", "test"):
+                windows = getattr(got.split, part)
+                assert list(windows) == getattr(want.split, part)
+                rows = rng.permutation(len(windows))
+                assert list(windows[rows]) == [list(windows)[i] for i in rows]
+                assert list(windows[::-2]) == list(windows)[::-2]
+        assert 9 in want.sequences or min_records == 1
+
+    def test_read_array_prepares_as_its_checkins(self, tmp_path):
+        checkins = generate_synthetic(SyntheticConfig(
+            seed=3, num_users=5, num_locations=12, days=6, p_explore=0.3))
+        path = tmp_path / "d.jsonl"
+        write_checkins(path, checkins)
+        got = prepare_dataset(read_checkins(path), window_len=5, min_records=10)
+        want = oracle_dataset(checkins, window_len=5, min_records=10)
+        for part in ("train", "val", "test"):
+            assert list(getattr(got.split, part)) == getattr(want.split, part)
 
 
 class TestPrepareDataset:
@@ -259,14 +371,15 @@ class TestSampleEntropies:
         assert 0.0 < min(want) < max(want) < 1.0
 
     def test_positions_outside_the_sequence_act_as_slices(self):
-        seq = ActivitySequence(0, [1, 2, 1, 3], [0, 1, 2, 3])
+        seq = ActivitySequence(0, np.array([1, 2, 1, 3]), np.array([0, 1, 2, 3]))
         ds = prepare_dataset([CheckIn(0, 0, 0)], min_records=1000)
         ds.sequences[0] = seq
         samples = [WindowSample(0, (), (), 0, 0, pos) for pos in (9, 2, -1)]
         want = [prefix_entropy(seq.locations[:pos]) for pos in (9, 2, -1)]
-        np.testing.assert_array_equal(sample_entropies(ds, samples), want)
+        np.testing.assert_array_equal(sample_entropies(ds, as_windows(samples)), want)
         with pytest.raises(ValueError, match="at least one element"):
-            sample_entropies(ds, samples + [WindowSample(0, (), (), 0, 0, 0)])
+            sample_entropies(ds, as_windows(
+                samples + [WindowSample(0, (), (), 0, 0, 0)]))
 
 
 class TestSyntheticGenerator:
