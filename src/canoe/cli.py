@@ -254,10 +254,10 @@ def cmd_mmc(args) -> int:
     region = data_mod.train_location_region(dataset.sequences, dataset.split)
     model = fit_mmc(region, dataset.n_locations)
     test = dataset.split.test
+    context, _, targets, _ = test.gather()
     ranks = np.array([
         rank_of_target(model, user, current, target) for user, current, target
-        in zip(test.users.tolist(), test.locations[test.end - 1].tolist(),
-               test.locations[test.end].tolist())])
+        in zip(test.users.tolist(), context[:, -1].tolist(), targets.tolist())])
     return _write_scores(ranks, dataset, cfg, args.report, title="1-mmc")
 
 

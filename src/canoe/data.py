@@ -9,8 +9,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from json.decoder import JSONDecoder
-from json.scanner import make_scanner
 from pathlib import Path
 from typing import NamedTuple
 
@@ -144,6 +142,10 @@ def prepare_dataset(checkins, theta: int = 3600, window_len: int = 20,
     kept runs dropped; a window ending at every stride-th record from the
     window_len-th; a chronological 7:1:2 per-user split, train and val
     sizes floored."""
+    if window_len < 2:
+        raise ValueError(f"window_len must be >= 2, got {window_len}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     records = np.asarray(checkins, dtype=np.int64).reshape(-1, 3)
     if not len(records):
         raise ValueError("empty check-in list")
@@ -220,14 +222,28 @@ def write_checkins(path: str | Path, checkins: list[CheckIn]) -> dict:
     return build_manifest(ordered)
 
 
-# A file of write_checkins' lines only. A value of at most 18 digits is
-# under VALUE_BOUND, so this form needs no bound check; the possessive
-# repeat never backtracks. _NUMBERS_ONLY is the bytes.translate table and
-# deletions that leave such a file's numbers, separated by spaces.
-_INT = rb"(?:0|[1-9][0-9]{0,17})"
+# Lines in write_checkins' form. A value of at most 18 digits, with no
+# leading zero, is under VALUE_BOUND, so the form needs no bound check.
+# _NUMBERS_ONLY is the bytes.translate table and deletions that leave such
+# a file's numbers, separated by spaces.
+_INT = rb"(?!0[0-9])[0-9]{1,18}"
 _WRITTEN_FORM = re.compile(
-    rb'(?:\{"user":%s,"loc":%s,"t":-?%s\}\n)*+' % (_INT, _INT, _INT))
+    rb'(?:\{"user":%s,"loc":%s,"t":-?%s\}\n)*' % (_INT, _INT, _INT))
 _NUMBERS_ONLY = bytes.maketrans(b",\n", b"  "), b'{}"userloct:'
+
+
+def _in_written_form(raw: bytes, chunk: int = 1 << 16) -> bool:
+    """Whether raw is lines in write_checkins' form, matched in pieces of
+    about chunk bytes cut after a newline: the repeat keeps a backtracking
+    entry per matched line, so it must not span a whole file. On a mismatch
+    it gives back only digits, each refused at once, so it stays linear."""
+    start = 0
+    while start < len(raw):
+        end = raw.find(b"\n", start + chunk) + 1 or len(raw)
+        if not _WRITTEN_FORM.fullmatch(raw, start, end):
+            return False
+        start = end
+    return True
 
 
 def _parse_record(path: str | Path, line_no: int, line: str) -> tuple[int, int, int]:
@@ -261,32 +277,18 @@ def read_checkins(path: str | Path) -> np.ndarray:
     rows in file order, skipping blank lines.
 
     A file of write_checkins' lines only is checked by one regular
-    expression and its numbers parsed in one numpy call. Any other file is
-    read line by line: a well-formed record takes json's C scanner and one
-    combined check, any other line _parse_record, whose ValueError names
-    <path>:<line> and the first fault.
+    expression (_in_written_form) and its numbers parsed in one numpy call.
+    Any other file is read line by line by _parse_record, whose ValueError
+    names <path>:<line> and the first fault.
     """
     raw = Path(path).read_bytes()
-    if _WRITTEN_FORM.fullmatch(raw):
+    if _in_written_form(raw):
         return np.fromstring(raw.translate(*_NUMBERS_ONLY), dtype=np.int64,
                              sep=" ").reshape(-1, 3)
-    scan = make_scanner(JSONDecoder())
     out: list[int] = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                row, end = scan(line, 0)
-            except (StopIteration, json.JSONDecodeError):
-                row, end = None, -1
-            if end == len(line) and type(row) is dict and len(row) == 3:
-                user, loc, t = row.get("user"), row.get("loc"), row.get("t")
-                if (type(user) is int and type(loc) is int and type(t) is int
-                        and 0 <= user < VALUE_BOUND and 0 <= loc < VALUE_BOUND
-                        and -VALUE_BOUND < t < VALUE_BOUND):
-                    out += user, loc, t
-                    continue
-            out += _parse_record(path, line_no, line)
+            if line:
+                out += _parse_record(path, line_no, line)
     return np.array(out, dtype=np.int64).reshape(-1, 3)

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from canoe import data
 from canoe.cli import main
 from canoe.data import (ActivitySequence, CheckIn, Split, WindowSample,
                         build_manifest, hour_slot, prepare_dataset,
@@ -237,7 +240,7 @@ class TestDatasetIO:
         want = read_checkins(tmp_path / "written")
         assert want.dtype == np.int64 and want.tolist() == rows
         # only write_checkins' form skips the per-line reader
-        monkeypatch.setattr("canoe.data.make_scanner", None)
+        monkeypatch.setattr("canoe.data._parse_record", None)
         assert read_checkins(tmp_path / "written").tolist() == rows
         monkeypatch.undo()
         for name in ("spaced", "crlf", "unterminated"):
@@ -267,6 +270,47 @@ class TestDatasetIO:
         assert str(info.value) == f"{path}:2: {key} must be within ±2**62"
         assert main(["preprocess", "--data", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    def test_written_form_check_compiles_before_python_3_11(self):
+        # no possessive repeat and no atomic group, which need Python 3.11
+        assert not re.search(rb"[*+?}]\+|\(\?>", data._WRITTEN_FORM.pattern)
+
+    @pytest.mark.parametrize("chunk", [1, 40, 100, 1 << 16])
+    def test_written_form_checked_in_chunks_as_a_whole(self, chunk):
+        lines = [b'{"user":%d,"loc":%d,"t":%d}\n' % (i, i * 7, 60 * i - 900)
+                 for i in range(60)]
+        raw = b"".join(lines)
+        texts = [raw, b"", raw[:-1], raw + b"\n", raw.replace(b"\n", b"\r\n", 1)]
+        texts += [raw[:i] + b" " + raw[i:] for i in range(0, len(raw), 37)]
+        texts += [raw[:i] + raw[i + 1:] for i in range(3, len(raw), 41)]
+        for text in texts:
+            assert (data._in_written_form(text, chunk)
+                    == bool(data._WRITTEN_FORM.fullmatch(text)))
+
+    def test_written_form_read_holds_little_memory(self, tmp_path):
+        # one match over the whole 1.2 MB would keep ~300 bytes per line
+        raw = b"".join(b'{"user":%d,"loc":%d,"t":%d}\n' % (i // 400, i % 97, i)
+                       for i in range(40_000))
+        path = tmp_path / "big.jsonl"
+        path.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            assert read_checkins(path).shape == (40_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(raw)
+
+    @pytest.mark.parametrize("line, column", [
+        ('{"user":01,"loc":0,"t":0}', 10), ('{"user":0,"loc":0,"t":-07}', 25),
+    ])
+    def test_leading_zero_is_a_json_error(self, tmp_path, line, column):
+        path = tmp_path / "zero.jsonl"
+        path.write_text('{"user":0,"loc":0,"t":0}\n' + line + "\n")
+        with pytest.raises(ValueError) as info:
+            read_checkins(path)
+        assert str(info.value) == (f"{path}:2: record must be a JSON object "
+                                   f"(Expecting ',' delimiter at column {column})")
 
     def test_values_inside_the_bound_read_exactly(self, tmp_path):
         rows = [[2 ** 62 - 1, 2 ** 62 - 1, -(2 ** 62 - 1)],
@@ -346,6 +390,15 @@ class TestPrepareDataset:
         ds_none = prepare_dataset(checkins, window_len=5, min_records=1000)
         assert len(ds_all.sequences) == 4
         assert len(ds_none.sequences) == 0
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(window_len=1), "window_len must be >= 2, got 1"),
+        (dict(window_len=0), "window_len must be >= 2, got 0"),
+        (dict(stride=0), "stride must be >= 1, got 0"),
+    ])
+    def test_window_len_and_stride_floors(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            prepare_dataset([CheckIn(0, 0, 0), CheckIn(0, 0, 7200)], **kw)
 
     def test_id_space_covers_max_ids(self):
         cs = [CheckIn(7, 33, 0), CheckIn(7, 33, 7200)]
