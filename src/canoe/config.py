@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cnoa import OscillatorParams
+from .data import VALUE_BOUND
 from .decoder import LossWeights
 from .synthetic import SyntheticConfig
 
@@ -125,106 +127,26 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {"seed"} | set(_SECTIONS)
-        unknown = set(raw) - known
-        if unknown:
+        if unknown := set(raw) - {"seed", *_SECTIONS}:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        kwargs = {}
-        if "seed" in raw:
-            if not _fits(raw["seed"], int):
-                raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
-            kwargs["seed"] = raw["seed"]
+        if "seed" in raw and not _fits(raw["seed"], int):
+            raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
+        kwargs = {"seed": raw["seed"]} if "seed" in raw else {}
         for name, section_cls in _SECTIONS.items():
             if name in raw:
                 kwargs[name] = _section_from_dict(section_cls, raw[name], name)
-        try:
-            cfg = cls(**kwargs)
-            cfg.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg = cls(**kwargs)
+        cfg.validate()
         return cfg
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     def validate(self) -> None:
-        # Round-trip through the constructor-validated synthetic config so
-        # its field errors surface with their data.* names.
-        try:
-            self.synthetic_config()
-        except ValueError as exc:
-            raise ConfigError(f"data.{exc}") from exc
-        m = self.model
-        if m.osc_iters < 1:
-            raise ConfigError(f"model.osc_iters must be >= 1, got {m.osc_iters}")
-        if m.gamma < 0.0:
-            raise ConfigError(f"model.gamma must be >= 0, got {m.gamma}")
-        if m.dim < 1:
-            raise ConfigError(f"model.dim must be >= 1, got {m.dim}")
-        if m.sigma <= 0.0:
-            raise ConfigError(f"model.sigma must be > 0, got {m.sigma}")
-        if m.enc_ff is not None and m.enc_ff < 1:
-            raise ConfigError(f"model.enc_ff must be null or >= 1, got {m.enc_ff}")
-        if m.enc_layers < 1:
-            raise ConfigError(f"model.enc_layers must be >= 1, got {m.enc_layers}")
-        if not 0.0 <= m.enc_dropout < 1.0:
-            raise ConfigError(
-                f"model.enc_dropout must lie in [0, 1), got {m.enc_dropout}")
-        for key in ("attn_heads", "enc_heads"):
-            value = getattr(m, key)
-            if value < 1:
-                raise ConfigError(f"model.{key} must be >= 1, got {value}")
-            if m.dim % value != 0:
-                raise ConfigError(
-                    f"model.dim {m.dim} not divisible by model.{key} {value}")
-        if m.attention not in ("cnoa", "cross"):
-            raise ConfigError(f"unknown attention variant '{m.attention}'")
-        if m.decoder_query not in ("user_location", "time_user"):
-            raise ConfigError(f"unknown decoder_query '{m.decoder_query}'")
-        t = self.train
-        lambdas = {key: getattr(t, key) for key in ("lambda_loc", "lambda_time", "lambda_aux")}
-        for key, value in lambdas.items():
-            if value < 0.0:
-                raise ConfigError(f"train.{key} must be >= 0, got {value}")
-        if not any(lambdas.values()):
-            raise ConfigError("train.lambda_loc, train.lambda_time and "
-                              "train.lambda_aux must not all be 0")
-        for key in ("epochs", "batch_size"):
-            value = getattr(t, key)
-            if value < 1:
-                raise ConfigError(f"train.{key} must be >= 1, got {value}")
-        if t.warmup_epochs < 0:
-            raise ConfigError(f"train.warmup_epochs must be >= 0, got {t.warmup_epochs}")
-        if t.lr <= 0.0:
-            raise ConfigError(f"train.lr must be > 0, got {t.lr}")
-        for key in ("beta1", "beta2"):
-            value = getattr(t, key)
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"train.{key} must lie in [0, 1), got {value}")
-        if t.eps <= 0.0:
-            raise ConfigError(f"train.eps must be > 0, got {t.eps}")
-        if t.weight_decay < 0.0:
-            raise ConfigError(f"train.weight_decay must be >= 0, got {t.weight_decay}")
-        if t.clip_norm < 0.0:
-            raise ConfigError(f"train.clip_norm must be >= 0, got {t.clip_norm}")
-        if self.data.window_len < 2:
-            raise ConfigError(
-                f"data.window_len must be >= 2, got {self.data.window_len}")
-        if self.data.stride < 1:
-            raise ConfigError(f"data.stride must be >= 1, got {self.data.stride}")
-        if not self.eval.ks or min(self.eval.ks) < 1:
-            raise ConfigError(
-                f"eval.ks must be a non-empty list of k >= 1, got {self.eval.ks}")
-        if self.topics.n_topics < 2:
-            raise ConfigError(
-                f"topics.n_topics must be >= 2, got {self.topics.n_topics}")
-        if self.topics.alpha is not None and self.topics.alpha <= 0.0:
-            raise ConfigError(f"topics.alpha must be null or > 0, got {self.topics.alpha}")
-        if self.topics.beta <= 0.0:
-            raise ConfigError(f"topics.beta must be > 0, got {self.topics.beta}")
-        if self.topics.gibbs_iters < 0:
-            raise ConfigError(
-                f"topics.gibbs_iters must be >= 0, got {self.topics.gibbs_iters}")
+        """Refuse the first value that breaks a row of _CHECKS, in order."""
+        for row in _CHECKS:
+            if message := row(self) if callable(row) else _out_of_range(self, *row):
+                raise ConfigError(message)
 
     # runtime-object builders -------------------------------------------------
 
@@ -246,12 +168,89 @@ class RunConfig:
         return LossWeights(loc=t.lambda_loc, time=t.lambda_time, aux=t.lambda_aux)
 
 
+def _out_of_range(cfg: RunConfig, key: str, low: float, high: float | None = None,
+                  ends: str = "[]", nullable: bool = False) -> str | None:
+    """The refusal of cfg's value at the dotted key if it lies outside
+    [low, high], else None. A high of None is no bound, a "(" or ")" in ends
+    makes that end open, and null passes where nullable."""
+    value = operator.attrgetter(key)(cfg)
+    left, right = ends
+    if value is None and nullable or (
+            (value > low or value == low and left == "[")
+            and (high is None or value < high or value == high and right == "]")):
+        return None
+    if high is None:
+        rule = f"be {'null or ' if nullable else ''}{'>=' if left == '[' else '>'} {low}"
+    else:
+        rule = f"lie in {left}{low}, {high}{right}"
+    return f"{key} must {rule}, got {value}"
+
+
+# Every check RunConfig.validate makes, in order: ranges as rows of
+# _out_of_range's arguments, each other rule as a lambda giving its refusal
+# or a false value, after the ranges it relies on. The second rows of
+# data.window_len and data.stride keep prepare_dataset's sums within int64.
+_CHECKS = (
+    ("seed", 0),
+    ("data.p_explore", 0, 1),
+    lambda c: c.data.num_locations <= c.data.returner_anchor_count and (
+        "data.num_locations must exceed returner_anchor_count "
+        f"({c.data.num_locations} <= {c.data.returner_anchor_count})"),
+    ("data.activities_per_day", 1, 12),
+    ("data.num_users", 1),
+    ("data.num_locations", 1),
+    ("data.days", 1),
+    ("data.returner_anchor_count", 1),
+    ("data.dwell_seconds", 1),
+    ("model.osc_iters", 1),
+    ("model.gamma", 0),
+    ("model.dim", 1),
+    ("model.sigma", 0, None, "(]"),
+    ("model.enc_ff", 1, None, "[]", True),
+    ("model.enc_layers", 1),
+    ("model.enc_dropout", 0, 1, "[)"),
+    ("model.attn_heads", 1),
+    lambda c: c.model.dim % c.model.attn_heads and (
+        f"model.dim {c.model.dim} not divisible by model.attn_heads {c.model.attn_heads}"),
+    ("model.enc_heads", 1),
+    lambda c: c.model.dim % c.model.enc_heads and (
+        f"model.dim {c.model.dim} not divisible by model.enc_heads {c.model.enc_heads}"),
+    lambda c: c.model.attention not in ("cnoa", "cross") and (
+        f"unknown attention variant '{c.model.attention}'"),
+    lambda c: c.model.decoder_query not in ("user_location", "time_user") and (
+        f"unknown decoder_query '{c.model.decoder_query}'"),
+    ("train.lambda_loc", 0),
+    ("train.lambda_time", 0),
+    ("train.lambda_aux", 0),
+    lambda c: not (c.train.lambda_loc or c.train.lambda_time or c.train.lambda_aux) and (
+        "train.lambda_loc, train.lambda_time and train.lambda_aux must not all be 0"),
+    ("train.epochs", 1),
+    ("train.batch_size", 1),
+    ("train.warmup_epochs", 0),
+    ("train.lr", 0, None, "(]"),
+    ("train.beta1", 0, 1, "[)"),
+    ("train.beta2", 0, 1, "[)"),
+    ("train.eps", 0, None, "(]"),
+    ("train.weight_decay", 0),
+    ("train.clip_norm", 0),
+    ("data.window_len", 2),
+    ("data.window_len", 2, VALUE_BOUND),
+    ("data.stride", 1),
+    ("data.stride", 1, VALUE_BOUND),
+    lambda c: (not c.eval.ks or min(c.eval.ks) < 1) and (
+        f"eval.ks must be a non-empty list of k >= 1, got {c.eval.ks}"),
+    ("topics.n_topics", 2),
+    ("topics.alpha", 0, None, "(]", True),
+    ("topics.beta", 0, None, "(]"),
+    ("topics.gibbs_iters", 0),
+)
+
+
 def _section_from_dict(section_cls, raw, path: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"config section '{path}' must be a JSON object")
     declared = {f.name: f.type for f in dataclasses.fields(section_cls)}
-    unknown = set(raw) - set(declared)
-    if unknown:
+    if unknown := set(raw) - set(declared):
         raise ConfigError(f"unknown key(s) in '{path}': {sorted(unknown)}")
     types = typing.get_type_hints(section_cls)
     for key, value in raw.items():

@@ -3,6 +3,7 @@
 import ctypes
 import hashlib
 import json
+import operator
 import struct
 import types
 import zipfile
@@ -188,6 +189,12 @@ class TestGenerate:
         assert rc == 2
         assert "seed" in capsys.readouterr().err.lower()
 
+    def test_negative_seed_exits_2_naming_the_key(self, tmp_path, capsys):
+        rc = main(["generate", "--seed", "-1", "--out", str(tmp_path / "d.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_echoed(self, tmp_path):
         out = tmp_path / "d.jsonl"
         main(["generate", "--seed", "7", "--out", str(out)] + SMALL_ARGS)
@@ -198,7 +205,132 @@ class TestGenerate:
         assert echoed["train"]["epochs"] == 100
 
 
+# Each range config.validate checks, at its edges: (overrides, the refusal,
+# or None where load_config accepts them). Each row's last accepted value
+# is followed by its first refused one; a float steps to its neighbour.
+TINY, BELOW_ONE, ABOVE_ONE = 5e-324, 0.9999999999999999, 1.0000000000000002
+CEILING = 2 ** 62
+RANGE_EDGES = [
+    ({"seed": 0}, None),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"data.p_explore": 0}, None),
+    ({"data.p_explore": -TINY}, "data.p_explore must lie in [0, 1], got -5e-324"),
+    ({"data.p_explore": 1}, None),
+    ({"data.p_explore": ABOVE_ONE},
+     "data.p_explore must lie in [0, 1], got 1.0000000000000002"),
+    ({"data.activities_per_day": 1}, None),
+    ({"data.activities_per_day": 0},
+     "data.activities_per_day must lie in [1, 12], got 0"),
+    ({"data.activities_per_day": 12}, None),
+    ({"data.activities_per_day": 13},
+     "data.activities_per_day must lie in [1, 12], got 13"),
+    ({"data.num_users": 1}, None),
+    ({"data.num_users": 0}, "data.num_users must be >= 1, got 0"),
+    # num_locations must exceed returner_anchor_count, which must be >= 1:
+    # num_locations 1 passes its own row and is refused by the next
+    ({"data.num_locations": 1, "data.returner_anchor_count": 0},
+     "data.returner_anchor_count must be >= 1, got 0"),
+    ({"data.num_locations": 0, "data.returner_anchor_count": -1},
+     "data.num_locations must be >= 1, got 0"),
+    ({"data.days": 1}, None),
+    ({"data.days": 0}, "data.days must be >= 1, got 0"),
+    ({"data.returner_anchor_count": 1}, None),
+    ({"data.returner_anchor_count": 0},
+     "data.returner_anchor_count must be >= 1, got 0"),
+    ({"data.dwell_seconds": 1}, None),
+    ({"data.dwell_seconds": 0}, "data.dwell_seconds must be >= 1, got 0"),
+    ({"model.osc_iters": 1}, None),
+    ({"model.osc_iters": 0}, "model.osc_iters must be >= 1, got 0"),
+    ({"model.gamma": 0}, None),
+    ({"model.gamma": -TINY}, "model.gamma must be >= 0, got -5e-324"),
+    ({"model.dim": 1, "model.attn_heads": 1, "model.enc_heads": 1}, None),
+    ({"model.dim": 0}, "model.dim must be >= 1, got 0"),
+    ({"model.sigma": TINY}, None),
+    ({"model.sigma": 0}, "model.sigma must be > 0, got 0"),
+    ({"model.enc_ff": None}, None),
+    ({"model.enc_ff": 1}, None),
+    ({"model.enc_ff": 0}, "model.enc_ff must be null or >= 1, got 0"),
+    ({"model.enc_layers": 1}, None),
+    ({"model.enc_layers": 0}, "model.enc_layers must be >= 1, got 0"),
+    ({"model.enc_dropout": 0}, None),
+    ({"model.enc_dropout": -TINY},
+     "model.enc_dropout must lie in [0, 1), got -5e-324"),
+    ({"model.enc_dropout": BELOW_ONE}, None),
+    ({"model.enc_dropout": 1.0}, "model.enc_dropout must lie in [0, 1), got 1.0"),
+    ({"model.attn_heads": 1}, None),
+    # 0 would also break the divisibility of model.dim, checked next
+    ({"model.attn_heads": 0}, "model.attn_heads must be >= 1, got 0"),
+    ({"model.enc_heads": 1}, None),
+    ({"model.enc_heads": 0}, "model.enc_heads must be >= 1, got 0"),
+    ({"train.lambda_loc": 0}, None),
+    ({"train.lambda_loc": -TINY}, "train.lambda_loc must be >= 0, got -5e-324"),
+    ({"train.lambda_time": 0}, None),
+    ({"train.lambda_time": -TINY}, "train.lambda_time must be >= 0, got -5e-324"),
+    ({"train.lambda_aux": 0}, None),
+    ({"train.lambda_aux": -TINY}, "train.lambda_aux must be >= 0, got -5e-324"),
+    ({"train.epochs": 1}, None),
+    ({"train.epochs": 0}, "train.epochs must be >= 1, got 0"),
+    ({"train.batch_size": 1}, None),
+    ({"train.batch_size": 0}, "train.batch_size must be >= 1, got 0"),
+    ({"train.warmup_epochs": 0}, None),
+    ({"train.warmup_epochs": -1}, "train.warmup_epochs must be >= 0, got -1"),
+    ({"train.lr": TINY}, None),
+    ({"train.lr": 0}, "train.lr must be > 0, got 0"),
+    ({"train.beta1": 0}, None),
+    ({"train.beta1": -TINY}, "train.beta1 must lie in [0, 1), got -5e-324"),
+    ({"train.beta1": BELOW_ONE}, None),
+    ({"train.beta1": 1.0}, "train.beta1 must lie in [0, 1), got 1.0"),
+    ({"train.beta2": 0}, None),
+    ({"train.beta2": -TINY}, "train.beta2 must lie in [0, 1), got -5e-324"),
+    ({"train.beta2": BELOW_ONE}, None),
+    ({"train.beta2": 1.0}, "train.beta2 must lie in [0, 1), got 1.0"),
+    ({"train.eps": TINY}, None),
+    ({"train.eps": 0}, "train.eps must be > 0, got 0"),
+    ({"train.weight_decay": 0}, None),
+    ({"train.weight_decay": -TINY}, "train.weight_decay must be >= 0, got -5e-324"),
+    ({"train.clip_norm": 0}, None),
+    ({"train.clip_norm": -TINY}, "train.clip_norm must be >= 0, got -5e-324"),
+    ({"data.window_len": 2}, None),
+    ({"data.window_len": 1}, "data.window_len must be >= 2, got 1"),
+    ({"data.window_len": CEILING}, None),
+    ({"data.window_len": CEILING + 1}, "data.window_len must lie in "
+     "[2, 4611686018427387904], got 4611686018427387905"),
+    ({"data.stride": 1}, None),
+    ({"data.stride": 0}, "data.stride must be >= 1, got 0"),
+    ({"data.stride": CEILING}, None),
+    ({"data.stride": CEILING + 1}, "data.stride must lie in "
+     "[1, 4611686018427387904], got 4611686018427387905"),
+    ({"topics.n_topics": 2}, None),
+    ({"topics.n_topics": 1}, "topics.n_topics must be >= 2, got 1"),
+    ({"topics.alpha": None}, None),
+    ({"topics.alpha": TINY}, None),
+    ({"topics.alpha": 0}, "topics.alpha must be null or > 0, got 0"),
+    ({"topics.beta": TINY}, None),
+    ({"topics.beta": 0}, "topics.beta must be > 0, got 0"),
+    ({"topics.gibbs_iters": 0}, None),
+    ({"topics.gibbs_iters": -1}, "topics.gibbs_iters must be >= 0, got -1"),
+    # the anchor rule comes before the rows of both keys it compares
+    ({"data.num_locations": 0},
+     "data.num_locations must exceed returner_anchor_count (0 <= 3)"),
+    ({"data.returner_anchor_count": 50},
+     "data.num_locations must exceed returner_anchor_count (50 <= 50)"),
+]
+
+
 class TestConfigHandling:
+    @pytest.mark.parametrize("overrides, refusal", RANGE_EDGES, ids=[
+        ",".join(f"{k}={v}" for k, v in overrides.items())
+        for overrides, _ in RANGE_EDGES])
+    def test_range_edges(self, overrides, refusal):
+        if refusal is None:
+            cfg = load_config(None, overrides)
+            assert all(operator.attrgetter(key)(cfg) == value
+                       for key, value in overrides.items())
+        else:
+            with pytest.raises(ConfigError) as info:
+                load_config(None, overrides)
+            assert str(info.value) == refusal
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             RunConfig.from_dict({"seeed": 1})
@@ -264,6 +396,14 @@ class TestTrainEvalCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    # checked when the config is read: the data file named here does not exist
+    def test_negative_seed_exits_2_before_reading_data(self, tmp_path, capsys):
+        rc = main(["train", "--data", str(tmp_path / "nope.jsonl"),
+                   "--seed", "-3", "--model-out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_number_in_config_file_exits_2(self, tmp_path, capsys):
@@ -715,6 +855,18 @@ class TestTrainEvalCommands:
         rc = main(["preprocess", "--data", str(path)])
         assert rc == 2
         assert "bad.jsonl:1: t must be an integer" in capsys.readouterr().err
+
+    # window_len and stride above 2**62 could overflow the window arithmetic
+    @pytest.mark.parametrize("key, low", [("data.window_len", 2),
+                                          ("data.stride", 1)])
+    @pytest.mark.parametrize("value", [2 ** 62 + 1, 2 ** 63 - 1, 10 ** 20])
+    def test_window_value_past_the_ceiling_exits_2(self, workspace, capsys,
+                                                   key, low, value):
+        rc = main(["preprocess", "--data", str(workspace / "data.jsonl")]
+                  + SMALL_ARGS + ["--set", f"{key}={value}"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {key} must lie in [{low}, 4611686018427387904], got {value}\n")
 
     def test_preprocess_summary(self, workspace, capsys):
         rc = main(["preprocess", "--data", str(workspace / "data.jsonl")]

@@ -10,6 +10,7 @@ import pytest
 
 from canoe import data
 from canoe.cli import main
+from canoe.config import load_config
 from canoe.data import (ActivitySequence, CheckIn, Split, WindowSample,
                         build_manifest, hour_slot, prepare_dataset,
                         read_checkins, train_location_region, write_checkins)
@@ -399,6 +400,21 @@ class TestPrepareDataset:
     def test_window_len_and_stride_floors(self, kw, message):
         with pytest.raises(ValueError, match=message):
             prepare_dataset([CheckIn(0, 0, 0), CheckIn(0, 0, 7200)], **kw)
+
+    # the config's ceiling on both: the window arithmetic stays within int64
+    @pytest.mark.parametrize("key", ["window_len", "stride"])
+    def test_windows_at_the_config_ceiling(self, key):
+        d = load_config(None, {f"data.{key}": data.VALUE_BOUND}).data
+        checkins = generate_synthetic(SyntheticConfig(
+            seed=3, num_users=5, num_locations=12, days=6, p_explore=0.3))
+        kw = dict(window_len=d.window_len, stride=d.stride, min_records=10)
+        got, want = prepare_dataset(checkins, **kw), oracle_dataset(checkins, **kw)
+        for part in ("train", "val", "test"):
+            windows, want_part = getattr(got.split, part), getattr(want.split, part)
+            assert len(windows) == len(want_part)
+            # not iterated when empty: gather builds one context_len-wide row
+            assert not want_part or list(windows) == want_part
+        assert len(want.split.test) == (5 if key == "stride" else 0)
 
     def test_id_space_covers_max_ids(self):
         cs = [CheckIn(7, 33, 0), CheckIn(7, 33, 7200)]
