@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cnoa import OscillatorParams
-from .data import VALUE_BOUND
+from .data import SECONDS_PER_DAY, VALUE_BOUND
 from .decoder import LossWeights
 from .synthetic import SyntheticConfig
 
@@ -189,7 +189,9 @@ def _out_of_range(cfg: RunConfig, key: str, low: float, high: float | None = Non
 # Every check RunConfig.validate makes, in order: ranges as rows of
 # _out_of_range's arguments, each other rule as a lambda giving its refusal
 # or a false value, after the ranges it relies on. The second rows of
-# data.window_len and data.stride keep prepare_dataset's sums within int64.
+# data.window_len and data.stride keep prepare_dataset's sums within int64;
+# the rule after data.dwell_seconds keeps every generated time, all below
+# days * SECONDS_PER_DAY + dwell_seconds, within the reader's bound.
 _CHECKS = (
     ("seed", 0),
     ("data.p_explore", 0, 1),
@@ -202,6 +204,9 @@ _CHECKS = (
     ("data.days", 1),
     ("data.returner_anchor_count", 1),
     ("data.dwell_seconds", 1),
+    lambda c: (end := c.data.days * SECONDS_PER_DAY + c.data.dwell_seconds) > VALUE_BOUND and (
+        f"data.days * {SECONDS_PER_DAY} + data.dwell_seconds must be <= {VALUE_BOUND}, "
+        f"got {end}"),
     ("model.osc_iters", 1),
     ("model.gamma", 0),
     ("model.dim", 1),

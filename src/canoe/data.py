@@ -84,6 +84,8 @@ class Windows:
                        self.locations, self.slots, self.context_len)
 
     def __iter__(self):
+        if not len(self):  # not gathered: see gather()
+            return iter(())
         ctx_locs, ctx_slots, target_locs, target_slots = self.gather()
         return map(WindowSample._make, zip(
             self.users.tolist(), map(tuple, ctx_locs.tolist()),
@@ -92,8 +94,14 @@ class Windows:
 
     def gather(self) -> tuple[np.ndarray, ...]:
         """The [N, context_len] context locations and slots, then the [N]
-        target locations and slots."""
-        rows = self.end[:, None] + np.arange(-self.context_len, 0)
+        target locations and slots. An empty Windows builds no row of
+        context_len offsets, so it allocates nothing at a huge context_len;
+        from 2**60 up numpy refuses even an empty int64 array that wide, so
+        iterating an empty Windows does not gather."""
+        if len(self):
+            rows = self.end[:, None] + np.arange(-self.context_len, 0)
+        else:
+            rows = np.empty((0, self.context_len), dtype=np.int64)
         return (self.locations[rows], self.slots[rows],
                 self.locations[self.end], self.slots[self.end])
 

@@ -10,6 +10,7 @@ row blocks of its arrays to worker threads (blocks.py) and wait for them.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -24,7 +25,7 @@ __all__ = [
     "relu",
     "tensor_sum", "softmax",
     "concat", "reshape",
-    "gather_rows",
+    "gather_rows", "row_cells", "scatter_rows",
     "linear", "transformer_layer", "cross_entropy", "zero_fill",
 ]
 
@@ -420,16 +421,25 @@ def gather_rows(table: Tensor, idx) -> Tensor:
         if table.grad is not None:
             np.add.at(table.grad, idx, g)
             return
-        # into zeros, column by column: bincount adds in index order, as
-        # np.add.at does, and is several times faster
-        rows, flat = table.data.shape[0], idx.ravel()
-        cols = g.reshape(flat.size, int(np.prod(table.data.shape[1:])))
-        grad = np.empty((rows, cols.shape[1]))
-        for j in range(cols.shape[1]):
-            grad[:, j] = np.bincount(flat, weights=cols[:, j], minlength=rows)
-        table.grad = grad.reshape(table.data.shape)
+        width = math.prod(table.data.shape[1:])
+        table.grad = scatter_rows(row_cells(idx, width), g, table.data.shape)
 
     return _make(data, (table,), bwd, "gather_rows")
+
+
+def row_cells(idx, width: int) -> np.ndarray:
+    """The flat indices of cells (idx[i], j), j < width, of an array of rows
+    `width` wide: row idx[0]'s cells, then idx[1]'s, as np.add.at visits them."""
+    return (np.asarray(idx).reshape(-1, 1) * width + np.arange(width)).ravel()
+
+
+def scatter_rows(cells, values: np.ndarray, shape) -> np.ndarray:
+    """np.add.at(np.zeros(shape), idx, values) for cells = row_cells(idx,
+    width), bitwise, as one bincount: it too adds each cell's values into
+    zero in index order, and is several times faster. (bincount returns
+    int64 zeros for no cells, whatever the weights.)"""
+    sums = np.bincount(cells, weights=values.ravel(), minlength=math.prod(shape))
+    return sums.astype(np.float64, copy=False).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

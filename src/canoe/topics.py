@@ -7,6 +7,8 @@ two-layer interaction head on top of it is learned.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +33,18 @@ class TopicModel:
 
 
 def build_cooccurrence(location_lists: list[list[int]], n_locations: int) -> np.ndarray:
-    """Visit-count matrix [n_users, n_locations] from per-user location lists."""
-    counts = np.zeros((len(location_lists), n_locations), dtype=np.int64)
-    for u, locs in enumerate(location_lists):
-        for l in locs:
-            counts[u, l] += 1
-    return counts
+    """Visit-count matrix [n_users, n_locations] from per-user location lists;
+    IndexError for a location id outside [0, n_locations)."""
+    lengths = [len(locs) for locs in location_lists]
+    locs = np.fromiter(itertools.chain.from_iterable(location_lists),
+                       dtype=np.int64, count=sum(lengths))
+    if locs.size and (locs.min() < 0 or locs.max() >= n_locations):
+        bad = locs[(locs < 0) | (locs >= n_locations)][0]
+        raise IndexError(f"location id {bad} out of range [0, {n_locations})")
+    users = np.repeat(np.arange(len(location_lists)), lengths)
+    shape = (len(location_lists), n_locations)
+    return np.bincount(users * n_locations + locs,
+                       minlength=math.prod(shape)).reshape(shape)
 
 
 def fit_lda(counts: np.ndarray, n_topics: int, alpha: float | None = None,
@@ -73,22 +81,32 @@ def fit_lda(counts: np.ndarray, n_topics: int, alpha: float | None = None,
 
     users, locs = np.nonzero(counts)
     c = counts[users, locs].astype(np.float64)[:, None]
+    user_cells = dcg.row_cells(users, n_topics)
+    loc_cells = dcg.row_cells(locs, n_topics)
     rng = np.random.default_rng(seed)
     gamma = rng.random((users.shape[0], n_topics))
     gamma /= gamma.sum(axis=1, keepdims=True)
 
     def expected_counts(gamma):
         weighted = c * gamma
-        n_uk = np.zeros((n_users, n_topics))
-        n_lk = np.zeros((n_locations, n_topics))
-        np.add.at(n_uk, users, weighted)
-        np.add.at(n_lk, locs, weighted)
-        return n_uk, n_lk, weighted.sum(axis=0)
+        return (dcg.scatter_rows(user_cells, weighted, (n_users, n_topics)),
+                dcg.scatter_rows(loc_cells, weighted, (n_locations, n_topics)),
+                weighted.sum(axis=0))
 
     for _ in range(iters):
         n_uk, n_lk, n_k = expected_counts(gamma)
-        gamma = ((n_uk[users] - gamma + alpha) * (n_lk[locs] - gamma + beta)
-                 / (n_k - gamma + n_locations * beta))
+        # the docstring's update in place, its operations in the same order
+        update = n_uk[users]
+        update -= gamma
+        update += alpha
+        loc_term = n_lk[locs]
+        loc_term -= gamma
+        loc_term += beta
+        update *= loc_term
+        np.subtract(n_k, gamma, out=loc_term)
+        loc_term += n_locations * beta
+        update /= loc_term
+        gamma = update
         gamma /= gamma.sum(axis=1, keepdims=True)
 
     n_uk, n_lk, n_k = expected_counts(gamma)

@@ -319,11 +319,12 @@ def save_checkpoint(path: str | Path, model: CanoeModel, optimizer: AdamW,
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Write beside the target and rename, so a crash mid-write leaves the
-    # previous checkpoint intact.
+    # previous checkpoint intact. Members are stored, not deflated: float64
+    # weights shrink by under a tenth at about ten times the write time.
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("wb") as fh:
-            np.savez_compressed(fh, **arrays)
+            np.savez(fh, **arrays)
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)

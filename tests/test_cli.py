@@ -15,6 +15,7 @@ import pytest
 from canoe import checks, cli
 from canoe.cli import main, steady_heap
 from canoe.config import ConfigError, RunConfig, load_config
+from canoe.training import load_checkpoint
 
 
 SMALL_ARGS = [
@@ -176,6 +177,10 @@ class TestGenerate:
         ("model.attn_heads=0", "model.attn_heads must be >= 1, got 0"),
         ("model.enc_heads=-2", "model.enc_heads must be >= 1, got -2"),
         ("topics.n_topics=1", "topics.n_topics must be >= 2, got 1"),
+        # generated times its own reader would refuse
+        ("data.dwell_seconds=100000000000000000000", "data.days * 86400 + "
+         "data.dwell_seconds must be <= 4611686018427387904, got "
+         "100000000000002592000"),
     ], ids=[override.split("=")[0] for override, _ in _FULL_KEY_REFUSALS])
     def test_refusal_names_the_full_key(self, tmp_path, capsys, override, message):
         rc = main(["generate", "--seed", "1", "--out", str(tmp_path / "d.jsonl"),
@@ -239,6 +244,17 @@ RANGE_EDGES = [
      "data.returner_anchor_count must be >= 1, got 0"),
     ({"data.dwell_seconds": 1}, None),
     ({"data.dwell_seconds": 0}, "data.dwell_seconds must be >= 1, got 0"),
+    # every generated time lies below days * 86400 + dwell_seconds
+    ({"data.days": 2, "data.dwell_seconds": CEILING - 172800}, None),
+    ({"data.days": 2, "data.dwell_seconds": CEILING - 172799},
+     "data.days * 86400 + data.dwell_seconds must be <= 4611686018427387904, "
+     "got 4611686018427387905"),
+    ({"data.days": CEILING // 86400 + 1},
+     "data.days * 86400 + data.dwell_seconds must be <= 4611686018427387904, "
+     "got 4611686018427450000"),
+    ({"data.dwell_seconds": 4611686018427387000},
+     "data.days * 86400 + data.dwell_seconds must be <= 4611686018427387904, "
+     "got 4611686018429979000"),
     ({"model.osc_iters": 1}, None),
     ({"model.osc_iters": 0}, "model.osc_iters must be >= 1, got 0"),
     ({"model.gamma": 0}, None),
@@ -693,10 +709,9 @@ class TestTrainEvalCommands:
             assert err.endswith(f": its meta {key} must be {requirement}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
 
-    # Bits of the deflate stream of a member: the stream still inflates,
-    # to a damaged .npy header ("{'descr'" reads "w'descr'" at 83/0, the
-    # header length is 4 at 80/3), and numpy parses the header before the
-    # member's CRC is checked.
+    # Bits of a stored member's .npy header, in the spaces that pad its
+    # dict: one becomes "(" at 80/3 and "!" at 83/0, and numpy parses the
+    # header before the member's CRC is checked.
     @pytest.mark.parametrize("offset, bit", [(80, 3), (83, 0)])
     def test_flipped_npy_header_bit_exits_2(self, workspace, tmp_path, capsys,
                                             offset, bit):
@@ -715,6 +730,35 @@ class TestTrainEvalCommands:
             f"error: {bad} is not a canoe checkpoint: Bad CRC-32 for file "
             f"'param/decoder.fuse1.w.npy'\n")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
+
+    def test_deflated_checkpoint_loads_and_evaluates_the_same(
+            self, workspace, tmp_path):
+        good = workspace / "model.ckpt"
+        deflated = tmp_path / "deflated.ckpt"
+        with np.load(good) as data:
+            arrays = {key: data[key] for key in data.files}
+        with deflated.open("wb") as fh:  # as every earlier version wrote
+            np.savez_compressed(fh, **arrays)
+        for path, stored in ((good, zipfile.ZIP_STORED),
+                             (deflated, zipfile.ZIP_DEFLATED)):
+            with zipfile.ZipFile(path) as zf:
+                assert {i.compress_type for i in zf.infolist()} == {stored}
+        got, want = load_checkpoint(deflated), load_checkpoint(good)
+        assert got.meta == want.meta
+        for field in ("params", "best_params", "opt_arrays"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.keys() == b.keys()
+            assert all(a[k].dtype == b[k].dtype and a[k].shape == b[k].shape
+                       and a[k].tobytes() == b[k].tobytes() for k in a)
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert got.phi.tobytes() == want.phi.tobytes()
+        for path, report in ((good, "stored"), (deflated, "deflated")):
+            assert main(["eval", "--data", str(workspace / "data.jsonl"),
+                         "--model", str(path),
+                         "--report", str(tmp_path / report)]) == 0
+        for suffix in (".json", ".txt", ".csv", ".config.json"):
+            assert ((tmp_path / f"deflated{suffix}").read_bytes()
+                    == (tmp_path / f"stored{suffix}").read_bytes())
 
     @pytest.mark.parametrize("message", [
         "Unable to allocate 576. GiB for an array with shape "

@@ -412,8 +412,7 @@ class TestPrepareDataset:
         for part in ("train", "val", "test"):
             windows, want_part = getattr(got.split, part), getattr(want.split, part)
             assert len(windows) == len(want_part)
-            # not iterated when empty: gather builds one context_len-wide row
-            assert not want_part or list(windows) == want_part
+            assert list(windows) == want_part
         assert len(want.split.test) == (5 if key == "stride" else 0)
 
     def test_id_space_covers_max_ids(self):

@@ -246,6 +246,19 @@ class TestOperatorsAgainstFiniteDifferences:
         dcg.backward(dcg.tensor_sum(dcg.gather_rows(empty, np.zeros((0,), int))))
         assert np.array_equal(empty.grad, np.zeros((4, 2)))
 
+    # values of every magnitude, so that another summation order would
+    # change bits; repeated rows, rows never picked, and no rows at all
+    @pytest.mark.parametrize("shape", [(9,), (9, 5), (9, 1), (0,), (0, 3)])
+    def test_scatter_rows_equals_add_at_into_zeros(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        idx = rng.integers(2, 7, size=shape[0])
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+        want = np.zeros((8,) + shape[1:])
+        np.add.at(want, idx, values)
+        width = shape[1] if len(shape) == 2 else 1
+        got = dcg.scatter_rows(dcg.row_cells(idx, width), values, want.shape)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 def _layer_norm_node(x, gamma, beta):
     """transformer_layer's layer norm kernels as a node of their own."""

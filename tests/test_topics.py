@@ -7,6 +7,7 @@ import pytest
 from canoe import dcg
 from canoe.dcg import ParamRegistry, grad_check
 from canoe.topics import UserLocationHead, build_cooccurrence, fit_lda
+from tests_common import build_cooccurrence_loop, fit_lda_add_at
 
 
 def two_cluster_corpus() -> np.ndarray:
@@ -91,6 +92,22 @@ class TestFitLda:
         np.testing.assert_allclose(model.theta, theta, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.phi, phi, rtol=0, atol=1e-12)
 
+    # users and locations without visits: the first row and the last
+    # column of every matrix are zero
+    @pytest.mark.parametrize("n_topics", [2, 17, 450])
+    def test_equal_to_add_at_oracle_bitwise(self, n_topics):
+        rng = np.random.default_rng(n_topics)
+        for seed in range(3):
+            counts = rng.integers(0, 9, size=(12, 15)) * (rng.random((12, 15)) < 0.4)
+            counts[0] = counts[:, -1] = 0
+            alpha, beta = (None, 0.01) if seed else (0.3, 0.2)
+            model = fit_lda(counts, n_topics, alpha=alpha, beta=beta,
+                            iters=7, seed=seed)
+            theta, phi = fit_lda_add_at(counts, n_topics, model.alpha, beta,
+                                        iters=7, seed=seed)
+            assert model.theta.tobytes() == theta.tobytes()
+            assert model.phi.tobytes() == phi.tobytes()
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             fit_lda(np.zeros((3, 3), dtype=np.int64), n_topics=2)
@@ -125,6 +142,24 @@ class TestBuildCooccurrence:
         counts = build_cooccurrence(lists, 7)
         for u, locs in enumerate(lists):
             assert counts[u].sum() == len(locs)
+
+    # empty lists, repeated ids, and no users at all
+    @pytest.mark.parametrize("n_users", [0, 1, 9])
+    def test_equal_to_per_visit_loop(self, rng, n_users):
+        lists = [rng.integers(0, 4, size=rng.integers(0, 12)).tolist()
+                 for _ in range(n_users)]
+        got = build_cooccurrence(lists, 6)
+        want = build_cooccurrence_loop(lists, 6)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [6, 7, 10**12])
+    def test_location_id_past_the_id_space_raises(self, bad):
+        lists = [[0, 5], [], [1, bad, 2]]
+        with pytest.raises(IndexError):
+            build_cooccurrence_loop(lists, 6)
+        with pytest.raises(IndexError, match=f"location id {bad} out of range"):
+            build_cooccurrence(lists, 6)
 
 
 class TestUserLocationHead:

@@ -235,7 +235,7 @@ class TestCheckpointing:
             fh.write(b"PK\x03\x04 partial archive")
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", crash)
+        monkeypatch.setattr(np, "savez", crash)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, model, AdamW(model.registry), cfg, tm,
                             epoch=7, best_params=None, best_epoch=-1,

@@ -19,6 +19,48 @@ def two_cluster_counts() -> np.ndarray:
     return counts
 
 
+# ---------------------------------------------------------------------------
+# the np.add.at and per-visit forms, oracles of topics.fit_lda and
+# topics.build_cooccurrence
+
+def fit_lda_add_at(counts, n_topics, alpha, beta, iters, seed):
+    """fit_lda's (theta, phi) with its expected counts summed by np.add.at
+    and its gamma update built from temporaries."""
+    n_users, n_locations = counts.shape
+    users, locs = np.nonzero(counts)
+    c = counts[users, locs].astype(np.float64)[:, None]
+    gamma = np.random.default_rng(seed).random((users.shape[0], n_topics))
+    gamma /= gamma.sum(axis=1, keepdims=True)
+
+    def expected_counts(gamma):
+        weighted = c * gamma
+        n_uk = np.zeros((n_users, n_topics))
+        n_lk = np.zeros((n_locations, n_topics))
+        np.add.at(n_uk, users, weighted)
+        np.add.at(n_lk, locs, weighted)
+        return n_uk, n_lk, weighted.sum(axis=0)
+
+    for _ in range(iters):
+        n_uk, n_lk, n_k = expected_counts(gamma)
+        gamma = ((n_uk[users] - gamma + alpha) * (n_lk[locs] - gamma + beta)
+                 / (n_k - gamma + n_locations * beta))
+        gamma /= gamma.sum(axis=1, keepdims=True)
+
+    n_uk, n_lk, n_k = expected_counts(gamma)
+    theta = (n_uk + alpha) / (n_uk.sum(axis=1, keepdims=True) + n_topics * alpha)
+    phi = (n_lk.T + beta) / (n_k[:, None] + n_locations * beta)
+    return theta, phi
+
+
+def build_cooccurrence_loop(location_lists, n_locations):
+    """The visit-count matrix, one visit at a time."""
+    counts = np.zeros((len(location_lists), n_locations), dtype=np.int64)
+    for u, locs in enumerate(location_lists):
+        for l in locs:
+            counts[u, l] += 1
+    return counts
+
+
 def graph_nodes(root):
     """The operation nodes (not parameters) backward visits from root."""
     seen, stack = set(), [root]
