@@ -201,7 +201,7 @@ def cmd_train(args) -> int:
         dataset = _load_dataset(args.data, ckpt.config)
         _check_id_space(dataset, ckpt)
         topic_model = None  # train() takes it from the checkpoint
-        model = model_from_checkpoint(ckpt, use_best=False)
+        model = model_from_checkpoint(ckpt)
         log.info("resuming from %s at epoch %d", args.resume, ckpt.meta["epoch"] + 1)
     else:
         ckpt = None
@@ -243,7 +243,7 @@ def cmd_eval(args) -> int:
     cfg = _resolve_config(args, base=ckpt.config)
     dataset = _load_dataset(args.data, cfg)
     _check_id_space(dataset, ckpt)
-    model = model_from_checkpoint(ckpt, use_best=True)
+    model = model_from_checkpoint(ckpt)
     return _write_scores(evaluate_ranks(model, dataset.split.test), dataset,
                          cfg, args.report, title="canoe")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cnoa import OscillatorParams
-from .data import SECONDS_PER_DAY, VALUE_BOUND
+from .data import SECONDS_PER_DAY, VALUE_BOUND, WINDOW_LEN_BOUND
 from .decoder import LossWeights
 from .synthetic import SyntheticConfig
 
@@ -189,7 +189,8 @@ def _out_of_range(cfg: RunConfig, key: str, low: float, high: float | None = Non
 # Every check RunConfig.validate makes, in order: ranges as rows of
 # _out_of_range's arguments, each other rule as a lambda giving its refusal
 # or a false value, after the ranges it relies on. The second rows of
-# data.window_len and data.stride keep prepare_dataset's sums within int64;
+# data.window_len and data.stride keep prepare_dataset's sums within int64
+# and the empty splits' context rows within numpy's widest array;
 # the rule after data.dwell_seconds keeps every generated time, all below
 # days * SECONDS_PER_DAY + dwell_seconds, within the reader's bound.
 _CHECKS = (
@@ -239,7 +240,7 @@ _CHECKS = (
     ("train.weight_decay", 0),
     ("train.clip_norm", 0),
     ("data.window_len", 2),
-    ("data.window_len", 2, VALUE_BOUND),
+    ("data.window_len", 2, WINDOW_LEN_BOUND),
     ("data.stride", 1),
     ("data.stride", 1, VALUE_BOUND),
     lambda c: (not c.eval.ks or min(c.eval.ks) < 1) and (

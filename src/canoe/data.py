@@ -26,6 +26,9 @@ N_SLOTS = 24  # hour-of-day time slots
 # |value| bound of every check-in field, so that the int64 differences of
 # two timestamps cannot wrap
 VALUE_BOUND = 2 ** 62
+# the largest window_len whose context rows numpy can build: an int64 array
+# at most 2**60 - 1 wide, even with no rows (Windows.gather)
+WINDOW_LEN_BOUND = 2 ** 60
 
 
 class CheckIn(NamedTuple):
@@ -95,9 +98,9 @@ class Windows:
     def gather(self) -> tuple[np.ndarray, ...]:
         """The [N, context_len] context locations and slots, then the [N]
         target locations and slots. An empty Windows builds no row of
-        context_len offsets, so it allocates nothing at a huge context_len;
-        from 2**60 up numpy refuses even an empty int64 array that wide, so
-        iterating an empty Windows does not gather."""
+        context_len offsets, so it allocates nothing at a huge context_len
+        (up to WINDOW_LEN_BOUND - 1); iterating an empty Windows does not
+        gather, whatever its context_len."""
         if len(self):
             rows = self.end[:, None] + np.arange(-self.context_len, 0)
         else:

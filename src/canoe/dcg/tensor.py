@@ -32,8 +32,8 @@ __all__ = [
 
 class NumericFault(RuntimeError):
     """Raised when a non-finite value reaches a check: a backward root, the
-    oscillator's input, a training step's loss, or (with CANOE_LOG=debug) a
-    parameter after a training step."""
+    oscillator's input, a training step's loss or updated parameters, or the
+    location scores of a ranking forward."""
 
 
 _state = threading.local()

@@ -121,9 +121,6 @@ class LocationTimePair:
                              ff_width, dropout)
             for i in range(n_layers)
         ]
-        # length -> (positional encoding, causal mask), stored in one
-        # assignment so a concurrent forward sees both or neither
-        self._length_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __call__(self, ctx_locs: np.ndarray, ctx_slots: np.ndarray,
                  rng: np.random.Generator | None = None) -> Tensor:
@@ -135,11 +132,8 @@ class LocationTimePair:
         e_t = self.time_emb.lookup(ctx_slots)
         x = dcg.concat([e_l, e_t], axis=-1)
         x_proj = self.in_proj(x)
-        if length not in self._length_cache:
-            self._length_cache[length] = (positional_encoding(length, self.dim),
-                                          causal_mask(length))
-        pe, mask = self._length_cache[length]
-        h = x_proj * np.sqrt(self.dim) + dcg.constant(pe)
+        h = x_proj * np.sqrt(self.dim) + dcg.constant(positional_encoding(length, self.dim))
+        mask = causal_mask(length)
         for layer in self.layers:
             h = layer(h, mask, rng)
         return dcg.concat([h, x_proj], axis=-1)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import target_ranks
 
-__all__ = ["TransitionModel", "fit_mmc", "rank_locations", "rank_of_target"]
+__all__ = ["TransitionModel", "fit_mmc", "rank_of_target"]
 
 
 @dataclass
@@ -61,13 +61,6 @@ def _scores(model: TransitionModel, user: int, current_loc: int) -> np.ndarray:
     u = _dense(u_row, model.n_locations)
     g = _dense(g_row, model.n_locations)
     return u * (g.max() + 1) + g
-
-
-def rank_locations(model: TransitionModel, user: int, current_loc: int) -> list[int]:
-    """All candidate locations, best first: a sort of the scores, the
-    reference rank_of_target is tested against."""
-    scores = _scores(model, user, current_loc)
-    return np.lexsort((np.arange(scores.size), -scores)).tolist()
 
 
 def rank_of_target(model: TransitionModel, user: int, current_loc: int,

@@ -130,7 +130,8 @@ class CanoeModel:
         states reset to the uniform sentinel and frozen. The rows are split
         into row blocks (dcg.blocks.run_row_blocks), each a forward of its
         own. Every operation of the forward is row-independent, so the
-        result is bitwise that of one block."""
+        result is bitwise that of one block. A non-finite score, which
+        would rank every target first, raises NumericFault."""
         self.reset_states()
 
         def block(lo, hi):
@@ -138,7 +139,10 @@ class CanoeModel:
             with dcg.no_grad():  # grad mode is per thread
                 return self.forward_batch(rows)[0].data
 
-        return _softmax(np.concatenate(run_row_blocks(len(batch.users), block)), -1)
+        logits = np.concatenate(run_row_blocks(len(batch.users), block))
+        if not np.isfinite(logits).all():
+            raise dcg.NumericFault("non-finite location scores in a ranking forward")
+        return _softmax(logits, -1)
 
     def rank_targets(self, batch: Batch) -> np.ndarray:
         """1-indexed rank of each target by location probability."""

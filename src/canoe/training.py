@@ -146,10 +146,11 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
     The CSV log at log_path holds the rows so far: it is written once the
     checks pass, before the first epoch, and again after each epoch.
 
-    With `resume`, continue the run that wrote that checkpoint: the model
-    must hold its latest parameters (`model_from_checkpoint(resume,
-    use_best=False)`), `cfg` may differ from its config only in the train
-    and eval sections, and the topic model is the checkpoint's.
+    With `resume`, continue the run that wrote that checkpoint from its
+    latest parameters and optimizer state: `cfg` may differ from its config
+    only in the train and eval sections, and the topic model is the
+    checkpoint's. Every step checks the loss and then the parameters, and a
+    non-finite value raises NumericFault before the epoch is checkpointed.
     """
     t = cfg.train
     train_samples = dataset.split.train
@@ -169,12 +170,12 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
             raise ValueError("a resumed run takes its topic model from the checkpoint")
         _check_resumable(resume, cfg)
         topic_model = resume.topic_model()
+        model.registry.load_state_arrays(resume.params)
         optimizer.load_state_arrays(resume.opt_arrays)
         start_epoch = resume.meta["epoch"] + 1
         logs = resume.logs()
         best_key, best_epoch = resume.meta["best_key"], resume.meta["best_epoch"]
         best_params = resume.best_params
-    debug = log.isEnabledFor(logging.DEBUG)
 
     def write_log() -> None:
         if log_path is not None:
@@ -192,6 +193,7 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
             best_epoch = epoch
             best_params = model.registry.state_arrays()
 
+    model.registry.zero_grads()  # a caller's leftover gradients would add to the first step's
     prev_phase: LossWeights | None = None
     for epoch in range(start_epoch, t.epochs):
         tic = time.perf_counter()
@@ -213,16 +215,13 @@ def train(model: CanoeModel, dataset: Dataset, cfg: RunConfig,
             if not np.isfinite(parts["total"]):
                 raise NumericFault(
                     f"non-finite loss at epoch {epoch} batch {bi}")
-            model.registry.zero_grads()
             dcg.backward(loss)
             model.registry.clip_grad_norm(t.clip_norm)
-            optimizer.step()
-            if debug:
-                for name, p in model.registry.items():
-                    if not np.all(np.isfinite(p.data)):
-                        raise NumericFault(
-                            f"non-finite parameter '{name}' after epoch "
-                            f"{epoch} batch {bi}")
+            optimizer.step()  # ends by zeroing the gradients
+            for name, p in model.registry.items():
+                if not np.all(np.isfinite(p.data)):
+                    raise NumericFault(f"non-finite parameter '{name}' after "
+                                       f"epoch {epoch} batch {bi}")
             for k in sums:
                 sums[k] += parts[k]
             n_batches += 1
@@ -291,14 +290,10 @@ def save_checkpoint(path: str | Path, model: CanoeModel, optimizer: AdamW,
                     cfg: RunConfig, topic_model: TopicModel | None,
                     epoch: int, best_params: dict[str, np.ndarray] | None,
                     best_epoch: int, best_key, logs: list[EpochLog]) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for name, arr in model.registry.state_arrays().items():
-        arrays[f"param/{name}"] = arr
-    for name, arr in optimizer.state_arrays().items():
-        arrays[f"opt/{name}"] = arr
-    if best_params:
-        for name, arr in best_params.items():
-            arrays[f"best/{name}"] = arr
+    groups = {"param": model.registry.state_arrays(),
+              "opt": optimizer.state_arrays(), "best": best_params or {}}
+    arrays = {f"{prefix}/{name}": arr for prefix, group in groups.items()
+              for name, arr in group.items()}
     if topic_model is not None:
         arrays["topics/theta"] = topic_model.theta
         arrays["topics/phi"] = topic_model.phi
@@ -391,21 +386,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                              f"topic_model is {json.dumps(topic_meta)}, not an "
                              f"object, beside topics/theta")
         _check_meta(path, topic_meta, _TOPIC_META_TYPES, "topic_model ")
-    params, best, opt = {}, {}, {}
-    theta = phi = None
-    for key, arr in arrays.items():
-        if key.startswith("param/"):
-            params[key[len("param/"):]] = arr
-        elif key.startswith("best/"):
-            best[key[len("best/"):]] = arr
-        elif key.startswith("opt/"):
-            opt[key[len("opt/"):]] = arr
-        elif key == "topics/theta":
-            theta = arr
-        elif key == "topics/phi":
-            phi = arr
-    return Checkpoint(meta=meta, params=params, best_params=best or dict(params),
-                      opt_arrays=opt, theta=theta, phi=phi)
+    def group(prefix: str) -> dict[str, np.ndarray]:
+        return {key.removeprefix(prefix): arr for key, arr in arrays.items()
+                if key.startswith(prefix)}
+
+    params = group("param/")
+    return Checkpoint(meta=meta, params=params, best_params=group("best/") or dict(params),
+                      opt_arrays=group("opt/"), theta=arrays.get("topics/theta"),
+                      phi=arrays.get("topics/phi"))
 
 
 def _check_meta(path, meta: dict, types: dict, where: str) -> None:
@@ -422,12 +410,13 @@ def _check_meta(path, meta: dict, types: dict, where: str) -> None:
                              f"{where}{key} must be {name}")
 
 
-def model_from_checkpoint(ckpt: Checkpoint, use_best: bool = True) -> CanoeModel:
+def model_from_checkpoint(ckpt: Checkpoint) -> CanoeModel:
+    """The checkpoint's model with its best epoch's parameters."""
     if ckpt.theta is None:
         raise ValueError("checkpoint is missing the fitted topic matrices")
     cfg = ckpt.config
     model = CanoeModel(cfg.model, n_users=ckpt.meta["n_users"],
                        n_locations=ckpt.meta["n_locations"],
                        topic_theta=ckpt.theta, seed=cfg.seed)
-    model.registry.load_state_arrays(ckpt.best_params if use_best else ckpt.params)
+    model.registry.load_state_arrays(ckpt.best_params)
     return model

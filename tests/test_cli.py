@@ -214,7 +214,7 @@ class TestGenerate:
 # or None where load_config accepts them). Each row's last accepted value
 # is followed by its first refused one; a float steps to its neighbour.
 TINY, BELOW_ONE, ABOVE_ONE = 5e-324, 0.9999999999999999, 1.0000000000000002
-CEILING = 2 ** 62
+CEILING, WINDOW_CEILING = 2 ** 62, 2 ** 60
 RANGE_EDGES = [
     ({"seed": 0}, None),
     ({"seed": -1}, "seed must be >= 0, got -1"),
@@ -308,9 +308,14 @@ RANGE_EDGES = [
     ({"train.clip_norm": -TINY}, "train.clip_norm must be >= 0, got -5e-324"),
     ({"data.window_len": 2}, None),
     ({"data.window_len": 1}, "data.window_len must be >= 2, got 1"),
-    ({"data.window_len": CEILING}, None),
+    ({"data.window_len": WINDOW_CEILING}, None),
+    ({"data.window_len": WINDOW_CEILING + 1}, "data.window_len must lie in "
+     "[2, 1152921504606846976], got 1152921504606846977"),
+    # stride's ceiling is past window_len's
+    ({"data.window_len": CEILING}, "data.window_len must lie in "
+     "[2, 1152921504606846976], got 4611686018427387904"),
     ({"data.window_len": CEILING + 1}, "data.window_len must lie in "
-     "[2, 4611686018427387904], got 4611686018427387905"),
+     "[2, 1152921504606846976], got 4611686018427387905"),
     ({"data.stride": 1}, None),
     ({"data.stride": 0}, "data.stride must be >= 1, got 0"),
     ({"data.stride": CEILING}, None),
@@ -641,6 +646,22 @@ class TestTrainEvalCommands:
         assert ("error: unsupported checkpoint format: 'canoe-ckpt-2'"
                 in capsys.readouterr().err)
 
+    def test_eval_of_a_non_finite_weight_exits_1(self, workspace, tmp_path,
+                                                 capsys):
+        # a row of NaN probabilities would rank its target first
+        with np.load(workspace / "model.ckpt") as data:
+            arrays = {key: data[key].copy() for key in data.files}
+        arrays["best/decoder.loc.w"][0, 0] = np.inf
+        bad = tmp_path / "inf.ckpt"
+        with bad.open("wb") as fh:
+            np.savez(fh, **arrays)
+        rc = main(["eval", "--data", str(workspace / "data.jsonl"),
+                   "--model", str(bad), "--report", str(tmp_path / "report")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: non-finite location scores in a ranking forward\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["inf.ckpt"]
+
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize("damage", ["truncated", "no_meta", "meta_list",
                                         "text", "meta_without_config",
@@ -900,17 +921,19 @@ class TestTrainEvalCommands:
         assert rc == 2
         assert "bad.jsonl:1: t must be an integer" in capsys.readouterr().err
 
-    # window_len and stride above 2**62 could overflow the window arithmetic
-    @pytest.mark.parametrize("key, low", [("data.window_len", 2),
-                                          ("data.stride", 1)])
+    # stride above 2**62 could overflow the window arithmetic, and window_len
+    # above 2**60 could not gather its empty splits' context rows
+    @pytest.mark.parametrize("key, low, high", [("data.window_len", 2, 2 ** 60),
+                                                ("data.stride", 1, 2 ** 62)],
+                             ids=["data.window_len-2", "data.stride-1"])
     @pytest.mark.parametrize("value", [2 ** 62 + 1, 2 ** 63 - 1, 10 ** 20])
     def test_window_value_past_the_ceiling_exits_2(self, workspace, capsys,
-                                                   key, low, value):
+                                                   key, low, high, value):
         rc = main(["preprocess", "--data", str(workspace / "data.jsonl")]
                   + SMALL_ARGS + ["--set", f"{key}={value}"])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: {key} must lie in [{low}, 4611686018427387904], got {value}\n")
+            f"error: {key} must lie in [{low}, {high}], got {value}\n")
 
     def test_preprocess_summary(self, workspace, capsys):
         rc = main(["preprocess", "--data", str(workspace / "data.jsonl")]

@@ -401,10 +401,13 @@ class TestPrepareDataset:
         with pytest.raises(ValueError, match=message):
             prepare_dataset([CheckIn(0, 0, 0), CheckIn(0, 0, 7200)], **kw)
 
-    # the config's ceiling on both: the window arithmetic stays within int64
-    @pytest.mark.parametrize("key", ["window_len", "stride"])
-    def test_windows_at_the_config_ceiling(self, key):
-        d = load_config(None, {f"data.{key}": data.VALUE_BOUND}).data
+    # the config's ceiling on each: the window arithmetic stays within int64,
+    # and every split gathers its context rows, empty ones included
+    @pytest.mark.parametrize("key, ceiling", [("window_len", data.WINDOW_LEN_BOUND),
+                                              ("stride", data.VALUE_BOUND)],
+                             ids=["window_len", "stride"])
+    def test_windows_at_the_config_ceiling(self, key, ceiling):
+        d = load_config(None, {f"data.{key}": ceiling}).data
         checkins = generate_synthetic(SyntheticConfig(
             seed=3, num_users=5, num_locations=12, days=6, p_explore=0.3))
         kw = dict(window_len=d.window_len, stride=d.stride, min_records=10)
@@ -413,6 +416,9 @@ class TestPrepareDataset:
             windows, want_part = getattr(got.split, part), getattr(want.split, part)
             assert len(windows) == len(want_part)
             assert list(windows) == want_part
+            ctx_locs, ctx_slots, target_locs, _ = windows.gather()
+            assert ctx_locs.shape == ctx_slots.shape == (len(windows), d.window_len - 1)
+            assert target_locs.tolist() == [w.target_location for w in want_part]
         assert len(want.split.test) == (5 if key == "stride" else 0)
 
     def test_id_space_covers_max_ids(self):

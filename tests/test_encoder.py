@@ -219,18 +219,23 @@ class TestEncodeBatch:
 
 class TestLengthCache:
     def test_threads_meeting_a_new_length_at_once(self, rng):
-        """Forwards on several threads that each meet new context lengths
-        together all get the length's positional encoding and mask."""
+        """Forwards on several threads at once, over one context length
+        after another, each give the single-thread forward's bytes."""
         _, enc = build_encoder(rng, dim=4, layers=1)
         lengths = range(2, 102)
         errors = []
 
+        def forwards():
+            with dcg.no_grad():
+                return [enc.loc_time(ids, ids).data.tobytes() for ids in
+                        (np.zeros((1, n), dtype=np.int64) for n in lengths)]
+
+        want = forwards()
+        got = []
+
         def run():
             try:
-                with dcg.no_grad():
-                    for n in lengths:
-                        ids = np.zeros((1, n), dtype=np.int64)
-                        enc.loc_time(ids, ids)
+                got.append(forwards())
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -246,7 +251,4 @@ class TestLengthCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        for n in lengths:
-            pe, mask = enc.loc_time._length_cache[n]
-            assert pe.tobytes() == positional_encoding(n, 4).tobytes()
-            assert mask.tobytes() == causal_mask(n).tobytes()
+        assert got == [want] * 8

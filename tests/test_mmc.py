@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from canoe.mmc import (TransitionModel, _scores, fit_mmc, rank_locations,
-                       rank_of_target)
+from canoe.mmc import TransitionModel, _scores, fit_mmc, rank_of_target
+from tests_common import rank_locations
 
 
 def brute_force_pair_counts(locs):

@@ -7,25 +7,13 @@ import pytest
 from canoe import dcg
 from canoe.dcg import ParamRegistry, grad_check
 from canoe.topics import UserLocationHead, build_cooccurrence, fit_lda
-from tests_common import build_cooccurrence_loop, fit_lda_add_at
-
-
-def two_cluster_corpus() -> np.ndarray:
-    """Users 0-3 visit only locations 0-1; users 4-7 only locations 2-3."""
-    counts = np.zeros((8, 4), dtype=np.int64)
-    rng = np.random.default_rng(99)
-    for u in range(4):
-        counts[u, 0] = rng.integers(20, 40)
-        counts[u, 1] = rng.integers(20, 40)
-    for u in range(4, 8):
-        counts[u, 2] = rng.integers(20, 40)
-        counts[u, 3] = rng.integers(20, 40)
-    return counts
+from tests_common import (build_cooccurrence_loop, fit_lda_add_at,
+                          two_cluster_counts)
 
 
 class TestFitLda:
     def test_two_cluster_separation_across_seeds(self):
-        counts = two_cluster_corpus()
+        counts = two_cluster_counts()
         for seed in (1, 2, 3):
             model = fit_lda(counts, n_topics=2, iters=200, seed=seed)
             groups = model.theta.argmax(axis=1)
@@ -34,7 +22,7 @@ class TestFitLda:
             assert groups[0] != groups[4]
 
     def test_theta_phi_row_stochastic(self):
-        model = fit_lda(two_cluster_corpus(), n_topics=3, iters=50, seed=0)
+        model = fit_lda(two_cluster_counts(), n_topics=3, iters=50, seed=0)
         np.testing.assert_allclose(model.theta.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(model.phi.sum(axis=1), 1.0, atol=1e-9)
         assert (model.theta >= 0).all() and (model.phi >= 0).all()
@@ -45,20 +33,20 @@ class TestFitLda:
         np.testing.assert_allclose(model.theta.sum(axis=1), 1.0, atol=1e-12)
 
     def test_zero_visit_user_gets_uniform_prior_posterior(self):
-        counts = two_cluster_corpus()
+        counts = two_cluster_counts()
         counts = np.vstack([counts, np.zeros((1, 4), dtype=np.int64)])
         model = fit_lda(counts, n_topics=4, iters=30, seed=0)
         np.testing.assert_allclose(model.theta[8], 0.25, rtol=1e-12)
 
     def test_bitwise_reproducibility(self):
-        counts = two_cluster_corpus()
+        counts = two_cluster_counts()
         a = fit_lda(counts, n_topics=3, iters=100, seed=42)
         b = fit_lda(counts, n_topics=3, iters=100, seed=42)
         np.testing.assert_array_equal(a.theta, b.theta)
         np.testing.assert_array_equal(a.phi, b.phi)
 
     def test_seed_changes_assignments(self):
-        counts = two_cluster_corpus()
+        counts = two_cluster_counts()
         a = fit_lda(counts, n_topics=3, iters=50, seed=1)
         b = fit_lda(counts, n_topics=3, iters=50, seed=2)
         assert not np.array_equal(a.theta, b.theta)
@@ -114,7 +102,7 @@ class TestFitLda:
 
     def test_n_topics_floor(self):
         with pytest.raises(ValueError, match="n_topics"):
-            fit_lda(two_cluster_corpus(), n_topics=1)
+            fit_lda(two_cluster_counts(), n_topics=1)
 
     @pytest.mark.parametrize("prior, message", [
         ({"alpha": -1.0}, "alpha must be > 0, got -1.0"),
@@ -124,10 +112,10 @@ class TestFitLda:
     ], ids=["alpha_negative", "alpha_zero", "beta_zero", "beta_negative"])
     def test_nonpositive_prior_rejected(self, prior, message):
         with pytest.raises(ValueError, match=message):
-            fit_lda(two_cluster_corpus(), n_topics=2, iters=20, **prior)
+            fit_lda(two_cluster_counts(), n_topics=2, iters=20, **prior)
 
     def test_default_alpha_is_symmetric_50_over_t(self):
-        model = fit_lda(two_cluster_corpus(), n_topics=5, iters=10, seed=0)
+        model = fit_lda(two_cluster_counts(), n_topics=5, iters=10, seed=0)
         assert model.alpha == pytest.approx(50.0 / 5)
 
 

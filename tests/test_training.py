@@ -99,6 +99,18 @@ class TestTrainLoop:
         assert f"{r1.logs[0].loss_total:.12f}" == f"{r2.logs[0].loss_total:.12f}"
         assert r1.logs[-1].loss_total == r2.logs[-1].loss_total
 
+    def test_gradients_left_by_the_caller_do_not_reach_a_step(self):
+        cfg = tiny_cfg(epochs=1)
+        _, ds1, _, m1 = build_pipeline(cfg)
+        r1 = train(m1, ds1, cfg)
+        _, ds2, _, m2 = build_pipeline(cfg)
+        loss, _ = m2.loss_batch(batch_from_samples(ds2.split.train[:16]),
+                                cfg.loss_weights())
+        dcg.backward(loss)
+        assert train(m2, ds2, cfg).logs == r1.logs
+        for name, p in m1.registry.items():
+            assert m2.registry[name].data.tobytes() == p.data.tobytes()
+
     def test_loss_component_bookkeeping_across_weightings(self):
         for lam in ({"lambda_loc": 1.0, "lambda_time": 0.0, "lambda_aux": 0.0},
                     {"lambda_loc": 1.0, "lambda_time": 0.5, "lambda_aux": 0.5}):
@@ -158,9 +170,9 @@ class TestCheckpointing:
         path = tmp_path / "model.ckpt"
         train(model, ds, cfg, checkpoint_path=path, topic_model=tm)
         ckpt = load_checkpoint(path)
-        restored = model_from_checkpoint(ckpt, use_best=True)
+        restored = model_from_checkpoint(ckpt)
         r1 = evaluate_ranks(restored, ds.split.test)
-        restored2 = model_from_checkpoint(load_checkpoint(path), use_best=True)
+        restored2 = model_from_checkpoint(load_checkpoint(path))
         r2 = evaluate_ranks(restored2, ds.split.test)
         np.testing.assert_array_equal(r1, r2)
 
@@ -178,13 +190,32 @@ class TestCheckpointing:
         train(model_half, ds2, cfg_half, checkpoint_path=path, topic_model=tm2)
 
         ckpt = load_checkpoint(path)
-        resumed = model_from_checkpoint(ckpt, use_best=False)
+        resumed = model_from_checkpoint(ckpt)
         res_resumed = train(resumed, ds2, cfg_full, resume=ckpt)
         assert res_resumed.logs[2].loss_total == res_full.logs[2].loss_total
         assert res_resumed.logs[3].loss_total == res_full.logs[3].loss_total
         assert res_resumed.best_epoch == res_full.best_epoch == 1
         assert res_resumed.best_val_acc1 == res_full.best_val_acc1
         assert res_resumed.best_val_mrr == res_full.best_val_mrr
+
+    def test_resume_restores_the_latest_weights_not_the_best(self, tmp_path):
+        # at seed 1 the 3-epoch checkpoint's best epoch is 1 and its latest
+        # 2; the resumed run continues from epoch 2's weights
+        cfg_full = tiny_cfg(seed=1, epochs=4)
+        _, ds, _, model_full = build_pipeline(cfg_full)
+        res_full = train(model_full, ds, cfg_full)
+
+        cfg_part = tiny_cfg(seed=1, epochs=3)
+        _, ds2, tm2, model_part = build_pipeline(cfg_part)
+        path = tmp_path / "part.ckpt"
+        train(model_part, ds2, cfg_part, checkpoint_path=path, topic_model=tm2)
+        ckpt = load_checkpoint(path)
+        assert (ckpt.meta["best_epoch"], ckpt.meta["epoch"]) == (1, 2)
+
+        res_resumed = train(model_from_checkpoint(ckpt), ds2, cfg_full,
+                            resume=ckpt)
+        assert res_resumed.logs == res_full.logs
+        assert res_resumed.best_epoch == res_full.best_epoch
 
     def test_resume_without_validation_split_keeps_latest_epoch(self, tmp_path):
         cfg = tiny_cfg(epochs=1)
@@ -194,7 +225,7 @@ class TestCheckpointing:
         train(model, ds, cfg, checkpoint_path=path, topic_model=tm)
         ckpt = load_checkpoint(path)
         assert ckpt.meta["best_key"] is None
-        result = train(model_from_checkpoint(ckpt, use_best=False), ds,
+        result = train(model_from_checkpoint(ckpt), ds,
                        tiny_cfg(epochs=2), resume=ckpt)
         assert result.best_val_acc1 is None and result.best_val_mrr is None
         assert result.best_epoch == 1
@@ -205,7 +236,7 @@ class TestCheckpointing:
         train(model, ds, cfg, checkpoint_path=tmp_path / "one.ckpt",
               topic_model=tm)
         ckpt = load_checkpoint(tmp_path / "one.ckpt")
-        resumed = model_from_checkpoint(ckpt, use_best=False)
+        resumed = model_from_checkpoint(ckpt)
         with pytest.raises(ValueError, match="topic model"):
             train(resumed, ds, tiny_cfg(epochs=2), topic_model=tm, resume=ckpt)
         train(resumed, ds, tiny_cfg(epochs=2),
@@ -276,15 +307,42 @@ class TestEvaluateModel:
             with pytest.raises(dcg.NumericFault, match="batch 0"):
                 train(model, ds, cfg)
 
+    def test_non_finite_parameter_keeps_the_previous_checkpoint(self, tmp_path,
+                                                                monkeypatch):
+        # an inf written by the last step of epoch 1 stops the run before
+        # epoch 1 is checkpointed, at the default log level
+        cfg = tiny_cfg(epochs=2)
+        _, ds, tm, model = build_pipeline(cfg)
+        steps = math.ceil(len(ds.split.train) / cfg.train.batch_size)
+        real_step = AdamW.step
+
+        def poisoned_step(self):
+            real_step(self)
+            if self.step_count == 2 * steps:
+                self.registry["decoder.loc.w"].data[0, 0] = np.inf
+
+        monkeypatch.setattr(AdamW, "step", poisoned_step)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(dcg.NumericFault, match=re.escape(
+                f"non-finite parameter 'decoder.loc.w' after epoch 1 batch {steps - 1}")):
+            train(model, ds, cfg, checkpoint_path=path, topic_model=tm)
+        ckpt = load_checkpoint(path)
+        assert ckpt.meta["epoch"] == ckpt.meta["best_epoch"] == 0
+        [row] = ckpt.logs()
+        assert ckpt.meta["best_key"] == [row.val_acc1, row.val_mrr]
+        for arrays in (ckpt.params, ckpt.best_params):
+            assert all(np.isfinite(a).all() for a in arrays.values())
+
     @pytest.mark.parametrize("level, message", [
         (logging.DEBUG,
          "non-finite parameter 'decoder.loc.w' after epoch 0 batch 0"),
-        (logging.INFO, "non-finite loss at epoch 0 batch 1"),
+        (logging.INFO,
+         "non-finite parameter 'decoder.loc.w' after epoch 0 batch 0"),
     ], ids=["debug", "info"])
     def test_debug_log_checks_parameters_after_each_step(
             self, caplog, monkeypatch, level, message):
-        # at the debug level the parameter scan catches the bad step itself;
-        # otherwise only the next step's loss shows it
+        # at every log level the parameter scan catches the bad step itself,
+        # not the next step's loss
         cfg = tiny_cfg(epochs=1, warmup=0)
         cfg.train.batch_size = 16
         _, ds, _, model = build_pipeline(cfg)

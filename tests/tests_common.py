@@ -4,6 +4,7 @@ import numpy as np
 
 from canoe.data import (ActivitySequence, Dataset, Split, WindowSample, Windows,
                         hour_slot)
+from canoe.mmc import TransitionModel, _scores
 
 
 def two_cluster_counts() -> np.ndarray:
@@ -17,6 +18,13 @@ def two_cluster_counts() -> np.ndarray:
         counts[u, 2] = rng.integers(20, 40)
         counts[u, 3] = rng.integers(20, 40)
     return counts
+
+
+def rank_locations(model: TransitionModel, user: int, current_loc: int) -> list[int]:
+    """All candidate locations, best first: a sort of mmc._scores, the
+    oracle mmc.rank_of_target is tested against."""
+    scores = _scores(model, user, current_loc)
+    return np.lexsort((np.arange(scores.size), -scores)).tolist()
 
 
 # ---------------------------------------------------------------------------
