@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "N_SLOTS", "CheckIn", "ActivitySequence", "WindowSample", "Windows",
+    "N_SLOTS", "ActivitySequence", "WindowSample", "Windows",
     "Split", "Dataset", "hour_slot", "train_location_region", "prepare_dataset",
     "write_checkins", "read_checkins", "build_manifest", "write_text",
 ]
@@ -29,12 +29,6 @@ VALUE_BOUND = 2 ** 62
 # the largest window_len whose context rows numpy can build: an int64 array
 # at most 2**60 - 1 wide, even with no rows (Windows.gather)
 WINDOW_LEN_BOUND = 2 ** 60
-
-
-class CheckIn(NamedTuple):
-    user: int
-    loc: int
-    t: int  # seconds
 
 
 @dataclass
@@ -87,8 +81,6 @@ class Windows:
                        self.locations, self.slots, self.context_len)
 
     def __iter__(self):
-        if not len(self):  # not gathered: see gather()
-            return iter(())
         ctx_locs, ctx_slots, target_locs, target_slots = self.gather()
         return map(WindowSample._make, zip(
             self.users.tolist(), map(tuple, ctx_locs.tolist()),
@@ -99,8 +91,7 @@ class Windows:
         """The [N, context_len] context locations and slots, then the [N]
         target locations and slots. An empty Windows builds no row of
         context_len offsets, so it allocates nothing at a huge context_len
-        (up to WINDOW_LEN_BOUND - 1); iterating an empty Windows does not
-        gather, whatever its context_len."""
+        (up to WINDOW_LEN_BOUND - 1)."""
         if len(self):
             rows = self.end[:, None] + np.arange(-self.context_len, 0)
         else:
@@ -146,17 +137,21 @@ def train_location_region(sequences: dict[int, ActivitySequence],
 
 def prepare_dataset(checkins, theta: int = 3600, window_len: int = 20,
                     stride: int = 1, min_records: int = 100) -> Dataset:
-    """Preprocessing of an [N, 3] (user, loc, t) array or a list of CheckIn:
-    each user's check-ins sorted stably by time; consecutive same-location
-    runs collapsed, and those dwelling >= theta kept as their location and
-    the hour slot of their first time; users with fewer than min_records
-    kept runs dropped; a window ending at every stride-th record from the
+    """Preprocessing of an [N, 3] (user, loc, t) array: each user's
+    check-ins sorted stably by time; consecutive same-location runs
+    collapsed, and those dwelling >= theta kept as their location and the
+    hour slot of their first time; users with fewer than min_records kept
+    runs dropped; a window ending at every stride-th record from the
     window_len-th; a chronological 7:1:2 per-user split, train and val
-    sizes floored."""
+    sizes floored. window_len and stride have the config's ranges."""
     if window_len < 2:
         raise ValueError(f"window_len must be >= 2, got {window_len}")
+    if window_len > WINDOW_LEN_BOUND:
+        raise ValueError(f"window_len must be <= {WINDOW_LEN_BOUND}, got {window_len}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if stride > VALUE_BOUND:
+        raise ValueError(f"stride must be <= {VALUE_BOUND}, got {stride}")
     records = np.asarray(checkins, dtype=np.int64).reshape(-1, 3)
     if not len(records):
         raise ValueError("empty check-in list")
@@ -205,31 +200,22 @@ def write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def build_manifest(checkins: list[CheckIn]) -> dict:
-    users = {c.user for c in checkins}
-    locs = {c.loc for c in checkins}
-    if checkins:
-        t_min = min(c.t for c in checkins)
-        t_max = max(c.t for c in checkins)
-        days = max(1, math.ceil((t_max - t_min + 1) / SECONDS_PER_DAY))
-    else:
-        days = 0
-    return {
-        "users": len(users),
-        "checkins": len(checkins),
-        "locations": len(locs),
-        "duration_days": days,
-    }
+def build_manifest(checkins: np.ndarray) -> dict:
+    """The counts of an [N, 3] (user, loc, t) array: its distinct users and
+    locations, its rows, and the days its times span."""
+    user, loc, t = checkins.T
+    days = max(1, math.ceil((int(t.max()) - int(t.min()) + 1) / SECONDS_PER_DAY)) if len(t) else 0
+    return {"users": len(np.unique(user)), "checkins": len(checkins),
+            "locations": len(np.unique(loc)), "duration_days": days}
 
 
-def write_checkins(path: str | Path, checkins: list[CheckIn]) -> dict:
-    """Write the check-ins as JSONL sorted by (user, t), creating the parent
-    directory; returns their counts (build_manifest)."""
-    ordered = sorted(checkins, key=lambda c: (c.user, c.t))
-    write_text(path, "".join(
-        json.dumps({"user": c.user, "loc": c.loc, "t": c.t},
-                   separators=(",", ":")) + "\n"
-        for c in ordered))
+def write_checkins(path: str | Path, checkins: np.ndarray) -> dict:
+    """Write an [N, 3] (user, loc, t) array as JSONL sorted stably by
+    (user, t), creating the parent directory; returns its counts
+    (build_manifest)."""
+    ordered = checkins[np.lexsort((checkins[:, 2], checkins[:, 0]))]
+    write_text(path, "".join('{"user":%d,"loc":%d,"t":%d}\n' % (u, l, t)
+                             for u, l, t in ordered.tolist()))
     return build_manifest(ordered)
 
 
@@ -257,17 +243,22 @@ def _in_written_form(raw: bytes, chunk: int = 1 << 16) -> bool:
     return True
 
 
+def _json_object(pairs: list[tuple]) -> dict | list[tuple]:
+    """A JSON object as a dict, or as its (key, value) pairs if a key repeats."""
+    return dict(pairs) if len(dict(pairs)) == len(pairs) else pairs
+
+
 def _parse_record(path: str | Path, line_no: int, line: str) -> tuple[int, int, int]:
     """One stripped line as (user, loc, t), checked in the order a reader
-    meets the faults: JSON syntax, the key set, each value's type in file
-    order, the user and loc signs, then each value's bound."""
+    meets the faults: JSON syntax, the key set (each key once), each value's
+    type in file order, the user and loc signs, then each value's bound."""
     try:
-        row = json.loads(line)
+        row = json.loads(line, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{line_no}: record must be a JSON object "
                          f"({exc.msg} at column {exc.colno})") from None
     if not isinstance(row, dict) or set(row) != {"user", "loc", "t"}:
-        raise ValueError(f"{path}:{line_no}: record keys must be exactly user/loc/t")
+        raise ValueError(f"{path}:{line_no}: record keys must be exactly user/loc/t, each once")
     for key, value in row.items():
         # bool is an int subclass; JSON true/false is not an id
         if type(value) is not int:
@@ -289,17 +280,21 @@ def read_checkins(path: str | Path) -> np.ndarray:
 
     A file of write_checkins' lines only is checked by one regular
     expression (_in_written_form) and its numbers parsed in one numpy call.
-    Any other file is read line by line by _parse_record, whose ValueError
-    names <path>:<line> and the first fault.
+    Any other file is split at LF, CRLF or a lone CR, as text mode splits
+    it, and each line decoded as UTF-8 and parsed by _parse_record; the
+    ValueError names <path>:<line> and the first fault.
     """
     raw = Path(path).read_bytes()
     if _in_written_form(raw):
         return np.fromstring(raw.translate(*_NUMBERS_ONLY), dtype=np.int64,
                              sep=" ").reshape(-1, 3)
     out: list[int] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                out += _parse_record(path, line_no, line)
+    for line_no, line in enumerate(raw.splitlines(), 1):
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{line_no}: record must be UTF-8 text "
+                             f"({exc.reason} at byte {exc.start + 1})") from None
+        if text:
+            out += _parse_record(path, line_no, text)
     return np.array(out, dtype=np.int64).reshape(-1, 3)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import N_SLOTS, SECONDS_PER_DAY, SECONDS_PER_HOUR, CheckIn
+from .data import N_SLOTS, SECONDS_PER_DAY, SECONDS_PER_HOUR, VALUE_BOUND
 
 __all__ = ["SyntheticConfig", "generate_synthetic"]
 
@@ -48,6 +48,9 @@ class SyntheticConfig:
                      "returner_anchor_count", "dwell_seconds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if (end := self.days * SECONDS_PER_DAY + self.dwell_seconds) > VALUE_BOUND:
+            raise ValueError(f"days * {SECONDS_PER_DAY} + dwell_seconds must be "
+                             f"<= {VALUE_BOUND}, got {end}")
 
 
 def _spaced_slots(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -61,22 +64,22 @@ def _spaced_slots(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.sort(positions)
 
 
-def generate_synthetic(cfg: SyntheticConfig) -> list[CheckIn]:
-    checkins: list[CheckIn] = []
-    all_locations = np.arange(cfg.num_locations)
+def generate_synthetic(cfg: SyntheticConfig) -> np.ndarray:
+    """The check-ins as an [N, 3] int64 array of (user, loc, t) rows: user
+    by user, day by day, each visit's arrival and then its departure."""
+    locs = np.empty((cfg.num_users, cfg.days, cfg.activities_per_day), dtype=np.int64)
+    slots = np.empty((cfg.num_users, cfg.activities_per_day), dtype=np.int64)
     for user in range(cfg.num_users):
         rng = np.random.default_rng([cfg.seed, user])
         anchors = rng.choice(cfg.num_locations, size=cfg.returner_anchor_count,
                              replace=False)
-        non_anchors = np.setdiff1d(all_locations, anchors)
-        slots = _spaced_slots(rng, cfg.activities_per_day)
-        for day in range(cfg.days):
-            for j, slot in enumerate(slots):
-                loc = int(anchors[j % cfg.returner_anchor_count])
-                if rng.random() < cfg.p_explore:
-                    loc = int(non_anchors[rng.integers(0, len(non_anchors))])
-                t0 = day * SECONDS_PER_DAY + int(slot) * SECONDS_PER_HOUR
-                checkins.append(CheckIn(user=user, loc=loc, t=t0))
-                checkins.append(CheckIn(user=user, loc=loc,
-                                        t=t0 + cfg.dwell_seconds))
-    return checkins
+        non_anchors = np.setdiff1d(np.arange(cfg.num_locations), anchors)
+        slots[user] = _spaced_slots(rng, cfg.activities_per_day)
+        locs[user] = anchors[np.arange(cfg.activities_per_day) % cfg.returner_anchor_count]
+        for day, j in np.ndindex(locs.shape[1:]):
+            if rng.random() < cfg.p_explore:
+                locs[user, day, j] = non_anchors[rng.integers(0, len(non_anchors))]
+    t = (np.arange(cfg.days)[:, None, None] * SECONDS_PER_DAY
+         + slots[:, None, :, None] * SECONDS_PER_HOUR + (0, cfg.dwell_seconds))
+    user = np.arange(cfg.num_users)[:, None, None, None]
+    return np.stack(np.broadcast_arrays(user, locs[..., None], t), axis=-1).reshape(-1, 3)

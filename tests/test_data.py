@@ -11,14 +11,14 @@ import pytest
 from canoe import data
 from canoe.cli import main
 from canoe.config import load_config
-from canoe.data import (ActivitySequence, CheckIn, Split, WindowSample,
-                        build_manifest, hour_slot, prepare_dataset,
-                        read_checkins, train_location_region, write_checkins)
+from canoe.data import (ActivitySequence, Split, WindowSample, build_manifest,
+                        hour_slot, prepare_dataset, read_checkins,
+                        train_location_region, write_checkins)
 from canoe.evaluation import prefix_entropy
 from canoe.synthetic import SyntheticConfig, generate_synthetic
 from canoe.training import sample_entropies
 from tests_common import (as_windows, extract_activity_sequence, make_windows,
-                          oracle_dataset, split_samples)
+                          oracle_dataset, split_samples, write_checkins_sorted)
 
 H = 3600
 
@@ -29,39 +29,39 @@ def brute_force_activity_scan(checkins, theta):
     i = 0
     while i < len(checkins):
         j = i
-        while j + 1 < len(checkins) and checkins[j + 1].loc == checkins[i].loc:
+        while j + 1 < len(checkins) and checkins[j + 1][1] == checkins[i][1]:
             j += 1
-        if checkins[j].t - checkins[i].t >= theta:
-            out.append((checkins[i].loc, hour_slot(checkins[i].t)))
+        if checkins[j][2] - checkins[i][2] >= theta:
+            out.append((checkins[i][1], hour_slot(checkins[i][2])))
         i = j + 1
     return out
 
 
 class TestExtraction:
     def test_threshold_filters_short_visit(self):
-        cs = [CheckIn(0, 5, 9 * H), CheckIn(0, 5, 10 * H + 1800),
-              CheckIn(0, 7, 10 * H + 2000), CheckIn(0, 7, 10 * H + 2600),
-              CheckIn(0, 5, 11 * H), CheckIn(0, 5, 13 * H)]
+        cs = [(0, 5, 9 * H), (0, 5, 10 * H + 1800),
+              (0, 7, 10 * H + 2000), (0, 7, 10 * H + 2600),
+              (0, 5, 11 * H), (0, 5, 13 * H)]
         seq = extract_activity_sequence(cs, theta=3600)
         assert seq.locations == [5, 5]
         assert seq.slots == [9, 11]
 
     def test_single_checkin_has_zero_dwell(self):
-        seq = extract_activity_sequence([CheckIn(0, 3, 1000)], theta=3600)
+        seq = extract_activity_sequence([(0, 3, 1000)], theta=3600)
         assert len(seq) == 0
 
     def test_theta_zero_keeps_everything(self):
-        cs = [CheckIn(0, 1, 0), CheckIn(0, 2, 100)]
+        cs = [(0, 1, 0), (0, 2, 100)]
         seq = extract_activity_sequence(cs, theta=0)
         assert seq.locations == [1, 2]
 
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            extract_activity_sequence([CheckIn(0, 1, 100), CheckIn(0, 1, 50)])
+            extract_activity_sequence([(0, 1, 100), (0, 1, 50)])
 
     def test_mixed_users_rejected(self):
         with pytest.raises(ValueError, match="multiple users"):
-            extract_activity_sequence([CheckIn(0, 1, 0), CheckIn(1, 1, 10)])
+            extract_activity_sequence([(0, 1, 0), (1, 1, 10)])
 
     def test_random_streams_match_brute_force_oracle(self):
         rng = np.random.default_rng(7)
@@ -69,7 +69,7 @@ class TestExtraction:
             n = rng.integers(1, 25)
             t = np.cumsum(rng.integers(0, 5000, n))
             locs = rng.integers(0, 4, n)
-            cs = [CheckIn(0, int(l), int(tt)) for l, tt in zip(locs, t)]
+            cs = [(0, int(l), int(tt)) for l, tt in zip(locs, t)]
             theta = int(rng.integers(0, 7000))
             seq = extract_activity_sequence(cs, theta=theta)
             oracle = brute_force_activity_scan(cs, theta)
@@ -156,25 +156,38 @@ class TestTrainRegion:
 
 class TestDatasetIO:
     def test_roundtrip_exact(self, tmp_path, rng):
-        cs = [CheckIn(int(u), int(l), int(t)) for u, l, t in
-              zip(rng.integers(0, 5, 50), rng.integers(0, 9, 50),
-                  rng.integers(0, 10 ** 6, 50))]
+        cs = np.stack([rng.integers(0, 5, 50), rng.integers(0, 9, 50),
+                       rng.integers(0, 10 ** 6, 50)], axis=1)
         path = tmp_path / "data.jsonl"
         manifest = write_checkins(path, cs)
         back = read_checkins(path).tolist()
         assert sorted(back, key=lambda c: (c[0], c[2])) == \
-            sorted(map(list, cs), key=lambda c: (c[0], c[2]))
+            sorted(cs.tolist(), key=lambda c: (c[0], c[2]))
         assert manifest == build_manifest(cs)
         # the counts are returned, not written beside the data
         assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
 
     def test_lines_sorted_by_user_then_time(self, tmp_path):
-        cs = [CheckIn(1, 0, 50), CheckIn(0, 0, 99), CheckIn(0, 1, 10)]
+        cs = np.array([(1, 0, 50), (0, 0, 99), (0, 1, 10)])
         path = tmp_path / "d.jsonl"
         write_checkins(path, cs)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         keys = [(r["user"], r["t"]) for r in rows]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("rows", [
+        # few distinct (user, t) keys, so most rows tie
+        np.stack([np.random.default_rng(4).integers(0, 3, 300),
+                  np.arange(300), np.random.default_rng(5).integers(-2, 3, 300)],
+                 axis=1),
+        np.array([[2 ** 62 - 1, 0, 2 ** 62 - 1], [0, 2 ** 62 - 1, -(2 ** 62 - 1)],
+                  [0, 5, -(2 ** 62 - 1)], [2 ** 62 - 1, 1, 2 ** 62 - 1]]),
+        np.empty((0, 3), dtype=np.int64),
+    ], ids=["ties", "bounds", "empty"])
+    def test_equal_keys_keep_their_order(self, tmp_path, rows):
+        write_checkins(tmp_path / "a.jsonl", rows)
+        write_checkins_sorted(tmp_path / "b.jsonl", rows)
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -196,6 +209,38 @@ class TestDatasetIO:
         path.write_text('{"user": 0, "loc": 0, "t": 0}\n' + line + "\n")
         with pytest.raises(ValueError, match=rf"bad.jsonl:2: {field} must be"):
             read_checkins(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"user":0,"loc":1,"t":5,"user":3}', '{"t": 5, "loc": 1, "user": 0, "t": 5}',
+    ])
+    def test_repeated_key_rejected(self, tmp_path, capsys, line):
+        path = tmp_path / "dup.jsonl"
+        path.write_text('{"user":0,"loc":0,"t":0}\n' + line + "\n")
+        with pytest.raises(ValueError) as info:
+            read_checkins(path)
+        assert str(info.value) == (f"{path}:2: record keys must be exactly "
+                                   "user/loc/t, each once")
+        assert main(["preprocess", "--data", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    @pytest.mark.parametrize("ends", [(b"\n",), (b"\r\n",), (b"\r",),
+                                      (b"\r", b"\r\n", b"\n", b"\n\r")],
+                             ids=["lf", "crlf", "cr", "mixed"])
+    def test_line_that_is_not_utf8_is_named(self, tmp_path, capsys, ends):
+        lines = [b'{"user": 0, "loc": 0, "t": 0}', b"", b"  ",
+                 b'{"user": 0, "loc": 1, "t": 5}', b'{"user": 0, "loc": 2, "t": 9}',
+                 b'{"user": 1, "loc": 2, "t": 9, "x": "\xff"}', b'{"user": 2']
+        path = tmp_path / "latin.jsonl"
+        path.write_bytes(b"".join(line + ends[i % len(ends)]
+                                  for i, line in enumerate(lines)))
+        with path.open(encoding="latin-1") as fh:  # text mode's line numbers
+            line_no = next(i for i, line in enumerate(fh, 1) if "\xff" in line)
+        with pytest.raises(ValueError) as info:
+            read_checkins(path)
+        assert str(info.value) == (f"{path}:{line_no}: record must be UTF-8 text "
+                                   "(invalid start byte at byte 37)")
+        assert main(["preprocess", "--data", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
 
     def test_layout_does_not_change_records(self, tmp_path):
         rows = [(3, 1, 500), (0, 2, 70), (3, 0, 20), (0, 2, 70), (1, 4, 9)]
@@ -322,7 +367,7 @@ class TestDatasetIO:
         assert read_checkins(path).tolist() == rows
 
     def test_manifest_counts(self):
-        cs = [CheckIn(0, 0, 0), CheckIn(0, 1, 86400 * 3), CheckIn(2, 0, 100)]
+        cs = np.array([(0, 0, 0), (0, 1, 86400 * 3), (2, 0, 100)])
         m = build_manifest(cs)
         assert m == {"users": 2, "checkins": 3, "locations": 2,
                      "duration_days": 4}
@@ -336,13 +381,13 @@ class TestPrepareMatchesOracle:
         """Check-ins of interleaved users in shuffled file order: runs of 1-3
         check-ins at one location, steps of 0 s (equal times), under and
         over an hour; user 9 has one check-in, so no run that dwells."""
-        rows = [CheckIn(9, 0, int(rng.integers(-H, H)))]
+        rows = [(9, 0, int(rng.integers(-H, H)))]
         for user in rng.permutation(8)[:rng.integers(1, 9)].tolist():
             t = int(rng.integers(-10 * H, 10 * H))
             for _ in range(int(rng.integers(0, 90))):
                 loc = int(rng.integers(0, 5))
                 for _ in range(int(rng.integers(1, 4))):
-                    rows.append(CheckIn(user, loc, t))
+                    rows.append((user, loc, t))
                     t += int(rng.choice([0, 600, 1800, 3600, 7200]))
         return [rows[i] for i in rng.permutation(len(rows))]
 
@@ -396,10 +441,16 @@ class TestPrepareDataset:
         (dict(window_len=1), "window_len must be >= 2, got 1"),
         (dict(window_len=0), "window_len must be >= 2, got 0"),
         (dict(stride=0), "stride must be >= 1, got 0"),
+        (dict(window_len=data.WINDOW_LEN_BOUND + 1),
+         f"window_len must be <= {2 ** 60}, got {2 ** 60 + 1}"),
+        (dict(window_len=2 ** 63), f"window_len must be <= {2 ** 60}, got {2 ** 63}"),
+        (dict(stride=data.VALUE_BOUND + 1),
+         f"stride must be <= {2 ** 62}, got {2 ** 62 + 1}"),
+        (dict(stride=2 ** 63), f"stride must be <= {2 ** 62}, got {2 ** 63}"),
     ])
     def test_window_len_and_stride_floors(self, kw, message):
         with pytest.raises(ValueError, match=message):
-            prepare_dataset([CheckIn(0, 0, 0), CheckIn(0, 0, 7200)], **kw)
+            prepare_dataset([(0, 0, 0), (0, 0, 7200)], **kw)
 
     # the config's ceiling on each: the window arithmetic stays within int64,
     # and every split gathers its context rows, empty ones included
@@ -422,7 +473,7 @@ class TestPrepareDataset:
         assert len(want.split.test) == (5 if key == "stride" else 0)
 
     def test_id_space_covers_max_ids(self):
-        cs = [CheckIn(7, 33, 0), CheckIn(7, 33, 7200)]
+        cs = [(7, 33, 0), (7, 33, 7200)]
         ds = prepare_dataset(cs, window_len=2, min_records=0)
         assert ds.n_users == 8 and ds.n_locations == 34
 
@@ -446,7 +497,7 @@ class TestSampleEntropies:
 
     def test_positions_outside_the_sequence_act_as_slices(self):
         seq = ActivitySequence(0, np.array([1, 2, 1, 3]), np.array([0, 1, 2, 3]))
-        ds = prepare_dataset([CheckIn(0, 0, 0)], min_records=1000)
+        ds = prepare_dataset([(0, 0, 0)], min_records=1000)
         ds.sequences[0] = seq
         samples = [WindowSample(0, (), (), 0, 0, pos) for pos in (9, 2, -1)]
         want = [prefix_entropy(seq.locations[:pos]) for pos in (9, 2, -1)]
@@ -465,6 +516,16 @@ class TestSyntheticGenerator:
         write_checkins(b, generate_synthetic(cfg))
         assert hashlib.sha256(a.read_bytes()).hexdigest() == \
             hashlib.sha256(b.read_bytes()).hexdigest()
+
+    def test_generated_bytes_and_counts_pinned(self, tmp_path):
+        checkins = generate_synthetic(SyntheticConfig(
+            seed=5, num_users=6, num_locations=12, days=3, p_explore=0.3))
+        assert checkins.dtype == np.int64 and checkins.shape == (216, 3)
+        path = tmp_path / "d.jsonl"
+        assert write_checkins(path, checkins) == {
+            "users": 6, "checkins": 216, "locations": 12, "duration_days": 3}
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e5c6a761c321d9ff2e08c734ebb653f99b65564aa3d1ac75fb6a7a168f84723d")
 
     def test_pure_returner_is_slot_deterministic(self):
         cfg = SyntheticConfig(seed=9, num_users=5, num_locations=15, days=10,
@@ -498,7 +559,7 @@ class TestSyntheticGenerator:
         # two check-ins per visit; runs may merge but never drop below
         # the per-day visit count minus possible merges
         for user, seq in ds.sequences.items():
-            n_visits = sum(1 for c in checkins if c.user == user) // 2
+            n_visits = np.count_nonzero(checkins[:, 0] == user) // 2
             assert len(seq) <= n_visits
             assert len(seq) >= n_visits - cfg.days - n_visits // 3
 
@@ -517,6 +578,16 @@ class TestSyntheticGenerator:
             SyntheticConfig(seed=1, p_explore=1.5)
         with pytest.raises(ValueError, match="num_locations"):
             SyntheticConfig(seed=1, num_locations=3, returner_anchor_count=3)
+
+    def test_times_stay_within_the_reader_bound(self):
+        cfg = SyntheticConfig(seed=1, num_users=2, num_locations=4, days=2,
+                              dwell_seconds=2 ** 62 - 2 * 86400)
+        t = generate_synthetic(cfg)[:, 2]
+        assert 0 <= t.min() and t.max() < 2 ** 62
+        assert np.diff(t)[::2].tolist() == [cfg.dwell_seconds] * (len(t) // 2)
+        with pytest.raises(ValueError, match=r"days \* 86400 \+ dwell_seconds "
+                                             rf"must be <= {2 ** 62}, got {2 ** 62 + 1}"):
+            SyntheticConfig(seed=1, days=2, dwell_seconds=2 ** 62 - 2 * 86400 + 1)
 
     def test_slot_entropy_zero_for_returners(self):
         # per-user, per-slot location entropy is zero when p_explore = 0

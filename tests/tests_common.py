@@ -1,5 +1,7 @@
 """Helpers shared between test modules."""
 
+import json
+
 import numpy as np
 
 from canoe.data import (ActivitySequence, Dataset, Split, WindowSample, Windows,
@@ -149,21 +151,21 @@ def split_samples(samples_by_user):
 
 def oracle_dataset(checkins, theta=3600, window_len=20, stride=1,
                    min_records=100):
-    """prepare_dataset record by record over CheckIn rows: sequences of
-    lists and a Split of WindowSample lists."""
-    by_user = {}
-    for c in checkins:
-        by_user.setdefault(c.user, []).append(c)
+    """prepare_dataset record by record over (user, loc, t) rows: sequences
+    of lists and a Split of WindowSample lists."""
+    rows, by_user = np.asarray(checkins).tolist(), {}
+    for c in rows:
+        by_user.setdefault(c[0], []).append(c)
     sequences, samples_by_user = {}, {}
     for user in sorted(by_user):
-        seq = extract_activity_sequence(sorted(by_user[user], key=lambda c: c.t),
+        seq = extract_activity_sequence(sorted(by_user[user], key=lambda c: c[2]),
                                         theta=theta)
         if len(seq) >= min_records:
             sequences[user] = seq
             samples_by_user[user] = make_windows(seq, window_len, stride)
     return Dataset(sequences, split_samples(samples_by_user),
                    n_users=max(0, max(by_user)) + 1,
-                   n_locations=max(0, max(c.loc for c in checkins)) + 1)
+                   n_locations=max(0, max(c[1] for c in rows)) + 1)
 
 
 def as_windows(samples):
@@ -178,3 +180,15 @@ def as_windows(samples):
                    + context_len,
                    np.array(locations, dtype=np.int64),
                    np.array(slots, dtype=np.int64), context_len)
+
+
+# ---------------------------------------------------------------------------
+# the sorted() and json.dumps writer, the oracle of data.write_checkins
+
+def write_checkins_sorted(path, checkins) -> None:
+    """write_checkins' file record by record: the (user, loc, t) rows sorted
+    by sorted() on a (user, t) key, each written by json.dumps."""
+    ordered = sorted(np.asarray(checkins).tolist(), key=lambda c: (c[0], c[2]))
+    path.write_text("".join(
+        json.dumps({"user": u, "loc": l, "t": t}, separators=(",", ":")) + "\n"
+        for u, l, t in ordered), encoding="utf-8")
