@@ -250,13 +250,17 @@ def _json_object(pairs: list[tuple]) -> dict | list[tuple]:
 
 def _parse_record(path: str | Path, line_no: int, line: str) -> tuple[int, int, int]:
     """One stripped line as (user, loc, t), checked in the order a reader
-    meets the faults: JSON syntax, the key set (each key once), each value's
-    type in file order, the user and loc signs, then each value's bound."""
+    meets the faults: JSON syntax and integers too long to convert, the key
+    set (each key once), each value's type in file order, the user and loc
+    signs, then each value's bound."""
     try:
         row = json.loads(line, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{line_no}: record must be a JSON object "
                          f"({exc.msg} at column {exc.colno})") from None
+    except ValueError as exc:  # an integer longer than int() converts
+        raise ValueError(f"{path}:{line_no}: values must be within ±2**62 "
+                         f"({str(exc).split(';')[0]})") from None
     if not isinstance(row, dict) or set(row) != {"user", "loc", "t"}:
         raise ValueError(f"{path}:{line_no}: record keys must be exactly user/loc/t, each once")
     for key, value in row.items():

@@ -12,7 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .data import write_text
 
 __all__ = [
     "EvalReport", "StratumReport", "compute_metrics", "prefix_entropy",
-    "entropy_of_counts",
     "stratified_reports", "report_to_dict", "format_report_table",
     "report_csv_rows", "write_report",
 ]
@@ -60,21 +59,13 @@ def compute_metrics(ranks: Sequence[int], ks: Sequence[int] = DEFAULT_KS) -> Eva
 def prefix_entropy(prefix: Sequence[int]) -> float:
     """Normalized Shannon entropy of the location distribution over a prefix.
 
-    H = -sum p ln p over the distinct prefix locations, normalized by
-    ln(m) for m distinct locations; defined as 0 when m == 1.
+    H = -sum p ln p over the distinct prefix locations in first-seen order,
+    normalized by ln(m) for m distinct locations; defined as 0 when m == 1.
     """
     n = len(prefix)
     if n < 1:
         raise ValueError("prefix must contain at least one element")
-    return entropy_of_counts(Counter(prefix).values(), n)
-
-
-def entropy_of_counts(counts: Collection[int], n: int) -> float:
-    """prefix_entropy of a prefix of n items with these per-location counts.
-
-    The sum runs over counts in the given order, so counts in first-seen
-    order, as Counter(prefix) holds them, give prefix_entropy's float.
-    """
+    counts = Counter(prefix).values()
     m = len(counts)
     if m == 1:
         return 0.0

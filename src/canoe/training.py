@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 import time
 import typing
 import zipfile
@@ -26,8 +27,7 @@ from .data import Dataset, Windows, write_text
 from .dcg import AdamW, NumericFault
 from .decoder import LossWeights
 from .evaluation import (DEFAULT_KS, DEFAULT_THRESHOLDS, EvalReport,
-                         compute_metrics, entropy_of_counts, prefix_entropy,
-                         stratified_reports)
+                         compute_metrics, stratified_reports)
 from .model import CanoeModel, batch_from_samples
 from .topics import TopicModel
 
@@ -42,6 +42,8 @@ log = logging.getLogger("canoe.training")
 
 CHECKPOINT_FORMAT = "canoe-ckpt-3"
 EVAL_BATCH = 512
+# sample_entropies' count matrix holds at most this many counts at a time
+_ENTROPY_BLOCK = 1 << 17
 
 
 @dataclass
@@ -102,27 +104,99 @@ def evaluate_ranks(model: CanoeModel, samples: Windows) -> np.ndarray:
     return np.concatenate(ranks) if ranks else np.empty(0, dtype=np.int64)
 
 
+def _entropy_terms(keys: np.ndarray, width: int) -> list[float]:
+    """p * math.log(p), p = c / n, of each key c * width + n, as
+    prefix_entropy computes a term; 0.0 for c == 0."""
+    return [p * math.log(p) if p else 0.0
+            for p in (k // width / (k % width) for k in keys.tolist())]
+
+
+def _first_seen(locs: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sequences concatenated in locs: each record's location as the
+    index of its first visit among its sequence's first visits, and the
+    number of first visits among records 0..j (inclusive) at each j."""
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    by = np.lexsort((locs, seq))  # stable: each run starts at a first visit
+    seq_by, locs_by = seq[by], locs[by]
+    run = np.append(True, (seq_by[1:] != seq_by[:-1]) | (locs_by[1:] != locs_by[:-1]))
+    first_visit = by[run]
+    firsts = np.zeros(len(locs), dtype=np.int64)
+    firsts[first_visit] = 1
+    np.cumsum(firsts, out=firsts)
+    column = np.empty(len(locs), dtype=np.int64)
+    column[by] = firsts[first_visit[np.cumsum(run) - 1]]
+    column -= np.repeat(firsts[np.cumsum(lengths) - lengths], lengths)
+    return column, firsts
+
+
 def sample_entropies(dataset: Dataset, samples: Windows) -> np.ndarray:
     """prefix_entropy of each sample's prefix, locations[:seq_pos] of its
-    user's sequence, with one pass over each user's locations."""
+    user's sequence, bitwise as prefix_entropy computes it.
+
+    A block of samples' prefix counts is one matrix, a column per sample
+    and a row per location in its user's first-seen order. math.log runs
+    once per distinct count/length pair, and the terms are subtracted row
+    by row, in prefix_entropy's order. A seq_pos outside
+    [1, len(sequence)] raises ValueError.
+    """
     out = np.empty(len(samples))
-    by_user: dict[int, list[int]] = {}
-    for i, user in enumerate(samples.users.tolist()):
-        by_user.setdefault(user, []).append(i)
-    seq_pos = samples.seq_pos.tolist()
-    for user, rows in by_user.items():
-        locations = dataset.sequences[user].locations.tolist()
-        counts: dict[int, int] = {}  # first-seen order, as Counter keeps it
-        n = 0
-        for i in sorted(rows, key=seq_pos.__getitem__):
-            pos = seq_pos[i]
-            if not 0 < pos <= len(locations):  # a slice clamps or wraps
-                out[i] = prefix_entropy(locations[:pos])
-                continue
-            for loc in locations[n:pos]:
-                counts[loc] = counts.get(loc, 0) + 1
-            n = pos
-            out[i] = entropy_of_counts(counts.values(), n)
+    if not len(samples):
+        return out
+    ids, user_idx = np.unique(samples.users, return_inverse=True)
+    seqs = [dataset.sequences[u].locations for u in ids.tolist()]
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    bad = np.flatnonzero((samples.seq_pos < 1) | (samples.seq_pos > lengths[user_idx]))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"sample {i}: seq_pos {samples.seq_pos[i]} is outside "
+                         f"[1, {lengths[user_idx[i]]}], the sequence of user "
+                         f"{samples.users[i]}")
+    # the samples by (user, seq_pos), and each user's locations through its
+    # longest prefix, concatenated: sample i's prefix is locs[start[i]:end[i]]
+    order = np.lexsort((samples.seq_pos, user_idx))
+    user, n = user_idx[order], samples.seq_pos[order]
+    spans = n[np.append(user[1:] != user[:-1], True)]
+    start = (np.cumsum(spans) - spans)[user]
+    end = start + n
+    column, firsts = _first_seen(
+        np.concatenate([seq[:k] for seq, k in zip(seqs, spans.tolist())]), spans)
+    n_rows = int(column.max()) + 1
+    # log of a prefix's distinct locations m; h is 0.0 at m == 1, so is h / 1.0
+    log_m = np.array([1.0, 1.0] + [math.log(k) for k in range(2, n_rows + 1)])
+    m = firsts[end - 1] - firsts[start] + 1
+    width = int(n.max()) + 1  # a (count, n) pair's key is count * width + n
+
+    h = np.zeros(len(samples))
+    block = max(1, _ENTROPY_BLOCK // n_rows)
+    for a in range(0, len(samples), block):
+        b = min(a + block, len(samples))
+        cols = b - a + 1  # one spare column takes the last user's -1s
+        # each record counts +1 from the first sample whose prefix holds it
+        # and -1 from its user's end, so a cumulative sum along a row counts
+        # each prefix's visits to that row's location
+        user_first = np.flatnonzero(np.append(True, user[a + 1:b] != user[a:b - 1]))
+        user_end = np.append(user_first[1:], b - a)
+        row = column[start[a]:end[b - 1]] * cols
+        plus = np.repeat(np.arange(b - a), np.diff(end[a:b], prepend=start[a]))
+        minus = np.repeat(user_end, end[a + user_end - 1] - start[a + user_first])
+        counts = np.bincount(row + plus, minlength=n_rows * cols)
+        counts -= np.bincount(row + minus, minlength=n_rows * cols)
+        counts = counts.reshape(n_rows, cols)
+        keys = np.cumsum(counts, axis=1, out=counts)[:, :-1] * width
+        keys += n[a:b]
+        if width * width <= 2 * keys.size:  # a table over every key
+            seen = np.zeros(width * width, dtype=bool)
+            seen[keys] = True
+            values = np.flatnonzero(seen)
+            terms = np.zeros(width * width)
+            terms[values] = _entropy_terms(values, width)
+        else:
+            values, keys = np.unique(keys.ravel(), return_inverse=True)
+            keys = keys.reshape(n_rows, b - a)
+            terms = np.array(_entropy_terms(values, width))
+        for row_keys in keys:
+            h[a:b] -= terms[row_keys]
+    out[order] = np.minimum(h / log_m[m], 1.0)
     return out
 
 

@@ -3,12 +3,13 @@
 import hashlib
 import json
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from canoe import data
+from canoe import data, training
 from canoe.cli import main
 from canoe.config import load_config
 from canoe.data import (ActivitySequence, Split, WindowSample, build_manifest,
@@ -18,7 +19,8 @@ from canoe.evaluation import prefix_entropy
 from canoe.synthetic import SyntheticConfig, generate_synthetic
 from canoe.training import sample_entropies
 from tests_common import (as_windows, extract_activity_sequence, make_windows,
-                          oracle_dataset, split_samples, write_checkins_sorted)
+                          oracle_dataset, sample_entropies_loop, split_samples,
+                          write_checkins_sorted)
 
 H = 3600
 
@@ -317,6 +319,23 @@ class TestDatasetIO:
         assert main(["preprocess", "--data", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {info.value}\n"
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python converts integers of any length")
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["written-form", "crlf"])
+    @pytest.mark.parametrize("key", ["user", "t"])
+    def test_integer_longer_than_python_converts_is_named(self, tmp_path, capsys,
+                                                           end, key):
+        # 5,001 digits: beyond the default int() conversion limit (4,300)
+        row = {"user": 1, "loc": 2, "t": 3, key: "9" * 5001}
+        path = tmp_path / "long.jsonl"
+        path.write_text('{"user":0,"loc":0,"t":0}' + end
+                        + '{"user":%(user)s,"loc":%(loc)s,"t":%(t)s}' % row + end)
+        with pytest.raises(ValueError) as info:
+            read_checkins(path)
+        assert str(info.value).startswith(f"{path}:2: values must be within ±2**62 (")
+        assert main(["preprocess", "--data", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
     def test_written_form_check_compiles_before_python_3_11(self):
         # no possessive repeat and no atomic group, which need Python 3.11
         assert not re.search(rb"[*+?}]\+|\(\?>", data._WRITTEN_FORM.pattern)
@@ -495,16 +514,46 @@ class TestSampleEntropies:
                 sample_entropies(ds, samples[::-1]), want[::-1])
         assert 0.0 < min(want) < max(want) < 1.0
 
-    def test_positions_outside_the_sequence_act_as_slices(self):
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("block", [1, 50, training._ENTROPY_BLOCK])
+    def test_bitwise_the_per_user_loop_in_any_order(self, monkeypatch, stride, block):
+        # small blocks split users across blocks and take the np.unique
+        # path; the default block takes the table path on the larger splits
+        monkeypatch.setattr(training, "_ENTROPY_BLOCK", block)
+        rng = np.random.default_rng(stride)
+        cfg = SyntheticConfig(seed=12, num_users=9, num_locations=30, days=14,
+                              p_explore=0.4)
+        ds = prepare_dataset(generate_synthetic(cfg), window_len=5,
+                             stride=stride, min_records=20)
+        for samples in (ds.split.train, ds.split.val, ds.split.test):
+            rows = rng.permutation(len(samples))
+            rows = np.concatenate([rows, rows[:7]])  # repeated samples too
+            want = sample_entropies_loop(ds, samples[rows])
+            assert sample_entropies(ds, samples[rows]).tobytes() == want.tobytes()
+
+    def test_bitwise_on_long_and_sparse_sequences(self):
+        # one user's long sequence over ids near 1e11: the np.unique path
+        rng = np.random.default_rng(4)
+        ds = prepare_dataset([(0, 0, 0)], min_records=1000)
+        ids = np.array([5, 10 ** 11, 3, 10 ** 11 + 7, 2 ** 62 - 1])
+        for u, n in ((0, 3000), (4, 1), (9, 40)):
+            ds.sequences[u] = ActivitySequence(u, ids[rng.integers(0, 5, n)], np.zeros(n))
+        samples = [WindowSample(u, (), (), 0, 0, int(pos)) for u, n in ((0, 3000), (4, 1), (9, 40))
+                   for pos in rng.integers(1, n + 1, 200)]
+        got = sample_entropies(ds, as_windows(samples))
+        assert got.tobytes() == sample_entropies_loop(ds, as_windows(samples)).tobytes()
+        assert got.tobytes() == np.array([prefix_entropy(ds.sequences[s.user].locations[:s.seq_pos])
+                                          for s in samples]).tobytes()
+
+    def test_positions_outside_the_sequence_are_refused(self):
         seq = ActivitySequence(0, np.array([1, 2, 1, 3]), np.array([0, 1, 2, 3]))
         ds = prepare_dataset([(0, 0, 0)], min_records=1000)
         ds.sequences[0] = seq
-        samples = [WindowSample(0, (), (), 0, 0, pos) for pos in (9, 2, -1)]
-        want = [prefix_entropy(seq.locations[:pos]) for pos in (9, 2, -1)]
-        np.testing.assert_array_equal(sample_entropies(ds, as_windows(samples)), want)
-        with pytest.raises(ValueError, match="at least one element"):
-            sample_entropies(ds, as_windows(
-                samples + [WindowSample(0, (), (), 0, 0, 0)]))
+        for pos in (0, -1, 5, 9):
+            samples = [WindowSample(0, (), (), 0, 0, p) for p in (4, 2, pos, 1)]
+            with pytest.raises(ValueError, match=re.escape(
+                    f"sample 2: seq_pos {pos} is outside [1, 4], the sequence of user 0")):
+                sample_entropies(ds, as_windows(samples))
 
 
 class TestSyntheticGenerator:

@@ -1,12 +1,19 @@
 """Markov baseline: counting oracle, ranking total order, fallbacks."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from canoe.mmc import TransitionModel, _scores, fit_mmc, rank_of_target
-from tests_common import rank_locations
+import canoe
+from canoe.mmc import TransitionModel, fit_mmc, rank_of_target
+from canoe.model import target_ranks
+from tests_common import dense_scores, fit_mmc_counters, rank_locations
 
 
 def brute_force_pair_counts(locs):
@@ -89,21 +96,24 @@ class TestRanking:
     def assert_scores_order_as_counts(model, users):
         """Sorting by the score row, ties by id, gives the baseline's order:
         (-user count, -global count, id), or by popularity for a state never
-        observed. Returns the number of such popularity states."""
+        observed, and rank_of_target is each target's place in it. Returns
+        the number of such popularity states."""
         n_locs = model.n_locations
         fallbacks = 0
         for u in users:
             for cur in range(n_locs):
-                u_row = model.per_user.get((u, cur), Counter())
-                g_row = model.global_counts.get(cur, Counter())
+                u_row = Counter(model.per_user.get((u, cur), {}))
+                g_row = Counter(model.global_counts.get(cur, {}))
                 if u_row or g_row:
                     key = lambda i: (-u_row[i], -g_row[i], i)
                 else:
-                    key = lambda i: (-model.popularity[i], i)
+                    key = lambda i: (-model.popularity.get(i, 0), i)
                     fallbacks += 1
-                scores = _scores(model, u, cur)
+                scores = dense_scores(model, u, cur)
                 by_score = sorted(range(n_locs), key=lambda i: (-scores[i], i))
                 assert by_score == sorted(range(n_locs), key=key)
+                assert [rank_of_target(model, u, cur, t) for t in by_score] \
+                    == list(range(1, n_locs + 1))
         return fallbacks
 
     def test_scores_order_as_counts_on_fits(self):
@@ -120,7 +130,8 @@ class TestRanking:
 
     def test_scores_order_as_counts_for_any_counts(self):
         """A fit's global counts include the user's, so a user count never
-        exceeds its global count there; the order holds without that."""
+        exceeds its global count there, and a user row's locations are in
+        the global row; the order and the ranks hold without either."""
         rng = np.random.default_rng(9)
         for _ in range(60):
             n_locs = int(rng.integers(2, 7))
@@ -162,3 +173,106 @@ def test_perfect_accuracy_on_deterministic_cycles():
                             s.target_location)
              for s in ds.split.test]
     assert all(r == 1 for r in ranks)
+
+
+def random_regions(rng, n_users, n_locs, ids=None):
+    """Per-user location lists over n_locs locations (ids[i] for location
+    i when given), some empty or of one entry, users in any key order."""
+    regions = {}
+    for u in rng.permutation(n_users).tolist():
+        locs = rng.integers(0, n_locs, rng.choice([0, 1, rng.integers(2, 40)]))
+        regions[u] = [ids[i] for i in locs] if ids is not None else locs.tolist()
+    return regions
+
+
+class TestMatchesCounterForms:
+    """fit_mmc and rank_of_target against the Counter fit and the dense
+    score row they replaced (tests_common)."""
+
+    def test_fit_counts_equal_the_counter_fit(self):
+        rng = np.random.default_rng(21)
+        sparse = [0, 7, 10 ** 11, 2 ** 62 - 1]
+        for trial in range(80):
+            ids = sparse if trial % 4 == 0 else None
+            regions = random_regions(rng, int(rng.integers(1, 6)),
+                                     len(sparse) if ids else int(rng.integers(1, 9)), ids)
+            if not any(regions.values()):
+                continue
+            got = fit_mmc(regions, n_locations=2 ** 62)
+            want = fit_mmc_counters(regions, n_locations=2 ** 62)
+            assert got.per_user == want.per_user
+            assert got.global_counts == want.global_counts
+            assert got.popularity == want.popularity
+
+    def test_ranks_equal_the_dense_score_rows(self):
+        rng = np.random.default_rng(22)
+        seen = Counter()
+        for _ in range(60):
+            n_locs = int(rng.integers(2, 10))
+            n_users = int(rng.integers(1, 5))
+            # the last location is never visited: its state is unseen
+            # everywhere and ranks by popularity
+            regions = random_regions(rng, n_users, n_locs - 1)
+            if not any(regions.values()):
+                continue
+            model = fit_mmc(regions, n_locs)
+            for u in range(n_users + 1):  # the last user has no region
+                for cur in range(n_locs):
+                    scores = dense_scores(model, u, cur)
+                    want = [int(target_ranks(scores, t)) for t in range(n_locs)]
+                    got = [rank_of_target(model, u, cur, t) for t in range(n_locs)]
+                    assert got == want
+                    if (u, cur) in model.per_user:
+                        seen["user row"] += 1
+                    elif cur in model.global_counts:
+                        seen["global fallback"] += 1
+                    else:
+                        seen["popularity"] += 1
+                    seen["score 0"] += int((scores == 0).sum())
+                    seen["tie"] += len(scores) - len(np.unique(scores))
+        assert min(seen.values()) > 0, seen
+
+
+def test_sparse_id_space_runs_in_bounded_memory(tmp_path):
+    """A location id near 1e11 sizes no array: fitting, ranking every test
+    window, the prefix entropies and `canoe mmc` run under a 2 GiB address
+    space, in a child process so that the cap binds nothing else."""
+    script = textwrap.dedent(f"""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        import numpy as np
+        from canoe.cli import main
+        from canoe.data import prepare_dataset, train_location_region, write_checkins
+        from canoe.mmc import fit_mmc, rank_of_target
+        from canoe.synthetic import SyntheticConfig, generate_synthetic
+        from canoe.training import sample_entropies
+
+        big = 99_999_999_999
+        checkins = generate_synthetic(SyntheticConfig(
+            seed=4, num_users=6, num_locations=12, days=12, p_explore=0.3))
+        # one stray check-in as in the reported file, and visits of user 0
+        # to the big id that windows see as context and target
+        t_end = int(checkins[:, 2].max())
+        extra = [(0, big, 5)] + [(0, loc, t_end + 7200 * k) for k, loc in
+                                 enumerate([big, 3, big, big, 5, big] * 4, 1)]
+        checkins = np.concatenate([checkins, np.array(extra, dtype=np.int64)])
+        ds = prepare_dataset(checkins, window_len=6, min_records=20)
+        assert ds.n_locations == big + 1
+        model = fit_mmc(train_location_region(ds.sequences, ds.split), ds.n_locations)
+        test = ds.split.test
+        context, _, targets, _ = test.gather()
+        assert big in targets.tolist()
+        ranks = [rank_of_target(model, u, c, t) for u, c, t in
+                 zip(test.users.tolist(), context[:, -1].tolist(), targets.tolist())]
+        assert min(ranks) >= 1 and max(ranks) <= ds.n_locations
+        assert np.isfinite(sample_entropies(ds, test)).all()
+        path = {str(tmp_path / "data.jsonl")!r}
+        write_checkins(path, checkins)
+        assert main(["mmc", "--data", path, "--set", "data.window_len=6",
+                     "--set", "data.min_records=20",
+                     "--report", {str(tmp_path / "mmc")!r}]) == 0
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(canoe.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr

@@ -1,12 +1,14 @@
 """Helpers shared between test modules."""
 
 import json
+import math
+from collections import Counter
 
 import numpy as np
 
 from canoe.data import (ActivitySequence, Dataset, Split, WindowSample, Windows,
                         hour_slot)
-from canoe.mmc import TransitionModel, _scores
+from canoe.mmc import TransitionModel
 
 
 def two_cluster_counts() -> np.ndarray:
@@ -22,11 +24,85 @@ def two_cluster_counts() -> np.ndarray:
     return counts
 
 
+# ---------------------------------------------------------------------------
+# the Counter and dense-row forms, oracles of mmc.fit_mmc and
+# mmc.rank_of_target
+
+def fit_mmc_counters(train_regions, n_locations) -> TransitionModel:
+    """fit_mmc's counts, one consecutive pair at a time into Counters."""
+    model = TransitionModel(n_locations=n_locations, popularity=Counter())
+    for user, locs in train_regions.items():
+        for src, dst in zip(locs[:-1], locs[1:]):
+            model.per_user.setdefault((user, src), Counter())[dst] += 1
+            model.global_counts.setdefault(src, Counter())[dst] += 1
+        model.popularity.update(locs)
+    return model
+
+
+def _dense(counts, n_locations: int) -> np.ndarray:
+    row = np.zeros(n_locations, dtype=np.int64)
+    for loc, c in (counts or {}).items():
+        row[loc] = c
+    return row
+
+
+def dense_scores(model: TransitionModel, user: int, current_loc: int) -> np.ndarray:
+    """One int64 score per location, the best highest. For per-user and
+    global transition counts u and g out of the current state it is
+    u * (max(g) + 1) + g, which orders locations as the pair (u, g) does
+    since 0 <= g <= max(g); for a state never observed anywhere it is the
+    popularity counts."""
+    u_row = model.per_user.get((user, current_loc))
+    g_row = model.global_counts.get(current_loc)
+    if not u_row and not g_row:
+        return _dense(model.popularity, model.n_locations)
+    u = _dense(u_row, model.n_locations)
+    g = _dense(g_row, model.n_locations)
+    return u * (g.max() + 1) + g
+
+
 def rank_locations(model: TransitionModel, user: int, current_loc: int) -> list[int]:
-    """All candidate locations, best first: a sort of mmc._scores, the
+    """All candidate locations, best first: a sort of dense_scores, the
     oracle mmc.rank_of_target is tested against."""
-    scores = _scores(model, user, current_loc)
+    scores = dense_scores(model, user, current_loc)
     return np.lexsort((np.arange(scores.size), -scores)).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the per-user counting loop, the oracle of training.sample_entropies
+
+def entropy_of_counts(counts, n: int) -> float:
+    """prefix_entropy of a prefix of n items with these per-location counts,
+    summed in the given order."""
+    m = len(counts)
+    if m == 1:
+        return 0.0
+    h = 0.0
+    for c in counts:
+        p = c / n
+        h -= p * math.log(p)
+    return min(h / math.log(m), 1.0)
+
+
+def sample_entropies_loop(dataset, samples) -> np.ndarray:
+    """sample_entropies with one pass over each user's locations, counts in
+    a dict in first-seen order, as Counter keeps them."""
+    out = np.empty(len(samples))
+    by_user = {}
+    for i, user in enumerate(samples.users.tolist()):
+        by_user.setdefault(user, []).append(i)
+    seq_pos = samples.seq_pos.tolist()
+    for user, rows in by_user.items():
+        locations = dataset.sequences[user].locations.tolist()
+        counts = {}
+        n = 0
+        for i in sorted(rows, key=seq_pos.__getitem__):
+            pos = seq_pos[i]
+            for loc in locations[n:pos]:
+                counts[loc] = counts.get(loc, 0) + 1
+            n = pos
+            out[i] = entropy_of_counts(counts.values(), n)
+    return out
 
 
 # ---------------------------------------------------------------------------
