@@ -134,10 +134,11 @@ def sample_entropies(dataset: Dataset, samples: Windows) -> np.ndarray:
     user's sequence, bitwise as prefix_entropy computes it.
 
     A block of samples' prefix counts is one matrix, a column per sample
-    and a row per location in its user's first-seen order. math.log runs
-    once per distinct count/length pair, and the terms are subtracted row
-    by row, in prefix_entropy's order. A seq_pos outside
-    [1, len(sequence)] raises ValueError.
+    and a row per location in its user's first-seen order, up to the
+    block's largest distinct count. math.log runs once per distinct
+    count/length pair, and the terms are subtracted row by row, in
+    prefix_entropy's order. A seq_pos outside [1, len(sequence)] raises
+    ValueError.
     """
     out = np.empty(len(samples))
     if not len(samples):
@@ -160,16 +161,20 @@ def sample_entropies(dataset: Dataset, samples: Windows) -> np.ndarray:
     end = start + n
     column, firsts = _first_seen(
         np.concatenate([seq[:k] for seq, k in zip(seqs, spans.tolist())]), spans)
-    n_rows = int(column.max()) + 1
-    # log of a prefix's distinct locations m; h is 0.0 at m == 1, so is h / 1.0
-    log_m = np.array([1.0, 1.0] + [math.log(k) for k in range(2, n_rows + 1)])
     m = firsts[end - 1] - firsts[start] + 1
+    # log of a prefix's distinct locations m; h is 0.0 at m == 1, so is h / 1.0
+    log_m = np.array([1.0, 1.0] + [math.log(k) for k in range(2, int(m.max()) + 1)])
     width = int(n.max()) + 1  # a (count, n) pair's key is count * width + n
 
     h = np.zeros(len(samples))
-    block = max(1, _ENTROPY_BLOCK // n_rows)
-    for a in range(0, len(samples), block):
-        b = min(a + block, len(samples))
+    a = 0
+    while a < len(samples):
+        # the most samples from a whose matrix, a row per location up to
+        # their largest m, holds at most _ENTROPY_BLOCK counts (at least one)
+        m_max = np.maximum.accumulate(m[a:a + _ENTROPY_BLOCK])
+        cells = m_max * np.arange(1, len(m_max) + 1)
+        b = a + max(1, int(np.searchsorted(cells, _ENTROPY_BLOCK, side="right")))
+        n_rows = int(m_max[b - a - 1])
         cols = b - a + 1  # one spare column takes the last user's -1s
         # each record counts +1 from the first sample whose prefix holds it
         # and -1 from its user's end, so a cumulative sum along a row counts
@@ -184,18 +189,11 @@ def sample_entropies(dataset: Dataset, samples: Windows) -> np.ndarray:
         counts = counts.reshape(n_rows, cols)
         keys = np.cumsum(counts, axis=1, out=counts)[:, :-1] * width
         keys += n[a:b]
-        if width * width <= 2 * keys.size:  # a table over every key
-            seen = np.zeros(width * width, dtype=bool)
-            seen[keys] = True
-            values = np.flatnonzero(seen)
-            terms = np.zeros(width * width)
-            terms[values] = _entropy_terms(values, width)
-        else:
-            values, keys = np.unique(keys.ravel(), return_inverse=True)
-            keys = keys.reshape(n_rows, b - a)
-            terms = np.array(_entropy_terms(values, width))
-        for row_keys in keys:
+        values, keys = np.unique(keys.ravel(), return_inverse=True)
+        terms = np.array(_entropy_terms(values, width))
+        for row_keys in keys.reshape(n_rows, b - a):
             h[a:b] -= terms[row_keys]
+        a = b
     out[order] = np.minimum(h / log_m[m], 1.0)
     return out
 

@@ -517,8 +517,7 @@ class TestSampleEntropies:
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("block", [1, 50, training._ENTROPY_BLOCK])
     def test_bitwise_the_per_user_loop_in_any_order(self, monkeypatch, stride, block):
-        # small blocks split users across blocks and take the np.unique
-        # path; the default block takes the table path on the larger splits
+        # small blocks split users across blocks
         monkeypatch.setattr(training, "_ENTROPY_BLOCK", block)
         rng = np.random.default_rng(stride)
         cfg = SyntheticConfig(seed=12, num_users=9, num_locations=30, days=14,
@@ -532,7 +531,7 @@ class TestSampleEntropies:
             assert sample_entropies(ds, samples[rows]).tobytes() == want.tobytes()
 
     def test_bitwise_on_long_and_sparse_sequences(self):
-        # one user's long sequence over ids near 1e11: the np.unique path
+        # one user's long sequence over ids near 1e11
         rng = np.random.default_rng(4)
         ds = prepare_dataset([(0, 0, 0)], min_records=1000)
         ids = np.array([5, 10 ** 11, 3, 10 ** 11 + 7, 2 ** 62 - 1])
@@ -544,6 +543,24 @@ class TestSampleEntropies:
         assert got.tobytes() == sample_entropies_loop(ds, as_windows(samples)).tobytes()
         assert got.tobytes() == np.array([prefix_entropy(ds.sequences[s.user].locations[:s.seq_pos])
                                           for s in samples]).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 300, training._ENTROPY_BLOCK])
+    def test_bitwise_on_a_split_of_skewed_distinct_counts(self, monkeypatch, block):
+        # one explorer of 600 distinct locations among users of 1 to 3:
+        # blocks size their rows by their own samples, so a block holds
+        # users of few locations next to the explorer's
+        monkeypatch.setattr(training, "_ENTROPY_BLOCK", block)
+        rng = np.random.default_rng(5)
+        ds = prepare_dataset([(0, 0, 0)], min_records=1000)
+        samples = []
+        for u in range(12):
+            n, k = (1200, 600) if u == 6 else (30, 1 + u % 3)
+            ds.sequences[u] = ActivitySequence(u, rng.integers(0, k, n) * 7 + u, np.zeros(n))
+            samples += [WindowSample(u, (), (), 0, 0, int(p)) for p in rng.integers(1, n + 1, 25)]
+        windows = as_windows([samples[i] for i in rng.permutation(len(samples))])
+        got = sample_entropies(ds, windows)
+        assert got.tobytes() == sample_entropies_loop(ds, windows).tobytes()
+        assert 0.0 in got and (got > 0.9).any()
 
     def test_positions_outside_the_sequence_are_refused(self):
         seq = ActivitySequence(0, np.array([1, 2, 1, 3]), np.array([0, 1, 2, 3]))
